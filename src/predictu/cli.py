@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replicates per dataset for coverage intervals")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: PREDICTU_THREADS or all cores)")
+                   help="process count (default: PREDICTU_THREADS, else 1)")
     p.add_argument("--out", default=".")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -418,8 +418,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+    except (NumericError, MemoryError) as exc:
+        print(f"numeric error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -155,19 +155,21 @@ def parse_counts_file(path, rho: float):
         raise ValidationError(f"{path}: missing required columns {missing}")
     cols = [lowered.index(c) for c in required]
     labels: list[str] = []
+    seen: set[str] = set()
     n_case: list[int] = []
     n_control: list[int] = []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValidationError(f"{path}: line {lineno}: wrong column count")
         label = row[cols[0]].strip()
-        if label in labels:
+        if label in seen:
             raise ValidationError(f"{path}: line {lineno}: duplicate genotype_id {label!r}")
         try:
             a, b = int(row[cols[1]]), int(row[cols[2]])
         except ValueError as exc:
             raise ValidationError(f"{path}: line {lineno}: counts must be integers") from exc
         labels.append(label)
+        seen.add(label)
         n_case.append(a)
         n_control.append(b)
     genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import NumericError, ValidationError
-from .risk_model import CaseControlCounts, CurvePoints, GenotypeId
+from .risk_model import CaseControlCounts, CurvePoints, GenotypeId, _plugin_rows
 from .summary_indices import clipped_band_masses, partial_u_statistic, u_statistic
 
 __all__ = [
@@ -385,19 +385,6 @@ def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> fl
     return (1 + hits) / (1 + plan.n_replicates)
 
 
-def _plugin_batch(
-    case: np.ndarray, control: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise plug-in masses and risks from count matrices."""
-    n_d = case.sum(axis=-1, keepdims=True)
-    n_dbar = control.sum(axis=-1, keepdims=True)
-    a = case / n_d
-    b = control / n_dbar
-    p = a * rho + b * (1.0 - rho)
-    r = np.divide(a * rho, p, out=np.zeros_like(p), where=p > 0)
-    return p, r
-
-
 def partial_u_variance(
     counts: CaseControlCounts,
     order,
@@ -433,7 +420,7 @@ def partial_u_variance(
     boot_control = _reorder_matrix(boot_control, counts, order)
 
     def stat(case_rows: np.ndarray, control_rows: np.ndarray) -> np.ndarray:
-        p, r = _plugin_batch(case_rows, control_rows, rho)
+        p, r = _plugin_rows(case_rows, control_rows, rho)
         value = np.atleast_1d(partial_u_statistic(p, r, q0, q1))
         if standardized:
             rho_pt = (clipped_band_masses(p, q0, q1) * r).sum(axis=-1)

@@ -308,10 +308,22 @@ def build_risk_table(
     )
 
 
+def _plugin_rows(case, control, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise plug-in masses and risks from count arrays; zero-count cells keep zero mass."""
+    case = np.asarray(case, dtype=float)
+    control = np.asarray(control, dtype=float)
+    a = case / case.sum(axis=-1, keepdims=True)
+    b = control / control.sum(axis=-1, keepdims=True)
+    p = a * rho + b * (1.0 - rho)
+    r = np.divide(a * rho, p, out=np.zeros_like(p), where=p > 0)
+    return p, r
+
+
 def _plugin_conditionals(
     counts: CaseControlCounts, laplace: float = 0.0
-) -> tuple[tuple[GenotypeId, ...], np.ndarray, np.ndarray]:
-    """Plug-in P(g|D), P(g|not D) after removing genotypes unseen in both arms."""
+) -> tuple[tuple[GenotypeId, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Kept genotypes, their ``seen`` mask over ``counts.genotypes``, and the
+    plug-in P(g|D), P(g|not D) after removing genotypes unseen in both arms."""
     if laplace < 0:
         raise ValidationError("laplace smoothing constant must be nonnegative")
     seen = (counts.n_case + counts.n_control) > 0
@@ -323,7 +335,7 @@ def _plugin_conditionals(
     g = n_case.size
     a = (n_case + laplace) / (counts.n_cases + laplace * g)
     b = (n_control + laplace) / (counts.n_controls + laplace * g)
-    return kept, a, b
+    return kept, seen, a, b
 
 
 def estimate_risk_table(counts: CaseControlCounts, laplace: float = 0.0) -> RiskTable:
@@ -346,8 +358,8 @@ def estimate_risk_table(counts: CaseControlCounts, laplace: float = 0.0) -> Risk
     -------
     RiskTable
     """
-    kept, a, b = _plugin_conditionals(counts, laplace)
-    dropped = tuple(g for g in counts.genotypes if g not in kept)
+    kept, seen, a, b = _plugin_conditionals(counts, laplace)
+    dropped = tuple(g for g, k in zip(counts.genotypes, seen) if not k)
     if dropped:
         warnings.warn(
             f"dropping {len(dropped)} genotype(s) unseen in both arms: "
@@ -397,9 +409,10 @@ def apply_model_to_test(
     CurvePoints
     """
     train_keys = [g.key for g in train_order]
-    if len(set(train_keys)) != len(train_keys):
+    trained = set(train_keys)
+    if len(trained) != len(train_keys):
         raise ValidationError("training order must not repeat genotypes")
-    kept, a, b = _plugin_conditionals(test_counts, laplace)
+    kept, _, a, b = _plugin_conditionals(test_counts, laplace)
     rho = test_counts.rho
     p = a * rho + b * (1.0 - rho)
     r = (a * rho) / p
@@ -408,9 +421,9 @@ def apply_model_to_test(
     matched = [by_key[k] for k in train_keys if k in by_key]
     if not matched:
         raise ValidationError("training order shares no genotype with the test data")
-    extra = [i for i, g in enumerate(kept) if g.key not in set(train_keys)]
-    extra.sort(key=lambda i: (r[i], i))
-    idx = np.array(matched + extra, dtype=int)
+    extra = np.array([i for i, g in enumerate(kept) if g.key not in trained], dtype=int)
+    extra = extra[np.argsort(r[extra], kind="stable")]
+    idx = np.concatenate([np.array(matched, dtype=int), extra])
     return CurvePoints(
         q=np.cumsum(p[idx]),
         r=r[idx],

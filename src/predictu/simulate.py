@@ -38,6 +38,7 @@ from .risk_model import (
     CaseControlCounts,
     GenotypeId,
     RiskTable,
+    _plugin_rows,
     build_risk_table,
 )
 from .summary_indices import (
@@ -466,17 +467,6 @@ def worker_count(requested: int | None = None) -> int:
     return 1
 
 
-def _plugin_arrays(case, control, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise plug-in masses and risks; zero-count cells keep zero mass."""
-    case = np.asarray(case, dtype=float)
-    control = np.asarray(control, dtype=float)
-    a = case / case.sum(axis=-1, keepdims=True)
-    b = control / control.sum(axis=-1, keepdims=True)
-    p = a * rho + b * (1.0 - rho)
-    r = np.divide(a * rho, p, out=np.zeros_like(p), where=p > 0)
-    return p, r
-
-
 def _index_values(p, r, rho: float, tokens, band) -> dict[str, np.ndarray]:
     """Each requested index evaluated row-wise on stacked curves."""
     out: dict[str, np.ndarray] = {}
@@ -561,8 +551,8 @@ def _replicate_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
 
         # trained order: train-observed genotypes by estimated train risk,
         # then the rest by estimated test risk (ties keep table position)
-        _, r_train = _plugin_arrays(case_t, ctrl_t, rho)
-        _, r_test_all = _plugin_arrays(case_s, ctrl_s, rho)
+        _, r_train = _plugin_rows(case_t, ctrl_t, rho)
+        _, r_test_all = _plugin_rows(case_s, ctrl_s, rho)
         seen = (case_t + ctrl_t) > 0
         seen_idx = np.flatnonzero(seen)
         unseen_idx = np.flatnonzero(~seen)
@@ -575,10 +565,10 @@ def _replicate_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
 
         case_e = case_s[order]
         ctrl_e = ctrl_s[order]
-        p_hat, r_hat = _plugin_arrays(case_e[None, :], ctrl_e[None, :], rho)
+        p_hat, r_hat = _plugin_rows(case_e[None, :], ctrl_e[None, :], rho)
         boot_case = rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)
         boot_ctrl = rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)
-        p_boot, r_boot = _plugin_arrays(boot_case, boot_ctrl, rho)
+        p_boot, r_boot = _plugin_rows(boot_case, boot_ctrl, rho)
         if isotonic:
             r_hat = _refit_rows(p_hat, r_hat)
             r_boot = _refit_rows(p_boot, r_boot)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from predictu import cli
 from predictu.cli import main
 from predictu.fileio import read_json
 
@@ -141,6 +142,23 @@ def test_degenerate_rho_is_a_numeric_error(counts_file, tmp_path, capsys):
     code = main(["summarize", counts_file, "--rho", "5e-13", "--out", str(tmp_path)])
     assert code == 3
     assert "numeric error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [("Unable to allocate 4.8 GiB for an array", "Unable to allocate 4.8 GiB for an array"),
+     ("", "out of memory")],
+)
+def test_memory_error_is_a_numeric_error(
+    counts_file, tmp_path, capsys, monkeypatch, message, shown
+):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "summarize", exhausted)
+    code = main(["summarize", counts_file, "--rho", "0.21", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [f"numeric error: {shown}"]
 
 
 def test_links_identities_hold(counts_file, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,8 +97,8 @@ def test_two_sample_u_matches_plug_in_pairwise_form():
     rng = np.random.default_rng(501)
     for _ in range(300):
         counts = random_counts(rng)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             table = estimate_risk_table(counts)
         est = two_sample_u(counts, table.genotypes)
         assert est.u_hat == pytest.approx(brute_force_u(table.p, table.r), abs=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,157 @@ def test_counts_validation():
             np.array([1, 1]),
             rho=0.1,
         )
+
+
+def test_estimate_drops_by_position_not_by_index():
+    # two genotypes share index 0 but differ in label (the matching key);
+    # only the one with zero total count may be dropped and named
+    counts = CaseControlCounts(
+        genotypes=(GenotypeId(0, "a"), GenotypeId(0, "b")),
+        n_case=np.array([5, 0]),
+        n_control=np.array([10, 0]),
+        rho=0.1,
+    )
+    with pytest.warns(UserWarning, match=r"dropping 1 genotype\(s\) unseen in both arms: b$"):
+        table = estimate_risk_table(counts)
+    assert [(g.index, g.label) for g in table.dropped] == [(0, "b")]
+    assert [(g.index, g.label) for g in table.genotypes] == [(0, "a")]
+
+
+# ---------------------------------------------------------------------------
+# the list/tuple-membership bookkeeping that estimate_risk_table and
+# apply_model_to_test used before they worked from masks and key sets,
+# kept as the reference the rewritten paths must reproduce exactly
+
+
+def _reference_plugin(counts, laplace):
+    seen = (counts.n_case + counts.n_control) > 0
+    kept = tuple(g for g, k in zip(counts.genotypes, seen) if k)
+    n_case = counts.n_case[seen].astype(float)
+    n_control = counts.n_control[seen].astype(float)
+    g = n_case.size
+    a = (n_case + laplace) / (counts.n_cases + laplace * g)
+    b = (n_control + laplace) / (counts.n_controls + laplace * g)
+    return kept, a, b
+
+
+def _reference_dropped(counts):
+    kept, _, _ = _reference_plugin(counts, 0.0)
+    return tuple(g for g in counts.genotypes if g not in kept)
+
+
+def _reference_apply(train_order, test_counts, laplace):
+    train_keys = [g.key for g in train_order]
+    kept, a, b = _reference_plugin(test_counts, laplace)
+    rho = test_counts.rho
+    p = a * rho + b * (1.0 - rho)
+    r = (a * rho) / p
+    by_key = {g.key: i for i, g in enumerate(kept)}
+    matched = [by_key[k] for k in train_keys if k in by_key]
+    if not matched:
+        raise ValidationError("training order shares no genotype with the test data")
+    extra = [i for i, g in enumerate(kept) if g.key not in set(train_keys)]
+    extra.sort(key=lambda i: (r[i], i))
+    idx = np.array(matched + extra, dtype=int)
+    return (
+        np.cumsum(p[idx]),
+        r[idx],
+        tuple(kept[i] for i in idx),
+        tuple(kept[i] for i in extra),
+    )
+
+
+def _ids(genotypes):
+    # GenotypeId equality looks at the index only; compare both fields
+    return [(g.index, g.label) for g in genotypes]
+
+
+def _random_labelled_counts(rng, n_genotypes, rho):
+    labels = [f"L{j}" for j in rng.permutation(3 * n_genotypes)[:n_genotypes]]
+    # small counts: many genotypes unseen in both arms, many tied risks
+    n_case = rng.integers(0, 3, n_genotypes)
+    n_control = rng.integers(0, 3, n_genotypes)
+    n_case[rng.integers(n_genotypes)] += 1
+    n_control[rng.integers(n_genotypes)] += 1
+    return CaseControlCounts(
+        genotypes=tuple(GenotypeId(i, lab) for i, lab in enumerate(labels)),
+        n_case=n_case,
+        n_control=n_control,
+        rho=rho,
+    )
+
+
+def test_rewritten_bookkeeping_matches_reference():
+    rng = np.random.default_rng(104)
+    n_extra_total = 0
+    for trial in range(200):
+        g = int(rng.integers(2, 40))
+        rho = float(rng.uniform(0.02, 0.5))
+        laplace = 0.5 if trial % 4 == 0 else 0.0
+        train = _random_labelled_counts(rng, g, rho)
+        test = _random_labelled_counts(rng, g, rho)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = estimate_risk_table(train)
+        assert _ids(table.dropped) == _ids(_reference_dropped(train))
+
+        # shuffled train order over the train labels, re-indexed, plus a
+        # few labels the test data never carries
+        order = [GenotypeId(int(j), train.genotypes[i].label)
+                 for j, i in enumerate(rng.permutation(g))]
+        order += [GenotypeId(g + j, f"T{j}") for j in range(int(rng.integers(0, 3)))]
+        order = tuple(order[i] for i in rng.permutation(len(order)))
+        try:
+            expected = _reference_apply(order, test, laplace)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                apply_model_to_test(order, test, laplace)
+            continue
+        curve = apply_model_to_test(order, test, laplace)
+        q, r, genotypes, unseen = expected
+        np.testing.assert_array_equal(curve.q, q)
+        np.testing.assert_array_equal(curve.r, r)
+        assert _ids(curve.genotypes) == _ids(genotypes)
+        assert _ids(curve.unseen) == _ids(unseen)
+        n_extra_total += len(unseen)
+    assert n_extra_total > 100  # the unseen-genotype ordering was exercised
+
+
+class _CountingLabel(str):
+    """Genotype label that counts how often sets and dicts hash it."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountingLabel.hashes += 1
+        return str.__hash__(self)
+
+
+def test_bookkeeping_calls_stay_linear_in_genotypes(monkeypatch):
+    n_genotypes = 5000
+    rng = np.random.default_rng(105)
+    genotypes = tuple(GenotypeId(i, _CountingLabel(f"G{i}")) for i in range(n_genotypes))
+    n_case = rng.integers(0, 4, n_genotypes)
+    n_control = rng.integers(0, 4, n_genotypes)
+    n_case[0] = n_control[0] = 1
+    train = CaseControlCounts(genotypes, n_case, n_control, rho=0.1)
+    test = CaseControlCounts(genotypes, n_control, n_case, rho=0.1)
+
+    eq_calls = 0
+    dataclass_eq = GenotypeId.__eq__
+
+    def counting_eq(self, other):
+        nonlocal eq_calls
+        eq_calls += 1
+        return dataclass_eq(self, other)
+
+    monkeypatch.setattr(GenotypeId, "__eq__", counting_eq)
+    _CountingLabel.hashes = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        table = estimate_risk_table(train)
+    apply_model_to_test(table.genotypes, test)
+    assert table.dropped  # the dropped-genotype path ran
+    assert eq_calls <= 4 * n_genotypes
+    assert _CountingLabel.hashes <= 8 * n_genotypes
