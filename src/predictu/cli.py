@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-bad-rows", type=float, default=0.01,
                        help="tolerated fraction of malformed subject rows (default 0.01)")
         p.add_argument("--out", default=".", help="output directory (default current)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="format of the merged tabular artifact where applicable")
 
     p = sub.add_parser("curve", help="estimate a predictiveness curve from one dataset")
     p.add_argument("input", help="subject file (sample_id,status,markers) or counts file (genotype_id,n_case,n_control)")
@@ -156,12 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_counts(path, rho, max_bad_rows):
-    """Auto-detect subject versus pre-aggregated layout by header."""
+    """Auto-detect subject versus pre-aggregated layout by header.
+
+    Parse warnings go to stderr, prefixed with the file they came from.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().lower()
     if "genotype_id" in header:
-        return parse_counts_file(path, rho=rho)
-    return parse_subject_file(path, rho=rho, max_bad_rows=max_bad_rows)
+        counts, report = parse_counts_file(path, rho=rho)
+    else:
+        counts, report = parse_subject_file(path, rho=rho, max_bad_rows=max_bad_rows)
+    for warning in report.warnings:
+        print(f"warning: {path}: {warning}", file=sys.stderr)
+    return counts, report
 
 
 def _outdir(args) -> str:
@@ -227,8 +232,6 @@ def cmd_curve(args) -> int:
     meta["parse"] = {"rows": report.n_rows, "dropped": report.n_dropped,
                      "warnings": list(report.warnings)}
     write_json(os.path.join(out, "curve.json"), meta, prov)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     print(f"curve: {table.n_genotypes} genotypes, rho={table.rho:g} -> {out}/curve.csv")
     return 0
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericError
 from .risk_model import CurvePoints, RiskTable
-from .summary_indices import _masses_risks, u_statistic
+from .summary_indices import _EDGE, _masses_risks, u_statistic
 
 __all__ = [
     "RocCurve",
@@ -42,8 +42,6 @@ __all__ = [
     "check_roc_identity",
     "check_lorenz_identity",
 ]
-
-_EDGE = 1e-12
 
 
 @dataclass(frozen=True)

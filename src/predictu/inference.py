@@ -7,8 +7,15 @@ controls t,
 
 where phi is the antisymmetric sign of the genotype order positions.
 Every routine here contracts over genotype classes rather than subject
-pairs, so costs scale with the number of distinct genotypes G, not with
-n^2; the per-subject form exists only as a test oracle.
+pairs, and along the order the kernel reduces to a prefix sum,
+
+    case' phi control = sum_i case_i (C_{<i} - C_{>i}),
+
+with C_{<i} and C_{>i} the controls ordered below and above position i
+(the DeLong placement values).  One int64 cumulative sum serves the
+point estimate, the asymptotic variance and every resampling replicate
+in O(G) per row, exactly; the dense ``pair_kernel`` and the per-subject
+form exist only as test references.
 
 Resampling is stratified within arms (bootstrap) or redraws the case
 counts from the pooled genotype totals by multivariate hypergeometric
@@ -23,11 +30,11 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import NumericError, ValidationError
-from .risk_model import CaseControlCounts, CurvePoints, GenotypeId, _plugin_rows
-from .summary_indices import clipped_band_masses, partial_u_statistic, u_statistic
+from .risk_model import CaseControlCounts, _plugin_rows
+from .summary_indices import _check_band, clipped_band_masses, partial_u_statistic, u_statistic
 
 __all__ = [
     "Method",
@@ -51,10 +58,8 @@ _TAG_PERMUTATION = 211
 
 
 class Method(enum.Enum):
-    POPULATION_HOEFFDING = "population_hoeffding"
     TWO_SAMPLE_ASYMPTOTIC = "two_sample_asymptotic"
     BOOTSTRAP = "bootstrap"
-    PERMUTATION = "permutation"
 
 
 class Scheme(enum.Enum):
@@ -107,47 +112,64 @@ class UEstimate:
 
 
 def pair_kernel(n: int) -> np.ndarray:
-    """phi[i, j] = sign(i - j) for order positions 0..n-1."""
+    """phi[i, j] = sign(i - j) for order positions 0..n-1 (dense reference)."""
     pos = np.arange(n)
     return np.sign(pos[:, None] - pos[None, :]).astype(float)
 
 
 def _align_counts(
     counts: CaseControlCounts, order
-) -> tuple[np.ndarray, np.ndarray, tuple[GenotypeId, ...]]:
-    """Count vectors arranged along the given genotype order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Case and control counts along the given genotype order, and the
+    gather index ``pos`` that arranges any count matrix the same way.
 
     Every genotype with a nonzero count must appear in the order;
-    ordered genotypes absent from the counts contribute zero rows.
+    ordered genotypes absent from the counts (``pos`` -1) contribute
+    zero columns.
     """
-    order = tuple(order)
     keys = [g.key for g in order]
-    if len(set(keys)) != len(keys):
-        raise ValidationError("order must not repeat genotypes")
     slot = {k: i for i, k in enumerate(keys)}
-    case = np.zeros(len(order), dtype=np.int64)
-    control = np.zeros(len(order), dtype=np.int64)
-    for g, nc, nn in zip(counts.genotypes, counts.n_case, counts.n_control):
+    if len(slot) != len(keys):
+        raise ValidationError("order must not repeat genotypes")
+    pos = np.full(len(keys), -1, dtype=np.intp)
+    for j, (g, nc, nn) in enumerate(zip(counts.genotypes, counts.n_case, counts.n_control)):
         i = slot.get(g.key)
-        if i is None:
-            if nc > 0 or nn > 0:
-                raise ValidationError(f"genotype {g} has counts but no order position")
-            continue
-        case[i] = nc
-        control[i] = nn
-    return case, control, order
+        if i is not None:
+            pos[i] = j
+        elif nc > 0 or nn > 0:
+            raise ValidationError(f"genotype {g} has counts but no order position")
+    return _take(counts.n_case, pos), _take(counts.n_control, pos), pos
 
 
-def _contract(case: np.ndarray, phi: np.ndarray, control: np.ndarray) -> float:
-    """sum_i sum_j case_i control_j phi[i, j]; exact in int-valued floats."""
-    return float(case.astype(float) @ phi @ control.astype(float))
+def _take(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Columns of ``values`` (counts order, last axis) arranged by ``pos``."""
+    out = np.take(values, pos, axis=-1)
+    out[..., pos < 0] = 0
+    return out
+
+
+def _placements(control: np.ndarray) -> np.ndarray:
+    """(phi control)_i = C_{<i} - C_{>i} = 2 C_{<=i} - c_i - C, last axis, int64."""
+    out = np.cumsum(control, axis=-1, dtype=np.int64)
+    out *= 2
+    out -= control
+    out -= control.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _contract(case: np.ndarray, control: np.ndarray) -> np.ndarray:
+    """case' phi control per row (1-d or (B, G)), exact in int64, one temporary."""
+    weighted = _placements(control)
+    weighted *= case
+    return weighted.sum(axis=-1)
 
 
 def two_sample_u(counts: CaseControlCounts, order) -> UEstimate:
     """Estimate U from case-control counts along a fixed genotype order.
 
-    Contracts the pair kernel over genotype classes:
-    U_hat = 2 rho (1 - rho) * (case' phi control) / (n_D n_Dbar).
+    Contracts the pair kernel over genotype classes with one prefix sum:
+    U_hat = 2 rho (1 - rho) * (case' phi control) / (n_D n_Dbar), where
+    (phi control)_i counts the controls ordered below i minus those above.
     The result is algebraically identical to the pairwise-mass form
     2 sum_{i>j} p_hat_i p_hat_j (r_hat_i - r_hat_j) evaluated in the
     same order.  The attached variance is the asymptotic one when both
@@ -164,12 +186,12 @@ def two_sample_u(counts: CaseControlCounts, order) -> UEstimate:
     -------
     UEstimate
     """
-    case, control, order = _align_counts(counts, order)
+    order = tuple(order)
+    case, control, _ = _align_counts(counts, order)
     rho = counts.rho
-    phi = pair_kernel(len(order))
     n_d = counts.n_cases
     n_dbar = counts.n_controls
-    u_hat = 2.0 * rho * (1.0 - rho) * _contract(case, phi, control) / (n_d * n_dbar)
+    u_hat = 2.0 * rho * (1.0 - rho) * int(_contract(case, control)) / (n_d * n_dbar)
     if n_d >= 2 and n_dbar >= 2:
         variance = asymptotic_variance_u(counts, order)
     else:
@@ -180,8 +202,8 @@ def two_sample_u(counts: CaseControlCounts, order) -> UEstimate:
 def asymptotic_variance_u(counts: CaseControlCounts, order) -> float:
     """Projection-based large-sample variance of the two-sample U estimate.
 
-    Empirical variance of the per-subject conditional means of phi,
-    computed per genotype class:
+    Empirical variance of the per-subject conditional means of phi (the
+    DeLong placement values), computed per genotype class:
 
         var = 4 rho^2 (1-rho)^2 [ S_case / (n_D (n_D - 1))
                                   + S_control / (n_Dbar (n_Dbar - 1)) ]
@@ -191,17 +213,17 @@ def asymptotic_variance_u(counts: CaseControlCounts, order) -> float:
     the kernel-scale estimate, so the deviations are centred on the
     same scale they are measured on.
     """
-    case, control, order = _align_counts(counts, order)
+    case, control, _ = _align_counts(counts, order)
     n_d = counts.n_cases
     n_dbar = counts.n_controls
     if n_d < 2 or n_dbar < 2:
         raise ValidationError("asymptotic variance needs at least two subjects per arm")
     rho = counts.rho
-    phi = pair_kernel(len(order))
-    theta = _contract(case, phi, control) / (n_d * n_dbar)
-    # conditional mean of phi for a case in class i / a control in class j
-    mean_case = (phi @ control.astype(float)) / n_dbar
-    mean_control = (case.astype(float) @ phi) / n_d
+    theta = int(_contract(case, control)) / (n_d * n_dbar)
+    # conditional mean of phi for a case in class i / a control in class j:
+    # the placement values, (phi control)_i and (case' phi)_j = -(phi case)_j
+    mean_case = _placements(control) / n_dbar
+    mean_control = -_placements(case) / n_d
     s_case = float(case @ (mean_case - theta) ** 2)
     s_control = float(control @ (mean_control - theta) ** 2)
     scale = 4.0 * rho**2 * (1.0 - rho) ** 2
@@ -216,7 +238,7 @@ def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
     if not np.isfinite(estimate.variance) or estimate.variance < 0:
         raise NumericError(f"cannot build an interval from variance {estimate.variance}")
-    half = float(norm.ppf(0.5 + level / 2.0)) * np.sqrt(estimate.variance)
+    half = float(ndtri(0.5 + level / 2.0)) * np.sqrt(estimate.variance)
     ci = ConfidenceInterval(estimate.u_hat - half, estimate.u_hat + half, level)
     return replace(estimate, ci=ci)
 
@@ -314,18 +336,17 @@ def bootstrap_ci(
     """
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
-    case, control, order = _align_counts(counts, order)
+    case, control, pos = _align_counts(counts, order)
     rho = counts.rho
-    phi = pair_kernel(len(order))
     n_d = counts.n_cases
     n_dbar = counts.n_controls
     scale = 2.0 * rho * (1.0 - rho) / (n_d * n_dbar)
-    point = scale * _contract(case, phi, control)
+    point = scale * int(_contract(case, control))
 
     boot_case, boot_control = _bootstrap_counts(counts, plan)
-    boot_case = _reorder_matrix(boot_case, counts, order)
-    boot_control = _reorder_matrix(boot_control, counts, order)
-    values = scale * np.einsum("bg,bg->b", boot_case @ phi, boot_control)
+    boot_case = _take(boot_case, pos)
+    boot_control = _take(boot_control, pos)
+    values = scale * _contract(boot_case, boot_control)
     variance = float(np.var(values, ddof=1)) if plan.n_replicates > 1 else 0.0
     return UEstimate(
         u_hat=point,
@@ -337,27 +358,14 @@ def bootstrap_ci(
     )
 
 
-def _reorder_matrix(
-    mat: np.ndarray, counts: CaseControlCounts, order: tuple[GenotypeId, ...]
-) -> np.ndarray:
-    """Columns of ``mat`` (in counts order) arranged along ``order``."""
-    slot = {g.key: i for i, g in enumerate(counts.genotypes)}
-    out = np.zeros((mat.shape[0], len(order)), dtype=float)
-    for j, g in enumerate(order):
-        i = slot.get(g.key)
-        if i is not None:
-            out[:, j] = mat[:, i]
-    return out
-
-
 def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> float:
     """Two-sided permutation p-value for H0: U = 0 (labels exchangeable).
 
     Redraws the case counts from the pooled genotype totals by
     multivariate hypergeometric sampling, which is exactly a uniform
     permutation of case/control labels at fixed genotypes.  The
-    comparison |U*| >= |U| runs on the integer kernel contraction, so
-    no floating-point fuzz enters the count.
+    comparison |U*| >= |U| runs on the int64 kernel contraction, so it
+    is exact at any sample size.
 
     The ``order`` must come from outside the data being tested (a
     trained model, an external ranking, or a fixed convention).  An
@@ -371,16 +379,15 @@ def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> fl
     """
     if plan.scheme is not Scheme.LABEL_PERMUTATION:
         raise ValidationError(f"permutation requires LABEL_PERMUTATION, got {plan.scheme}")
-    case, control, order = _align_counts(counts, order)
-    phi = pair_kernel(len(order))
-    observed = abs(_contract(case, phi, control))
+    case, control, _ = _align_counts(counts, order)
+    observed = abs(int(_contract(case, control)))
 
     pooled = case + control
     n_d = counts.n_cases
     rng = np.random.default_rng([plan.seed, _TAG_PERMUTATION])
     perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=plan.n_replicates)
     perm_control = pooled[None, :] - perm_case
-    stats = np.abs(np.einsum("bg,bg->b", perm_case @ phi, perm_control.astype(float)))
+    stats = np.abs(_contract(perm_case, perm_control))
     hits = int(np.count_nonzero(stats >= observed))
     return (1 + hits) / (1 + plan.n_replicates)
 
@@ -408,16 +415,16 @@ def partial_u_variance(
         rho_pt the band mass integral of that replicate's curve.
     """
     q0, q1 = band
-    if not (0.0 <= q0 < q1 <= 1.0):
-        raise ValidationError(f"band must satisfy 0 <= q0 < q1 <= 1, got {band}")
+    _check_band(q0, q1)
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
-    case, control, order = _align_counts(counts, order)
+    case, control, pos = _align_counts(counts, order)
     rho = counts.rho
 
     boot_case, boot_control = _bootstrap_counts(counts, plan)
-    boot_case = _reorder_matrix(boot_case, counts, order)
-    boot_control = _reorder_matrix(boot_control, counts, order)
+    # float once here, so _plugin_rows holds no int and float copy at once
+    boot_case = _take(boot_case, pos).astype(float)
+    boot_control = _take(boot_control, pos).astype(float)
 
     def stat(case_rows: np.ndarray, control_rows: np.ndarray) -> np.ndarray:
         p, r = _plugin_rows(case_rows, control_rows, rho)
@@ -429,6 +436,7 @@ def partial_u_variance(
         return value
 
     point = float(stat(case[None, :].astype(float), control[None, :].astype(float))[0])
+    del case, control, pos  # the replicate statistic sets the peak: hold nothing extra
     values = stat(boot_case, boot_control)
     values = values[np.isfinite(values)]
     if values.size == 0:

@@ -42,6 +42,7 @@ from .risk_model import (
     build_risk_table,
 )
 from .summary_indices import (
+    _check_band,
     average_entropy_statistic,
     clipped_band_masses,
     partial_u_statistic,
@@ -631,9 +632,7 @@ def run_bias_coverage(
     if any(t.startswith("upartial") for t in tokens):
         if band is None:
             raise ValidationError("partial indices require a band")
-        q0, q1 = band
-        if not (0.0 <= q0 < q1 <= 1.0):
-            raise ValidationError(f"band must satisfy 0 <= q0 < q1 <= 1, got {band}")
+        _check_band(*band)
     if n_replicates < 1:
         raise ValidationError("need at least one replicate")
     n_train_cases = n_train_cases or n_cases

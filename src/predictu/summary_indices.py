@@ -23,7 +23,6 @@ use to evaluate thousands of bootstrap replicates in one call.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ from .errors import NumericError, ValidationError
 from .risk_model import CurvePoints, RiskTable
 
 __all__ = [
-    "Kernel",
     "IndexResult",
     "u_statistic",
     "partial_u_statistic",
@@ -52,12 +50,6 @@ __all__ = [
 
 # rho or rho_pt closer than this to 0 or 1 makes standardisation undefined
 _EDGE = 1e-12
-
-
-class Kernel(enum.Enum):
-    """Pairwise kernel applied between curve steps."""
-
-    RISK_DIFFERENCE = "risk_difference"
 
 
 @dataclass(frozen=True)
@@ -101,9 +93,9 @@ def _masses_risks(table_or_curve) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _check_kernel(kernel: Kernel) -> None:
-    if kernel is not Kernel.RISK_DIFFERENCE:
-        raise ValidationError(f"unsupported kernel {kernel!r}")
+def _check_band(q0: float, q1: float) -> None:
+    if not (0.0 <= q0 < q1 <= 1.0):
+        raise ValidationError(f"band must satisfy 0 <= q0 < q1 <= 1, got ({q0}, {q1})")
 
 
 def u_statistic(p, r) -> np.ndarray | float:
@@ -194,7 +186,7 @@ def _eval_rho(p: np.ndarray, r: np.ndarray) -> float:
     return float(p @ r)
 
 
-def predictiveness_u(table_or_curve, kernel: Kernel = Kernel.RISK_DIFFERENCE) -> IndexResult:
+def predictiveness_u(table_or_curve) -> IndexResult:
     """Predictiveness U of a table or curve, over its stored order.
 
     Returns
@@ -203,7 +195,6 @@ def predictiveness_u(table_or_curve, kernel: Kernel = Kernel.RISK_DIFFERENCE) ->
         ``value`` in [-2 rho (1-rho), 2 rho (1-rho)]; negative values
         can only arise from non-monotone curves.
     """
-    _check_kernel(kernel)
     p, r = _masses_risks(table_or_curve)
     return IndexResult(
         name="U",
@@ -213,15 +204,12 @@ def predictiveness_u(table_or_curve, kernel: Kernel = Kernel.RISK_DIFFERENCE) ->
     )
 
 
-def predictiveness_u_std(
-    table_or_curve, kernel: Kernel = Kernel.RISK_DIFFERENCE
-) -> IndexResult:
+def predictiveness_u_std(table_or_curve) -> IndexResult:
     """U standardised by its maximum 2 rho (1 - rho).
 
     rho is the mass-weighted mean risk of the evaluated curve.  Raises
     NumericError when rho is 0 or 1, where the maximum degenerates.
     """
-    _check_kernel(kernel)
     p, r = _masses_risks(table_or_curve)
     rho = _eval_rho(p, r)
     if rho < _EDGE or rho > 1.0 - _EDGE:
@@ -239,7 +227,6 @@ def partial_u(
     q0: float,
     q1: float,
     standardized: bool = False,
-    kernel: Kernel = Kernel.RISK_DIFFERENCE,
     band_rho: str = "mass",
 ) -> IndexResult:
     """Partial predictiveness U over the quantile band (q0, q1].
@@ -270,11 +257,9 @@ def partial_u(
     -------
     IndexResult
     """
-    _check_kernel(kernel)
     if band_rho not in ("mass", "mean"):
         raise ValidationError(f"band_rho must be 'mass' or 'mean', got {band_rho!r}")
-    if not (0.0 <= q0 < q1 <= 1.0):
-        raise ValidationError(f"band must satisfy 0 <= q0 < q1 <= 1, got ({q0}, {q1})")
+    _check_band(q0, q1)
     p, r = _masses_risks(table_or_curve)
     m = clipped_band_masses(p, q0, q1)
     width = float(m.sum())

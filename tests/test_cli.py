@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import predictu
 from predictu import cli
 from predictu.cli import main
 from predictu.fileio import read_json
@@ -78,6 +82,35 @@ def test_curve_warns_on_dropped_rows(tmp_path, capsys):
     assert code == 0
     assert "warning:" in capsys.readouterr().err
     assert read_json(out / "curve.json")["parse"]["dropped"] == 1
+
+
+@pytest.mark.parametrize("command", ["summarize", "links", "validate"])
+def test_every_subcommand_warns_on_dropped_rows(command, subject_file, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(SUBJECTS + "oops,1\n")
+    inputs = ["--train", subject_file, "--test", str(bad)] if command == "validate" else [str(bad)]
+    code = main([command, *inputs, "--rho", "0.21", "--max-bad-rows", "0.5",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    err = capsys.readouterr().err
+    # the prefix names the file, so validate's two inputs can be told apart
+    assert f"warning: {bad}:" in err
+    assert subject_file not in err
+
+
+@pytest.mark.parametrize("command", ["curve", "summarize", "links"])
+def test_format_is_not_accepted_where_it_would_be_ignored(command, counts_file, tmp_path):
+    assert main([command, counts_file, "--rho", "0.21", "--format", "json",
+                 "--out", str(tmp_path)]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
+    code = "import sys, predictu.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_summarize_golden_values(counts_file, tmp_path):

@@ -1,0 +1,161 @@
+"""The prefix-sum contraction against the dense pair-kernel reference.
+
+``dense_reference`` is the earlier production path, kept here as the
+oracle: counts arranged along the order by a per-column loop, then
+contracted through the G x G matrix phi = pair_kernel(G).  The O(G)
+path must reproduce it exactly, not to a tolerance.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from predictu.errors import ValidationError
+from predictu.inference import (
+    ResamplePlan,
+    Scheme,
+    _align_counts,
+    _bootstrap_counts,
+    _contract,
+    _take,
+    asymptotic_variance_u,
+    bootstrap_ci,
+    pair_kernel,
+    permutation_test,
+    two_sample_u,
+)
+from predictu.risk_model import CaseControlCounts, GenotypeId
+
+
+def _arrange(mat, counts, order):
+    slot = {g.key: i for i, g in enumerate(counts.genotypes)}
+    out = np.zeros(mat.shape[:-1] + (len(order),), dtype=float)
+    for j, g in enumerate(order):
+        i = slot.get(g.key)
+        if i is not None:
+            out[..., j] = mat[..., i]
+    return out
+
+
+def dense_reference(counts, order, boot_plan, perm_plan):
+    """Kernel sum, U, asymptotic variance, bootstrap replicate sums and
+    permutation p-value, all through phi."""
+    case = _arrange(counts.n_case, counts, order)
+    control = _arrange(counts.n_control, counts, order)
+    phi = pair_kernel(len(order))
+    n_d, n_dbar, rho = counts.n_cases, counts.n_controls, counts.rho
+    kernel_sum = float(case @ phi @ control)
+    u_hat = 2.0 * rho * (1.0 - rho) * kernel_sum / (n_d * n_dbar)
+
+    theta = kernel_sum / (n_d * n_dbar)
+    mean_case = (phi @ control) / n_dbar
+    mean_control = (case @ phi) / n_d
+    s_case = float(case.astype(np.int64) @ (mean_case - theta) ** 2)
+    s_control = float(control.astype(np.int64) @ (mean_control - theta) ** 2)
+    variance = 4.0 * rho**2 * (1.0 - rho) ** 2 * (
+        s_case / (n_d * (n_d - 1)) + s_control / (n_dbar * (n_dbar - 1))
+    )
+
+    boot_case, boot_control = _bootstrap_counts(counts, boot_plan)
+    boot_case = _arrange(boot_case, counts, order)
+    boot_control = _arrange(boot_control, counts, order)
+    boot_sums = np.einsum("bg,bg->b", boot_case @ phi, boot_control)
+
+    pooled = (case + control).astype(np.int64)
+    rng = np.random.default_rng([perm_plan.seed, 211])
+    perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=perm_plan.n_replicates)
+    perm_control = pooled[None, :] - perm_case
+    stats = np.abs(np.einsum("bg,bg->b", perm_case @ phi, perm_control.astype(float)))
+    hits = int(np.count_nonzero(stats >= abs(kernel_sum)))
+    p_value = (1 + hits) / (1 + perm_plan.n_replicates)
+    return kernel_sum, u_hat, variance, boot_sums, p_value
+
+
+def random_case(rng):
+    """Counts with zero-count genotypes, and a shuffled order that may drop
+    unobserved genotypes and add genotypes the counts do not list."""
+    g = int(rng.integers(1, 12))
+    while True:
+        n_case = rng.integers(0, 30, g) * (rng.random(g) < 0.8)
+        n_control = rng.integers(0, 30, g) * (rng.random(g) < 0.8)
+        if n_case.sum() >= 2 and n_control.sum() >= 2:
+            break
+    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(g))
+    counts = CaseControlCounts(genotypes, n_case, n_control, float(rng.uniform(0.05, 0.5)))
+    empty = (n_case + n_control) == 0
+    order = [x for x, e in zip(genotypes, empty) if not e or rng.random() < 0.5]
+    order += [GenotypeId(g + k, f"extra{k}") for k in range(int(rng.integers(0, 3)))]
+    rng.shuffle(order)
+    return counts, tuple(order)
+
+
+def test_contraction_equals_dense_reference_exactly():
+    rng = np.random.default_rng(2027)
+    for trial in range(150):
+        counts, order = random_case(rng)
+        boot_plan = ResamplePlan(25, seed=trial)
+        perm_plan = ResamplePlan(25, seed=trial, scheme=Scheme.LABEL_PERMUTATION)
+        kernel_sum, u_hat, variance, boot_sums, p_value = dense_reference(
+            counts, order, boot_plan, perm_plan
+        )
+
+        assert two_sample_u(counts, order).u_hat == u_hat
+        assert asymptotic_variance_u(counts, order) == variance
+        assert permutation_test(counts, order, perm_plan) == p_value
+
+        case, control, pos = _align_counts(counts, order)
+        assert case.dtype == control.dtype == np.int64
+        boot_case, boot_control = _bootstrap_counts(counts, boot_plan)
+        for mat in (boot_case, boot_control):
+            taken = _take(mat, pos)
+            assert taken.flags.c_contiguous
+            np.testing.assert_array_equal(taken, _arrange(mat, counts, order))
+        sums = _contract(_take(boot_case, pos), _take(boot_control, pos))
+        assert sums.dtype == np.int64
+        np.testing.assert_array_equal(sums, boot_sums.astype(np.int64))
+        np.testing.assert_array_equal(sums.astype(float), boot_sums)
+
+        scale = 2.0 * counts.rho * (1.0 - counts.rho) / (counts.n_cases * counts.n_controls)
+        est = bootstrap_ci(counts, order, boot_plan)
+        values = scale * boot_sums
+        assert est.u_hat == scale * kernel_sum
+        assert est.variance == float(np.var(values, ddof=1))
+        tail = 100.0 * (1.0 - 0.95) / 2.0
+        lower, upper = np.percentile(values, [tail, 100.0 - tail])
+        assert (est.ci.lower, est.ci.upper) == (float(lower), float(upper))
+
+
+def test_memory_stays_linear_in_genotypes():
+    # the dense kernel alone would need 6,000^2 * 8 bytes = 275 MiB
+    g = 6000
+    rng = np.random.default_rng(11)
+    counts = CaseControlCounts(
+        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
+        n_case=rng.integers(0, 40, g),
+        n_control=rng.integers(0, 40, g),
+        rho=0.1,
+    )
+    order = counts.genotypes[::-1]
+    tracemalloc.start()
+    try:
+        two_sample_u(counts, order)
+        bootstrap_ci(counts, order, ResamplePlan(20, seed=1))
+        permutation_test(counts, order, ResamplePlan(20, seed=1, scheme=Scheme.LABEL_PERMUTATION))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("repeat", [True, False])
+def test_align_rejects_repeats_and_unordered_counts(repeat):
+    counts = CaseControlCounts(
+        genotypes=(GenotypeId(0, "a"), GenotypeId(1, "b")),
+        n_case=np.array([3, 1]),
+        n_control=np.array([2, 2]),
+        rho=0.2,
+    )
+    order = (GenotypeId(0, "a"), GenotypeId(0, "a")) if repeat else (GenotypeId(0, "a"),)
+    with pytest.raises(ValidationError, match="repeat" if repeat else "no order position"):
+        two_sample_u(counts, order)
