@@ -33,7 +33,7 @@ import numpy as np
 import yaml
 
 from .errors import NumericError, ValidationError
-from .isotonic import pava
+from .isotonic import pava_rows
 from .risk_model import (
     CaseControlCounts,
     GenotypeId,
@@ -499,16 +499,6 @@ def _index_values(p, r, rho: float, tokens, band) -> dict[str, np.ndarray]:
     return out
 
 
-def _refit_rows(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Isotonic refit of each row's positive-mass risks, masses as weights."""
-    out = np.array(r, dtype=float, copy=True)
-    for i in range(p.shape[0]):
-        mask = p[i] > 0
-        if mask.sum() > 1:
-            out[i, mask] = pava(r[i, mask], p[i, mask]).fitted
-    return out
-
-
 def _true_values(population: Population, tokens, band) -> dict[str, float]:
     p, r = population.table.p, population.table.r
     values = _index_values(p, r, population.rho, tokens, band)
@@ -566,16 +556,20 @@ def _replicate_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
 
         case_e = case_s[order]
         ctrl_e = ctrl_s[order]
-        p_hat, r_hat = _plugin_rows(case_e[None, :], ctrl_e[None, :], rho)
-        boot_case = rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)
-        boot_ctrl = rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)
-        p_boot, r_boot = _plugin_rows(boot_case, boot_ctrl, rho)
+        # row 0 is the test curve, rows 1.. its bootstrap replicates
+        case_b = np.vstack(
+            [case_e, rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)]
+        )
+        ctrl_b = np.vstack(
+            [ctrl_e, rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)]
+        )
+        p, r = _plugin_rows(case_b, ctrl_b, rho)
+        del case_b, ctrl_b  # keep the refit's temporaries within the old peak
         if isotonic:
-            r_hat = _refit_rows(p_hat, r_hat)
-            r_boot = _refit_rows(p_boot, r_boot)
+            pava_rows(r, p)
 
-        point = _index_values(p_hat, r_hat, rho, tokens, band)
-        boot = _index_values(p_boot, r_boot, rho, tokens, band)
+        point = _index_values(p[:1], r[:1], rho, tokens, band)
+        boot = _index_values(p[1:], r[1:], rho, tokens, band)
         for t, token in enumerate(tokens):
             values[row, t] = point[token][0]
             reps = boot[token]
@@ -635,8 +629,14 @@ def run_bias_coverage(
         _check_band(*band)
     if n_replicates < 1:
         raise ValidationError("need at least one replicate")
-    n_train_cases = n_train_cases or n_cases
-    n_train_controls = n_train_controls or n_controls
+    n_train_cases = n_cases if n_train_cases is None else n_train_cases
+    n_train_controls = n_controls if n_train_controls is None else n_train_controls
+    if min(n_cases, n_controls, n_train_cases, n_train_controls) < 1:
+        raise ValidationError("need at least one case and one control in each sample")
+    if n_bootstrap < 1:
+        raise ValidationError("need at least one bootstrap replicate")
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level}")
     n_workers = worker_count(workers)
 
     reports: list[EvalReport] = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from predictu.isotonic import pava
 from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
 
 
@@ -53,3 +54,17 @@ def brute_force_u(p, r):
         for j in range(i):
             total += p[i] * p[j] * (r[i] - r[j])
     return 2.0 * total
+
+
+def refit_rows_one_by_one(p, r):
+    """Isotonic refit of each row's positive-mass risks, masses as weights.
+
+    The simulation harness's former per-row loop over ``pava``: the
+    reference the batched ``pava_rows`` must equal bit for bit.
+    """
+    out = np.array(r, dtype=float, copy=True)
+    for i in range(p.shape[0]):
+        mask = p[i] > 0
+        if mask.sum() > 1:
+            out[i, mask] = pava(r[i, mask], p[i, mask]).fitted
+    return out

@@ -257,6 +257,22 @@ def test_simulate_smoke_replay(tmp_path, capsys):
     assert "%bias" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--bootstrap", "-1"], ["--bootstrap", "0"], ["--n-cases", "0"], ["--n-controls", "-5"]],
+)
+def test_simulate_rejects_empty_samples(tmp_path, capsys, bad):
+    out = tmp_path / "run"
+    code = main([
+        "simulate", "--preset", "smoke", "--replicates", "3",
+        "--n-cases", "100", "--n-controls", "100", "--bootstrap", "20",
+        *bad, "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "eval.csv").exists()
+
+
 def test_simulate_from_model_yaml(tmp_path):
     model = tmp_path / "model.yaml"
     model.write_text(

@@ -1,0 +1,23 @@
+"""Each script under demos/ runs to completion against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) == 6, [d.name for d in DEMOS]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from predictu.errors import ValidationError
-from predictu.isotonic import pava
+from predictu.isotonic import pava, pava_rows
 from predictu.risk_model import build_risk_table
 from predictu.summary_indices import u_statistic
+
+from conftest import refit_rows_one_by_one
 
 
 def brute_force_isotonic(y, w):
@@ -114,3 +116,69 @@ def test_rejects_nonpositive_weights():
         pava(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
     with pytest.raises(ValidationError):
         pava(np.array([0.1, 0.2]), np.array([1.0]))
+
+
+def random_stack(rng):
+    """(B, G) risks and weights mixing the layouts the harness meets."""
+    n_rows = 1 if rng.random() < 0.2 else int(rng.integers(2, 40))
+    n_cols = int(rng.integers(1, 30))
+    risks = rng.uniform(0, 1, (n_rows, n_cols))
+    if rng.random() < 0.3:
+        risks = np.round(risks, 1)  # tied risks
+    weights = rng.uniform(0.01, 2.0, (n_rows, n_cols))
+    weights *= rng.random((n_rows, n_cols)) < rng.uniform(0.1, 1.0)  # zero-weight cells
+    for i in range(n_rows):
+        kind = rng.integers(0, 8)
+        if kind == 0:
+            weights[i] = 0.0
+        elif kind == 1:
+            weights[i] = 0.0
+            weights[i, rng.integers(n_cols)] = 1.0
+        elif kind == 2:
+            risks[i] = np.sort(risks[i])
+        elif kind == 3:
+            risks[i] = risks[i, 0]
+    return risks, weights
+
+
+def test_row_fit_equals_pava_row_by_row():
+    rng = np.random.default_rng(405)
+    for _ in range(600):
+        risks, weights = random_stack(rng)
+        expected = refit_rows_one_by_one(weights, risks)
+        refit = risks.copy()
+        assert pava_rows(refit, weights) is refit
+        assert np.array_equal(refit, expected)
+
+
+def test_row_fit_on_harness_sized_stacks():
+    # 401 rows of 81 genotypes with counts-based masses, as one replicate
+    # of the simulation harness refits them
+    rng = np.random.default_rng(406)
+    for _ in range(5):
+        case = rng.multinomial(600, rng.dirichlet(np.full(81, 0.3)), size=401)
+        control = rng.multinomial(300, rng.dirichlet(np.full(81, 0.3)), size=401)
+        weights = 0.05 * case / 600 + 0.95 * control / 300
+        risks = np.divide(0.05 * case / 600, weights, out=np.zeros_like(weights),
+                          where=weights > 0)
+        expected = refit_rows_one_by_one(weights, risks)
+        assert np.array_equal(pava_rows(risks, weights), expected)
+
+
+def test_row_fit_keeps_skipped_cells_and_rows():
+    risks = np.array([[0.5, 0.9, 0.1, 0.3], [0.7, 0.2, 0.4, 0.6], [0.8, 0.1, 0.3, 0.2]])
+    weights = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
+    fitted = pava_rows(risks.copy(), weights)
+    np.testing.assert_array_equal(fitted[0], [0.3, 0.9, 0.3, 0.3])
+    np.testing.assert_array_equal(fitted[1:], risks[1:])
+
+
+def test_row_fit_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        pava_rows(np.zeros((2, 3)), np.ones((2, 4)))
+    with pytest.raises(ValidationError):
+        pava_rows(np.zeros(3), np.ones(3))
+    with pytest.raises(ValidationError):
+        pava_rows(np.zeros((2, 3)), np.array([[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(ValidationError):
+        pava_rows(np.zeros((2, 3), dtype=int), np.ones((2, 3)))

@@ -13,6 +13,8 @@ from predictu.summary_indices import (
     u_statistic,
 )
 
+from conftest import refit_rows_one_by_one
+
 
 def hand_model():
     """One locus at maf 0.5 with penetrances (0.1, 0.2, 0.3)."""
@@ -289,10 +291,10 @@ def test_harness_worker_independence(monkeypatch):
         seed=9,
         n_bootstrap=50,
     )
-    serial = sim.run_bias_coverage([spec], workers=1, **kwargs)
-    parallel = sim.run_bias_coverage([spec], workers=3, **kwargs)
-    for a, b in zip(serial, parallel):
-        assert a == b
+    for isotonic in (False, True):
+        serial = sim.run_bias_coverage([spec], workers=1, isotonic=isotonic, **kwargs)
+        parallel = sim.run_bias_coverage([spec], workers=3, isotonic=isotonic, **kwargs)
+        assert serial == parallel
 
     monkeypatch.setenv("PREDICTU_THREADS", "4")
     assert sim.worker_count() == 4
@@ -309,6 +311,46 @@ def test_harness_rejects_bad_requests():
         sim.run_bias_coverage([spec], indices=("upartial",), n_replicates=2)
     with pytest.raises(ValidationError):
         sim.run_bias_coverage([spec], n_replicates=0)
+    for bad in (
+        dict(n_cases=0),
+        dict(n_controls=-1),
+        dict(n_train_cases=0),
+        dict(n_train_controls=0),
+        dict(n_bootstrap=0),
+        dict(n_bootstrap=-1),
+        dict(level=0.0),
+        dict(level=1.0),
+        dict(level=float("nan")),
+    ):
+        with pytest.raises(ValidationError):
+            sim.run_bias_coverage([spec], n_replicates=2, **bad)
+
+
+@pytest.mark.parametrize(
+    "indices, band",
+    [(("u", "ustd", "r", "tg", "ae"), None), (sim.INDEX_TOKENS, (0.8, 1.0))],
+)
+def test_isotonic_harness_matches_row_by_row_refit(monkeypatch, indices, band):
+    kwargs = dict(
+        indices=indices,
+        band=band,
+        n_replicates=12,
+        n_cases=300,
+        n_controls=150,
+        seed=17,
+        n_bootstrap=60,
+        isotonic=True,
+        workers=1,
+    )
+    populations = [sim.preset("sim1_h005"), sim.preset("sim2_rr6")]
+    batched = sim.run_bias_coverage(populations, **kwargs)
+
+    def one_by_one(risks, weights):
+        risks[...] = refit_rows_one_by_one(weights, risks)
+        return risks
+
+    monkeypatch.setattr(sim, "pava_rows", one_by_one)
+    assert batched == sim.run_bias_coverage(populations, **kwargs)
 
 
 @pytest.mark.filterwarnings("ignore:dropping")
