@@ -20,6 +20,7 @@ from . import __version__
 from .curve_links import check_lorenz_identity, check_roc_identity, lorenz_from_table, roc_from_table
 from .errors import NumericError, ValidationError
 from .fileio import (
+    _is_counts_file,
     curve_metadata,
     parse_counts_file,
     parse_subject_file,
@@ -33,9 +34,8 @@ from .fileio import (
 from .inference import (
     ResamplePlan,
     Scheme,
+    _bootstrap_estimates,
     asymptotic_ci,
-    bootstrap_ci,
-    partial_u_variance,
     permutation_test,
     two_sample_u,
 )
@@ -154,13 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_counts(path, rho, max_bad_rows):
-    """Auto-detect subject versus pre-aggregated layout by header.
+    """Auto-detect subject versus pre-aggregated layout by header (the
+    first non-blank, non-comment line).
 
     Parse warnings go to stderr, prefixed with the file they came from.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().lower()
-    if "genotype_id" in header:
+    if _is_counts_file(path):
         counts, report = parse_counts_file(path, rho=rho)
     else:
         counts, report = parse_subject_file(path, rho=rho, max_bad_rows=max_bad_rows)
@@ -248,17 +247,16 @@ def cmd_summarize(args) -> int:
     write_json(os.path.join(out, "indices.json"), {"indices": blocks}, prov)
 
     order = table.genotypes
+    partial = None
     if args.bootstrap > 0:
+        # one draw serves the global and the partial interval
         plan = ResamplePlan(n_replicates=args.bootstrap, seed=args.seed)
-        estimate = bootstrap_ci(counts, order, plan)
+        estimate, partial = _bootstrap_estimates(counts, order, plan, band=args.band)
     else:
         estimate = asymptotic_ci(two_sample_u(counts, order))
     inference = {"global": estimate.to_dict()}
-    if args.band is not None and args.bootstrap > 0:
-        plan = ResamplePlan(n_replicates=args.bootstrap, seed=args.seed)
-        inference["partial"] = partial_u_variance(
-            counts, order, args.band, plan
-        ).to_dict()
+    if partial is not None:
+        inference["partial"] = partial.to_dict()
     if args.permutation > 0:
         plan = ResamplePlan(
             n_replicates=args.permutation, seed=args.seed, scheme=Scheme.LABEL_PERMUTATION

@@ -18,7 +18,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,17 +54,34 @@ def _sniff_delimiter(sample: str) -> str:
         return ","
 
 
+@contextmanager
+def _open_text(path):
+    """Open ``path`` as UTF-8 text; an unreadable file is invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def _is_counts_file(path) -> bool:
+    """Whether the first non-blank, non-comment line is a counts header."""
+    with _open_text(path) as fh:
+        for line in fh:
+            if (s := line.lstrip()) and s[0] != "#":
+                return "genotype_id" in s.lower()
+    return False
+
+
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [
-            line
-            for line in fh.read().splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    if not lines:
-        raise ValidationError(f"{path}: file is empty")
+    with _open_text(path) as fh:
+        lines = [line for line in fh.read().splitlines() if (s := line.lstrip()) and s[0] != "#"]
     reader = csv.reader(lines, delimiter=_sniff_delimiter("\n".join(lines[:50])[:8192]))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [row for row in reader if "".join(row).strip()]
+    if not rows:
+        raise ValidationError(f"{path}: file is empty")
     header = [cell.strip() for cell in rows[0]]
     return header, rows[1:]
 
@@ -101,23 +121,31 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
     if not marker_cols:
         raise ValidationError(f"{path}: no marker columns after sample_id/status")
 
+    # tally the raw (status, *markers) cells at C speed; strip, check and
+    # join once per distinct key, not once per row
+    width = len(header)
+    ragged = bool(set(map(len, rows)) - {width})
+    good = [row for row in rows if len(row) == width] if ragged else rows
     cases: dict[str, int] = {}
     controls: dict[str, int] = {}
-    warnings: list[str] = []
-    n_dropped = 0
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            n_dropped += 1
-            warnings.append(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
-            continue
-        status = row[status_col].strip()
+    bad_status: set[str] = set()
+    for (raw, *cells), n in Counter(map(itemgetter(status_col, *marker_cols), good)).items():
+        status = raw.strip()
         if status not in ("0", "1"):
-            n_dropped += 1
-            warnings.append(f"line {lineno}: status {status!r} is not 0 or 1")
+            bad_status.add(raw)
             continue
-        label = "/".join(row[i].strip() for i in marker_cols)
+        label = "/".join(cell.strip() for cell in cells)
         bucket = cases if status == "1" else controls
-        bucket[label] = bucket.get(label, 0) + 1
+        bucket[label] = bucket.get(label, 0) + n
+
+    warnings: list[str] = []
+    if ragged or bad_status:
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                warnings.append(f"line {lineno}: expected {width} columns, got {len(row)}")
+            elif row[status_col] in bad_status:
+                warnings.append(f"line {lineno}: status {row[status_col].strip()!r} is not 0 or 1")
+    n_dropped = len(warnings)
 
     report = ParseReport(
         path=str(path),

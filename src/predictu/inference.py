@@ -318,6 +318,21 @@ def _percentile_ci(values: np.ndarray, level: float) -> ConfidenceInterval:
     return ConfidenceInterval(float(lower), float(upper), level)
 
 
+def _replicate_estimate(
+    point: float, values: np.ndarray, plan: ResamplePlan, level: float
+) -> UEstimate:
+    """Point estimate with the variance and percentile interval of its replicates."""
+    variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+    return UEstimate(
+        u_hat=point,
+        variance=variance,
+        method=Method.BOOTSTRAP,
+        ci=_percentile_ci(values, level),
+        n_replicates=plan.n_replicates,
+        seed=plan.seed,
+    )
+
+
 def bootstrap_ci(
     counts: CaseControlCounts, order, plan: ResamplePlan, level: float = 0.95
 ) -> UEstimate:
@@ -334,28 +349,7 @@ def bootstrap_ci(
         ``variance`` the replicate variance, ``ci`` the percentile
         interval.
     """
-    if not 0.0 <= level < 1.0:
-        raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
-    case, control, pos = _align_counts(counts, order)
-    rho = counts.rho
-    n_d = counts.n_cases
-    n_dbar = counts.n_controls
-    scale = 2.0 * rho * (1.0 - rho) / (n_d * n_dbar)
-    point = scale * int(_contract(case, control))
-
-    boot_case, boot_control = _bootstrap_counts(counts, plan)
-    boot_case = _take(boot_case, pos)
-    boot_control = _take(boot_control, pos)
-    values = scale * _contract(boot_case, boot_control)
-    variance = float(np.var(values, ddof=1)) if plan.n_replicates > 1 else 0.0
-    return UEstimate(
-        u_hat=point,
-        variance=variance,
-        method=Method.BOOTSTRAP,
-        ci=_percentile_ci(values, level),
-        n_replicates=plan.n_replicates,
-        seed=plan.seed,
-    )
+    return _bootstrap_estimates(counts, order, plan, level)[0]
 
 
 def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> float:
@@ -406,7 +400,9 @@ def partial_u_variance(
     ``bootstrap_ci`` for the same plan), rebuilds the plug-in curve in
     the fixed order and evaluates the band-clipped statistic; with the
     full band (0, 1) the replicate values coincide with the global
-    bootstrap to rounding.
+    bootstrap to rounding.  The draw is the one ``bootstrap_ci`` makes:
+    both go through one routine, which ``summarize`` calls once to get
+    the global and the partial interval from a single draw.
 
     Parameters
     ----------
@@ -414,39 +410,62 @@ def partial_u_variance(
         If True, divide each replicate by 2 rho_pt (1 - rho_pt) with
         rho_pt the band mass integral of that replicate's curve.
     """
+    return _bootstrap_estimates(counts, order, plan, level, band, standardized)[1]
+
+
+def _partial_values(p, r, band, standardized: bool) -> np.ndarray:
+    """Band-clipped U of each plug-in curve row, optionally standardized."""
     q0, q1 = band
-    _check_band(q0, q1)
+    value = np.atleast_1d(partial_u_statistic(p, r, q0, q1))
+    if standardized:
+        rho_pt = (clipped_band_masses(p, q0, q1) * r).sum(axis=-1)
+        denom = 2.0 * rho_pt * (1.0 - rho_pt)
+        value = np.divide(value, denom, out=np.full_like(value, np.nan), where=denom > 0)
+    return value
+
+
+def _bootstrap_estimates(
+    counts: CaseControlCounts,
+    order,
+    plan: ResamplePlan,
+    level: float = 0.95,
+    band: tuple[float, float] | None = None,
+    standardized: bool = False,
+) -> tuple[UEstimate, UEstimate | None]:
+    """Global and (given a band) partial bootstrap estimates from one draw.
+
+    The stratified count matrices are drawn once and aligned to the
+    order.  The global replicates are the int64 contraction of those
+    rows; the partial replicates rebuild the plug-in curve of the same
+    rows in float.  Each int matrix is released as its float copy is
+    made, and the float counts before the band statistic, so the peak
+    is that of the partial statistic alone.
+    """
+    if band is not None:
+        _check_band(*band)
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
     case, control, pos = _align_counts(counts, order)
     rho = counts.rho
+    scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
 
     boot_case, boot_control = _bootstrap_counts(counts, plan)
-    # float once here, so _plugin_rows holds no int and float copy at once
-    boot_case = _take(boot_case, pos).astype(float)
-    boot_control = _take(boot_control, pos).astype(float)
+    boot_case = _take(boot_case, pos)
+    boot_control = _take(boot_control, pos)
+    values = scale * _contract(boot_case, boot_control)
+    total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
+    if band is None:
+        return total, None
 
-    def stat(case_rows: np.ndarray, control_rows: np.ndarray) -> np.ndarray:
-        p, r = _plugin_rows(case_rows, control_rows, rho)
-        value = np.atleast_1d(partial_u_statistic(p, r, q0, q1))
-        if standardized:
-            rho_pt = (clipped_band_masses(p, q0, q1) * r).sum(axis=-1)
-            denom = 2.0 * rho_pt * (1.0 - rho_pt)
-            value = np.divide(value, denom, out=np.full_like(value, np.nan), where=denom > 0)
-        return value
-
-    point = float(stat(case[None, :].astype(float), control[None, :].astype(float))[0])
-    del case, control, pos  # the replicate statistic sets the peak: hold nothing extra
-    values = stat(boot_case, boot_control)
+    p, r = _plugin_rows(case[None, :].astype(float), control[None, :].astype(float), rho)
+    point = float(_partial_values(p, r, band, standardized)[0])
+    del case, control, pos, p, r
+    boot_case = boot_case.astype(float)
+    boot_control = boot_control.astype(float)
+    p, r = _plugin_rows(boot_case, boot_control, rho)
+    del boot_case, boot_control  # the band statistic sets the peak: hold nothing extra
+    values = _partial_values(p, r, band, standardized)
     values = values[np.isfinite(values)]
     if values.size == 0:
         raise NumericError("no finite bootstrap replicate for the partial U")
-    variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
-    return UEstimate(
-        u_hat=point,
-        variance=variance,
-        method=Method.BOOTSTRAP,
-        ci=_percentile_ci(values, level),
-        n_replicates=plan.n_replicates,
-        seed=plan.seed,
-    )
+    return total, _replicate_estimate(point, values, plan, level)

@@ -472,20 +472,22 @@ def _index_values(p, r, rho: float, tokens, band) -> dict[str, np.ndarray]:
     """Each requested index evaluated row-wise on stacked curves."""
     out: dict[str, np.ndarray] = {}
     denom = 2.0 * rho * (1.0 - rho)
+    u = partial = None  # each shared by its plain and standardized token
     for token in tokens:
-        if token == "u":
-            out[token] = np.atleast_1d(u_statistic(p, r))
-        elif token == "ustd":
-            out[token] = np.atleast_1d(u_statistic(p, r)) / denom
-        elif token == "upartial":
-            out[token] = np.atleast_1d(partial_u_statistic(p, r, *band))
-        elif token == "upartialstd":
-            value = np.atleast_1d(partial_u_statistic(p, r, *band))
-            rho_pt = (clipped_band_masses(p, *band) * np.broadcast_to(r, np.shape(p))).sum(
-                axis=-1
-            )
-            d = 2.0 * rho_pt * (1.0 - rho_pt)
-            out[token] = np.divide(value, d, out=np.full_like(value, np.nan), where=d > 0)
+        if token in ("u", "ustd"):
+            if u is None:
+                u = np.atleast_1d(u_statistic(p, r))
+            out[token] = u if token == "u" else u / denom
+        elif token in ("upartial", "upartialstd"):
+            if partial is None:
+                partial = np.atleast_1d(partial_u_statistic(p, r, *band))
+            if token == "upartial":
+                out[token] = partial
+            else:
+                masses = clipped_band_masses(p, *band)
+                rho_pt = (masses * np.broadcast_to(r, np.shape(p))).sum(axis=-1)
+                d = 2.0 * rho_pt * (1.0 - rho_pt)
+                out[token] = np.divide(partial, d, out=np.full_like(partial, np.nan), where=d > 0)
         elif token == "r":
             out[token] = np.atleast_1d(r_square_statistic(p, r))
         elif token == "rstd":

@@ -1,6 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
+from predictu.errors import ValidationError
+from predictu.fileio import ParseReport, _sniff_delimiter
 from predictu.isotonic import pava
 from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
 
@@ -45,6 +49,24 @@ def random_sorted_table(rng, max_genotypes=12):
     return build_risk_table(case, control, rho)
 
 
+def random_case(rng):
+    """Counts with zero-count genotypes, and a shuffled order that may drop
+    unobserved genotypes and add genotypes the counts do not list."""
+    g = int(rng.integers(1, 12))
+    while True:
+        n_case = rng.integers(0, 30, g) * (rng.random(g) < 0.8)
+        n_control = rng.integers(0, 30, g) * (rng.random(g) < 0.8)
+        if n_case.sum() >= 2 and n_control.sum() >= 2:
+            break
+    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(g))
+    counts = CaseControlCounts(genotypes, n_case, n_control, float(rng.uniform(0.05, 0.5)))
+    empty = (n_case + n_control) == 0
+    order = [x for x, e in zip(genotypes, empty) if not e or rng.random() < 0.5]
+    order += [GenotypeId(g + k, f"extra{k}") for k in range(int(rng.integers(0, 3)))]
+    rng.shuffle(order)
+    return counts, tuple(order)
+
+
 def brute_force_u(p, r):
     """U by the O(G^2) pairwise definition, independent of the library path."""
     p = np.asarray(p, dtype=float)
@@ -68,3 +90,75 @@ def refit_rows_one_by_one(p, r):
         if mask.sum() > 1:
             out[i, mask] = pava(r[i, mask], p[i, mask]).fitted
     return out
+
+
+def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
+    """Subject-file aggregation by a per-row dict loop.
+
+    The former ``parse_subject_file`` with its row reader: the reference
+    the Counter tally must reproduce exactly, warnings included.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = [
+            line
+            for line in fh.read().splitlines()
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
+    if not lines:
+        raise ValidationError(f"{path}: file is empty")
+    reader = csv.reader(lines, delimiter=_sniff_delimiter("\n".join(lines[:50])[:8192]))
+    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    header = [cell.strip() for cell in rows[0]]
+    rows = rows[1:]
+
+    lowered = [h.lower() for h in header]
+    if "status" not in lowered:
+        raise ValidationError(f"{path}: missing required column 'status'")
+    status_col = lowered.index("status")
+    id_col = lowered.index("sample_id") if "sample_id" in lowered else None
+    marker_cols = [i for i in range(len(header)) if i not in (status_col, id_col)]
+    if not marker_cols:
+        raise ValidationError(f"{path}: no marker columns after sample_id/status")
+
+    cases: dict[str, int] = {}
+    controls: dict[str, int] = {}
+    warnings: list[str] = []
+    n_dropped = 0
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            n_dropped += 1
+            warnings.append(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
+            continue
+        status = row[status_col].strip()
+        if status not in ("0", "1"):
+            n_dropped += 1
+            warnings.append(f"line {lineno}: status {status!r} is not 0 or 1")
+            continue
+        label = "/".join(row[i].strip() for i in marker_cols)
+        bucket = cases if status == "1" else controls
+        bucket[label] = bucket.get(label, 0) + 1
+
+    report = ParseReport(
+        path=str(path),
+        n_rows=len(rows),
+        n_used=len(rows) - n_dropped,
+        n_dropped=n_dropped,
+        n_markers=len(marker_cols),
+        warnings=tuple(warnings),
+    )
+    if report.n_rows and report.dropped_fraction > max_bad_rows:
+        raise ValidationError(
+            f"{path}: {n_dropped}/{report.n_rows} malformed rows exceeds "
+            f"--max-bad-rows {max_bad_rows:g}"
+        )
+    labels = sorted(set(cases) | set(controls))
+    if not labels:
+        raise ValidationError(f"{path}: no usable subject rows")
+    genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
+    counts = CaseControlCounts(
+        genotypes=genotypes,
+        n_case=np.array([cases.get(l, 0) for l in labels], dtype=np.int64),
+        n_control=np.array([controls.get(l, 0) for l in labels], dtype=np.int64),
+        rho=rho,
+    )
+    return counts, report

@@ -10,7 +10,7 @@ import pytest
 import predictu
 from predictu import cli
 from predictu.cli import main
-from predictu.fileio import read_json
+from predictu.fileio import parse_subject_file, read_json, run_provenance, write_counts_csv
 
 COUNTS = "genotype_id,n_case,n_control\ng0,5,45\ng1,6,24\ng2,10,10\n"
 SUBJECTS = (
@@ -96,6 +96,39 @@ def test_every_subcommand_warns_on_dropped_rows(command, subject_file, tmp_path,
     # the prefix names the file, so validate's two inputs can be told apart
     assert f"warning: {bad}:" in err
     assert subject_file not in err
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("missing.csv", None),
+        ("latin1_header.csv", "sample_id,status,snp\u00e9\ns1,1,0\n".encode("latin-1")),
+        ("latin1_row.csv", (SUBJECTS + "\u00e91,0,1\n").encode("latin-1")),
+        ("blank_cells.csv", b",,\n , ,\n# note\n,\n"),
+    ],
+    ids=["missing", "latin1-header", "latin1-row", "blank-cells"],
+)
+def test_unreadable_input_is_invalid(name, content, tmp_path, capsys):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["curve", str(path), "--rho", "0.21", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
+def test_counts_file_with_provenance_comment_is_detected(subject_file, tmp_path):
+    counts, _ = parse_subject_file(subject_file, rho=0.21)
+    plain, stamped = tmp_path / "plain.csv", tmp_path / "stamped.csv"
+    write_counts_csv(plain, counts)
+    write_counts_csv(stamped, counts, run_provenance({"rho": 0.21}, seed=None))
+    assert stamped.read_text().startswith("# predictu ")
+    rows = []
+    for path in (plain, stamped):
+        out = tmp_path / path.stem
+        assert main(["curve", str(path), "--rho", "0.21", "--out", str(out)]) == 0
+        rows.append((out / "curve.csv").read_text().splitlines()[1:])
+    assert rows[0] == rows[1] and len(rows[0]) == 1 + 3
 
 
 @pytest.mark.parametrize("command", ["curve", "summarize", "links"])

@@ -27,6 +27,8 @@ from predictu.inference import (
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId
 
+from conftest import random_case
+
 
 def _arrange(mat, counts, order):
     slot = {g.key: i for i, g in enumerate(counts.genotypes)}
@@ -70,24 +72,6 @@ def dense_reference(counts, order, boot_plan, perm_plan):
     hits = int(np.count_nonzero(stats >= abs(kernel_sum)))
     p_value = (1 + hits) / (1 + perm_plan.n_replicates)
     return kernel_sum, u_hat, variance, boot_sums, p_value
-
-
-def random_case(rng):
-    """Counts with zero-count genotypes, and a shuffled order that may drop
-    unobserved genotypes and add genotypes the counts do not list."""
-    g = int(rng.integers(1, 12))
-    while True:
-        n_case = rng.integers(0, 30, g) * (rng.random(g) < 0.8)
-        n_control = rng.integers(0, 30, g) * (rng.random(g) < 0.8)
-        if n_case.sum() >= 2 and n_control.sum() >= 2:
-            break
-    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(g))
-    counts = CaseControlCounts(genotypes, n_case, n_control, float(rng.uniform(0.05, 0.5)))
-    empty = (n_case + n_control) == 0
-    order = [x for x, e in zip(genotypes, empty) if not e or rng.random() < 0.5]
-    order += [GenotypeId(g + k, f"extra{k}") for k in range(int(rng.integers(0, 3)))]
-    rng.shuffle(order)
-    return counts, tuple(order)
 
 
 def test_contraction_equals_dense_reference_exactly():

@@ -1,5 +1,7 @@
 """Tests for subject/count parsing, provenance, and result writers."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -21,6 +23,8 @@ from predictu.fileio import (
 )
 from predictu.risk_model import build_risk_table
 from predictu.simulate import EvalReport
+
+from conftest import parse_subjects_row_by_row
 
 
 def subjects(tmp_path, text, name="subjects.csv"):
@@ -116,6 +120,73 @@ def test_delimiter_sniffing(tmp_path, sep):
     assert [str(g) for g in counts.genotypes] == ["0", "1", "2"]
     assert np.array_equal(counts.n_case, [1, 1, 0])
     assert np.array_equal(counts.n_control, [0, 1, 1])
+
+
+def random_subject_text(rng) -> str:
+    """A subject file with the quirks real exports have: quoted cells holding
+    delimiters and quotes, padded cells and statuses, bad statuses, ragged
+    rows, blank, whitespace and comment lines, rows of only blank cells,
+    CRLF endings, any of the three delimiters, an optional sample_id and
+    the status column anywhere."""
+    sep = str(rng.choice([",", "\t", ";"]))
+    n_markers = int(rng.integers(1, 4))
+    columns = ["status"] + [f"m{k}" for k in range(n_markers)]
+    if rng.random() < 0.7:
+        columns.append("sample_id")
+    columns = [columns[i] for i in rng.permutation(len(columns))]
+    markers = ["0", "1", "2", " 1", "2 ", " 0 ", "a,b", "x;y", "t\tu", 'q"q', ""]
+    statuses = ["0", "1", "0", "1", " 1 ", "0 ", "\t1", "2", "", "x", "1.0"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=sep, lineterminator="\n")
+    writer.writerow(columns)
+    for k in range(int(rng.integers(0, 40))):
+        cells = []
+        for name in columns:
+            if name == "status":
+                pool = statuses if rng.random() < 0.3 else statuses[:2]
+            elif name == "sample_id":
+                pool = [f"s{k}", f" s{k} "]
+            else:
+                pool = markers if rng.random() < 0.3 else markers[:3]
+            cells.append(str(rng.choice(pool)))
+        if rng.random() < 0.08:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["9"]
+        if rng.random() < 0.05:
+            cells = [""] * len(cells)
+        writer.writerow(cells)
+    lines = buf.getvalue().split("\n")[:-1]
+    extras = ["", "   ", "# note", "  # indented, note", sep * 2, " " + sep + " "]
+    for _ in range(int(rng.integers(0, 5))):
+        lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(extras)))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + end
+
+
+def test_tally_matches_row_by_row_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(300):
+        path = tmp_path / f"s{trial}.csv"
+        path.write_bytes(random_subject_text(rng).encode("utf-8"))
+        max_bad = float(rng.choice([0.01, 0.5, 1.0]))
+        try:
+            expected = parse_subjects_row_by_row(path, 0.1, max_bad)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                parse_subject_file(path, rho=0.1, max_bad_rows=max_bad)
+            assert str(caught.value) == str(exc)
+            outcomes.add("error")
+            continue
+        counts, report = parse_subject_file(path, rho=0.1, max_bad_rows=max_bad)
+        want, want_report = expected
+        assert [(g.index, g.label) for g in counts.genotypes] == [
+            (g.index, g.label) for g in want.genotypes
+        ]
+        for got, ref in ((counts.n_case, want.n_case), (counts.n_control, want.n_control)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert report == want_report
+        outcomes.add("warned" if report.warnings else "clean")
+    assert outcomes == {"error", "warned", "clean"}
 
 
 def test_counts_roundtrip_with_provenance(tmp_path):
