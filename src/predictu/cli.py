@@ -13,6 +13,7 @@ failure.  All outputs are deterministic given inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -21,12 +22,12 @@ from .curve_links import check_lorenz_identity, check_roc_identity, lorenz_from_
 from .errors import NumericError, ValidationError
 from .fileio import (
     _is_counts_file,
+    _write_provenance_comment,
     curve_metadata,
     parse_counts_file,
     parse_subject_file,
     read_json,
     run_provenance,
-    write_curve_csv,
     write_eval_csv,
     write_json,
     write_xy_csv,
@@ -41,28 +42,18 @@ from .inference import (
 )
 from .isotonic import pava
 from .risk_model import CurvePoints, apply_model_to_test, curve_points, estimate_risk_table
-from .simulate import (
-    INDEX_TOKENS,
-    build_population,
-    load_model_spec,
-    preset,
-    run_bias_coverage,
-)
-from .summary_indices import (
-    average_entropy,
-    partial_u,
-    predictiveness_u,
-    predictiveness_u_std,
-    r_square,
-    total_gain,
-)
+from .simulate import build_population, load_model_spec, preset, run_bias_coverage
+from .summary_indices import INDEX_TOKENS, _check_band, _index_results
 
 
 def _band(text: str) -> tuple[float, float]:
     try:
         q0, q1 = (float(part) for part in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"band must be q0:q1, got {text!r}")
+        _check_band(q0, q1)
+    except ValueError as exc:  # a ValidationError is a ValueError
+        raise argparse.ArgumentTypeError(
+            f"band must be q0:q1 with 0 <= q0 < q1 <= 1, got {text!r}"
+        ) from exc
     return q0, q1
 
 
@@ -177,30 +168,6 @@ def _provenance(args, seed=None) -> dict:
     return run_provenance(vars(args), seed)
 
 
-def _index_blocks(table_or_curve, tokens, band):
-    results = []
-    for token in tokens:
-        if token == "u":
-            results.append(predictiveness_u(table_or_curve))
-        elif token == "ustd":
-            results.append(predictiveness_u_std(table_or_curve))
-        elif token in ("upartial", "upartialstd"):
-            if band is None:
-                raise ValidationError("--band q0:q1 is required for partial U indices")
-            results.append(
-                partial_u(table_or_curve, band[0], band[1], standardized=token.endswith("std"))
-            )
-        elif token == "r":
-            results.append(r_square(table_or_curve))
-        elif token == "rstd":
-            results.append(r_square(table_or_curve, standardized=True))
-        elif token == "tg":
-            results.append(total_gain(table_or_curve))
-        elif token == "ae":
-            results.append(average_entropy(table_or_curve))
-    return results
-
-
 def _isotonic_curve(curve: CurvePoints) -> CurvePoints:
     fit = pava(curve.r, curve.masses)
     return CurvePoints(
@@ -226,7 +193,7 @@ def cmd_curve(args) -> int:
     curve = curve_points(table)
     out = _outdir(args)
     prov = _provenance(args)
-    write_curve_csv(os.path.join(out, "curve.csv"), curve.q, curve.r, prov)
+    write_xy_csv(os.path.join(out, "curve.csv"), "q", curve.q, "r", curve.r, prov)
     meta = curve_metadata(table)
     meta["parse"] = {"rows": report.n_rows, "dropped": report.n_dropped,
                      "warnings": list(report.warnings)}
@@ -242,8 +209,8 @@ def cmd_summarize(args) -> int:
     out = _outdir(args)
     prov = _provenance(args, seed=args.seed)
 
-    blocks = [res.to_dict() for res in _index_blocks(table, args.indices, args.band)]
-    write_curve_csv(os.path.join(out, "curve.csv"), curve.q, curve.r, prov)
+    blocks = [res.to_dict() for res in _index_results(table, args.indices, args.band)]
+    write_xy_csv(os.path.join(out, "curve.csv"), "q", curve.q, "r", curve.r, prov)
     write_json(os.path.join(out, "indices.json"), {"indices": blocks}, prov)
 
     order = table.genotypes
@@ -305,19 +272,19 @@ def cmd_validate(args) -> int:
     test_curve = apply_model_to_test(train_table.genotypes, test_counts, laplace=args.laplace)
 
     doc = {
-        "train": {"indices": [r.to_dict() for r in _index_blocks(train_table, args.indices, args.band)]},
+        "train": {"indices": [r.to_dict() for r in _index_results(train_table, args.indices, args.band)]},
         "test": {
-            "indices": [r.to_dict() for r in _index_blocks(test_curve, args.indices, args.band)],
+            "indices": [r.to_dict() for r in _index_results(test_curve, args.indices, args.band)],
             "monotone": test_curve.monotone,
             "unseen": [str(g) for g in test_curve.unseen],
         },
     }
     if args.isotonic:
         refit = _isotonic_curve(test_curve)
-        doc["refit"] = {"indices": [r.to_dict() for r in _index_blocks(refit, args.indices, args.band)]}
+        doc["refit"] = {"indices": [r.to_dict() for r in _index_results(refit, args.indices, args.band)]}
     out = _outdir(args)
     prov = _provenance(args)
-    write_curve_csv(os.path.join(out, "test_curve.csv"), test_curve.q, test_curve.r, prov)
+    write_xy_csv(os.path.join(out, "test_curve.csv"), "q", test_curve.q, "r", test_curve.r, prov)
     write_json(os.path.join(out, "validate.json"), doc, prov)
 
     def _value(section, name):
@@ -387,12 +354,9 @@ def cmd_report(args) -> int:
         write_json(os.path.join(out, "report.json"), {"rows": rows}, prov)
         print(f"report: {len(rows)} rows -> {out}/report.json")
     else:
-        import csv as _csv
-
         with open(os.path.join(out, "report.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write("# predictu %s config=%s seed=%s\n"
-                     % (prov["version"], prov["config_sha256"], prov["seed"]))
-            writer = _csv.DictWriter(fh, fieldnames=list(rows[0]))
+            _write_provenance_comment(fh, prov)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
         print(f"report: {len(rows)} rows -> {out}/report.csv")

@@ -285,17 +285,8 @@ def curve_metadata(table: RiskTable) -> dict:
     }
 
 
-def write_curve_csv(path, q, r, provenance: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_provenance_comment(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(["q", "r"])
-        for qi, ri in zip(np.asarray(q), np.asarray(r)):
-            writer.writerow([repr(float(qi)), repr(float(ri))])
-
-
 def write_xy_csv(path, xname, x, yname, y, provenance: dict | None = None) -> None:
-    """Two-column plot-ready CSV (ROC, Lorenz)."""
+    """Two-column plot-ready CSV (curve, ROC, Lorenz)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_provenance_comment(fh, provenance)
         writer = csv.writer(fh)

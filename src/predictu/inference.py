@@ -30,11 +30,10 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericError, ValidationError
 from .risk_model import CaseControlCounts, _plugin_rows
-from .summary_indices import _check_band, clipped_band_masses, partial_u_statistic, u_statistic
+from .summary_indices import _check_band, _index_rows, u_statistic
 
 __all__ = [
     "Method",
@@ -234,6 +233,8 @@ def asymptotic_variance_u(counts: CaseControlCounts, order) -> float:
 
 def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
     """Attach a normal confidence interval built from ``estimate.variance``."""
+    from scipy.special import ndtri  # off the import path of predictu.cli
+
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
     if not np.isfinite(estimate.variance) or estimate.variance < 0:
@@ -413,17 +414,6 @@ def partial_u_variance(
     return _bootstrap_estimates(counts, order, plan, level, band, standardized)[1]
 
 
-def _partial_values(p, r, band, standardized: bool) -> np.ndarray:
-    """Band-clipped U of each plug-in curve row, optionally standardized."""
-    q0, q1 = band
-    value = np.atleast_1d(partial_u_statistic(p, r, q0, q1))
-    if standardized:
-        rho_pt = (clipped_band_masses(p, q0, q1) * r).sum(axis=-1)
-        denom = 2.0 * rho_pt * (1.0 - rho_pt)
-        value = np.divide(value, denom, out=np.full_like(value, np.nan), where=denom > 0)
-    return value
-
-
 def _bootstrap_estimates(
     counts: CaseControlCounts,
     order,
@@ -457,14 +447,15 @@ def _bootstrap_estimates(
     if band is None:
         return total, None
 
+    token = "upartialstd" if standardized else "upartial"
     p, r = _plugin_rows(case[None, :].astype(float), control[None, :].astype(float), rho)
-    point = float(_partial_values(p, r, band, standardized)[0])
+    point = float(_index_rows(p, r, rho, (token,), band)[token][0])
     del case, control, pos, p, r
     boot_case = boot_case.astype(float)
     boot_control = boot_control.astype(float)
     p, r = _plugin_rows(boot_case, boot_control, rho)
     del boot_case, boot_control  # the band statistic sets the peak: hold nothing extra
-    values = _partial_values(p, r, band, standardized)
+    values = _index_rows(p, r, rho, (token,), band)[token]
     values = values[np.isfinite(values)]
     if values.size == 0:
         raise NumericError("no finite bootstrap replicate for the partial U")

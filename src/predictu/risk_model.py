@@ -17,7 +17,7 @@ first-class inputs to every summary index.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,22 +38,30 @@ __all__ = [
 MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class GenotypeId:
     """Identifier for one multi-locus genotype.
 
     ``index`` is a small integer assigned at table construction;
     ``label`` carries the genotype spelling (e.g. ``"0/1/2/0"``) when one
-    is known.  Matching across datasets uses ``key``: the label when
-    present, otherwise the index.
+    is known.  Matching across datasets, equality and hashing use
+    ``key``: the label when present, otherwise the index.
     """
 
     index: int
-    label: str | None = field(default=None, compare=False)
+    label: str | None = None
 
     @property
     def key(self) -> str | int:
         return self.label if self.label is not None else self.index
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GenotypeId):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __str__(self) -> str:
         return self.label if self.label is not None else f"g{self.index}"
@@ -282,7 +290,7 @@ def build_risk_table(
     elif len(genotypes) != a.size:
         raise ValidationError("genotypes must match the number of rows")
 
-    p = a * rho + b * (1.0 - rho)
+    p, r = _bayes(a, b, rho)
     keep = p > 0
     dropped = tuple(g for g, k in zip(genotypes, keep) if not k)
     if dropped:
@@ -292,7 +300,7 @@ def build_risk_table(
             stacklevel=2,
         )
     p = p[keep]
-    r = (a[keep] * rho) / p
+    r = r[keep]
     kept = tuple(g for g, k in zip(genotypes, keep) if k)
     if p.size == 0:
         raise ValidationError("all genotypes carry zero mass")
@@ -308,15 +316,27 @@ def build_risk_table(
     )
 
 
-def _plugin_rows(case, control, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise plug-in masses and risks from count arrays; zero-count cells keep zero mass."""
-    case = np.asarray(case, dtype=float)
-    control = np.asarray(control, dtype=float)
-    a = case / case.sum(axis=-1, keepdims=True)
-    b = control / control.sum(axis=-1, keepdims=True)
+def _bayes(a, b, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes' rule per cell: p = a rho + b (1 - rho), r = a rho / p (0 where p = 0)."""
     p = a * rho + b * (1.0 - rho)
     r = np.divide(a * rho, p, out=np.zeros_like(p), where=p > 0)
     return p, r
+
+
+def _frequencies(counts, laplace: float = 0.0) -> np.ndarray:
+    """(n + laplace) / (N + laplace G) along the last axis, N the row total.
+
+    ``laplace`` is added only when nonzero, so a plain replicate stack
+    gets no extra (B, G) temporary.
+    """
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum(axis=-1, keepdims=True) + laplace * counts.shape[-1]
+    return (counts + laplace if laplace else counts) / total
+
+
+def _plugin_rows(case, control, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise plug-in masses and risks from count arrays; zero-count cells keep zero mass."""
+    return _bayes(_frequencies(case), _frequencies(control), rho)
 
 
 def _plugin_conditionals(
@@ -330,11 +350,8 @@ def _plugin_conditionals(
     kept = tuple(g for g, k in zip(counts.genotypes, seen) if k)
     if not kept:
         raise ValidationError("no genotype was observed in either arm")
-    n_case = counts.n_case[seen].astype(float)
-    n_control = counts.n_control[seen].astype(float)
-    g = n_case.size
-    a = (n_case + laplace) / (counts.n_cases + laplace * g)
-    b = (n_control + laplace) / (counts.n_controls + laplace * g)
+    a = _frequencies(counts.n_case[seen], laplace)
+    b = _frequencies(counts.n_control[seen], laplace)
     return kept, seen, a, b
 
 
@@ -414,8 +431,7 @@ def apply_model_to_test(
         raise ValidationError("training order must not repeat genotypes")
     kept, _, a, b = _plugin_conditionals(test_counts, laplace)
     rho = test_counts.rho
-    p = a * rho + b * (1.0 - rho)
-    r = (a * rho) / p
+    p, r = _bayes(a, b, rho)
     by_key = {g.key: i for i, g in enumerate(kept)}
 
     matched = [by_key[k] for k in train_keys if k in by_key]

@@ -41,15 +41,7 @@ from .risk_model import (
     _plugin_rows,
     build_risk_table,
 )
-from .summary_indices import (
-    _check_band,
-    average_entropy_statistic,
-    clipped_band_masses,
-    partial_u_statistic,
-    r_square_statistic,
-    total_gain_statistic,
-    u_statistic,
-)
+from .summary_indices import INDICES, _check_request, _index_rows
 
 __all__ = [
     "Mode",
@@ -72,19 +64,6 @@ __all__ = [
     "simulation_presets",
     "worker_count",
 ]
-
-INDEX_TOKENS = ("u", "ustd", "upartial", "upartialstd", "r", "rstd", "tg", "ae")
-
-_DISPLAY = {
-    "u": "U",
-    "ustd": "U_std",
-    "upartial": "U_partial",
-    "upartialstd": "U_partial_std",
-    "r": "R",
-    "rstd": "R_std",
-    "tg": "TG",
-    "ae": "AE",
-}
 
 
 class Mode(enum.Enum):
@@ -468,42 +447,9 @@ def worker_count(requested: int | None = None) -> int:
     return 1
 
 
-def _index_values(p, r, rho: float, tokens, band) -> dict[str, np.ndarray]:
-    """Each requested index evaluated row-wise on stacked curves."""
-    out: dict[str, np.ndarray] = {}
-    denom = 2.0 * rho * (1.0 - rho)
-    u = partial = None  # each shared by its plain and standardized token
-    for token in tokens:
-        if token in ("u", "ustd"):
-            if u is None:
-                u = np.atleast_1d(u_statistic(p, r))
-            out[token] = u if token == "u" else u / denom
-        elif token in ("upartial", "upartialstd"):
-            if partial is None:
-                partial = np.atleast_1d(partial_u_statistic(p, r, *band))
-            if token == "upartial":
-                out[token] = partial
-            else:
-                masses = clipped_band_masses(p, *band)
-                rho_pt = (masses * np.broadcast_to(r, np.shape(p))).sum(axis=-1)
-                d = 2.0 * rho_pt * (1.0 - rho_pt)
-                out[token] = np.divide(partial, d, out=np.full_like(partial, np.nan), where=d > 0)
-        elif token == "r":
-            out[token] = np.atleast_1d(r_square_statistic(p, r))
-        elif token == "rstd":
-            out[token] = np.atleast_1d(r_square_statistic(p, r)) / (rho * (1.0 - rho))
-        elif token == "tg":
-            out[token] = np.atleast_1d(total_gain_statistic(p, r))
-        elif token == "ae":
-            out[token] = np.atleast_1d(average_entropy_statistic(p, r))
-        else:
-            raise ValidationError(f"unknown index token {token!r}")
-    return out
-
-
 def _true_values(population: Population, tokens, band) -> dict[str, float]:
     p, r = population.table.p, population.table.r
-    values = _index_values(p, r, population.rho, tokens, band)
+    values = _index_rows(p, r, population.rho, tokens, band)
     return {token: float(v[0]) for token, v in values.items()}
 
 
@@ -570,8 +516,8 @@ def _replicate_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
         if isotonic:
             pava_rows(r, p)
 
-        point = _index_values(p[:1], r[:1], rho, tokens, band)
-        boot = _index_values(p[1:], r[1:], rho, tokens, band)
+        point = _index_rows(p[:1], r[:1], rho, tokens, band)
+        boot = _index_rows(p[1:], r[1:], rho, tokens, band)
         for t, token in enumerate(tokens):
             values[row, t] = point[token][0]
             reps = boot[token]
@@ -612,7 +558,8 @@ def run_bias_coverage(
     ----------
     populations : sequence of Population or PopulationSpec
     indices : sequence of str
-        Tokens among u, ustd, upartial, upartialstd, r, rstd, tg, ae.
+        Tokens of ``summary_indices.INDICES``: u, ustd, upartial,
+        upartialstd, r, rstd, tg, ae.
     band : (float, float), required with partial tokens
     workers : int, optional
         Process count; defaults to PREDICTU_THREADS, else 1.
@@ -622,13 +569,7 @@ def run_bias_coverage(
     list of EvalReport, one per (population, index).
     """
     tokens = tuple(indices)
-    for token in tokens:
-        if token not in INDEX_TOKENS:
-            raise ValidationError(f"unknown index token {token!r}")
-    if any(t.startswith("upartial") for t in tokens):
-        if band is None:
-            raise ValidationError("partial indices require a band")
-        _check_band(*band)
+    _check_request(tokens, band)
     if n_replicates < 1:
         raise ValidationError("need at least one replicate")
     n_train_cases = n_cases if n_train_cases is None else n_train_cases
@@ -684,7 +625,7 @@ def run_bias_coverage(
             reports.append(
                 EvalReport(
                     model=population.name,
-                    index_name=_DISPLAY[token],
+                    index_name=INDICES[token].name,
                     true_value=true,
                     mean=mean,
                     sd=sd,

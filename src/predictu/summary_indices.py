@@ -24,15 +24,18 @@ use to evaluate thousands of bootstrap replicates in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import NumericError, ValidationError
 from .risk_model import CurvePoints, RiskTable
 
 __all__ = [
     "IndexResult",
+    "IndexSpec",
+    "INDICES",
+    "INDEX_TOKENS",
     "u_statistic",
     "partial_u_statistic",
     "clipped_band_masses",
@@ -164,6 +167,8 @@ def total_gain_statistic(p, r, rho=None) -> np.ndarray | float:
 
 def binary_entropy(x) -> np.ndarray | float:
     """H(x) = -(x ln x + (1-x) ln(1-x)) with H(0) = H(1) = 0."""
+    from scipy.special import xlogy  # off the import path of predictu.cli
+
     x = np.asarray(x, float)
     out = -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x))
     return float(out) if out.ndim == 0 else out
@@ -182,8 +187,130 @@ def average_entropy_statistic(p, r, rho=None) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _eval_rho(p: np.ndarray, r: np.ndarray) -> float:
-    return float(p @ r)
+def _u_scale(rho):
+    return 2.0 * rho * (1.0 - rho)
+
+
+def _r_scale(rho):
+    return rho * (1.0 - rho)
+
+
+@dataclass(frozen=True)
+class IndexSpec:
+    """One summary index: how to compute it from masses and risks.
+
+    ``statistic(w, r)`` is the row-wise raw value, with ``w`` the step
+    masses, or the band-clipped masses when ``needs_band`` is set.  A
+    standardised index divides the raw value by ``scale(rho)``, where
+    rho is the mean risk for a global index and the band mass integral
+    of risk rho_pt = sum_i m_i r_i for a band index.
+    """
+
+    name: str
+    statistic: Callable
+    scale: Callable | None = None
+    needs_band: bool = False
+
+
+# The one table of indices: the CLI's ``--indices`` tokens, the
+# harness and the partial bootstrap all dispatch through it.
+INDICES = {
+    "u": IndexSpec("U", u_statistic),
+    "ustd": IndexSpec("U_std", u_statistic, _u_scale),
+    "upartial": IndexSpec("U_partial", u_statistic, needs_band=True),
+    "upartialstd": IndexSpec("U_partial_std", u_statistic, _u_scale, needs_band=True),
+    "r": IndexSpec("R", r_square_statistic),
+    "rstd": IndexSpec("R_std", r_square_statistic, _r_scale),
+    "tg": IndexSpec("TG", total_gain_statistic),
+    "ae": IndexSpec("AE", average_entropy_statistic),
+}
+INDEX_TOKENS = tuple(INDICES)
+
+
+def _check_request(tokens, band) -> None:
+    """Reject unknown tokens, a malformed band, and band indices without one."""
+    for token in tokens:
+        if token not in INDICES:
+            raise ValidationError(f"unknown index token {token!r}")
+    if band is not None:
+        _check_band(*band)
+    elif any(INDICES[t].needs_band for t in tokens):
+        raise ValidationError("partial U indices need a band: --band q0:q1")
+
+
+def _index_rows(p, r, rho: float, tokens, band=None) -> dict[str, np.ndarray]:
+    """Each requested index evaluated row-wise on stacked curves.
+
+    Standardised global indices divide by the scale at the given ``rho``;
+    band indices by the scale at each row's rho_pt, NaN where that scale
+    is not positive.  Each statistic runs once per stack for its plain
+    and standardised tokens.
+    """
+    out: dict[str, np.ndarray] = {}
+    raw: dict = {}
+    masses = None
+    for token in tokens:
+        spec = INDICES[token]
+        if spec.needs_band and masses is None:
+            masses = clipped_band_masses(p, *band)
+        w = masses if spec.needs_band else p
+        key = (spec.statistic, spec.needs_band)
+        if key not in raw:
+            raw[key] = np.atleast_1d(spec.statistic(w, r))
+        value = raw[key]
+        if spec.scale is not None and spec.needs_band:
+            d = spec.scale((masses * r).sum(axis=-1))
+            value = np.divide(value, d, out=np.full_like(value, np.nan), where=d > 0)
+        elif spec.scale is not None:
+            value = value / spec.scale(rho)
+        out[token] = value
+    return out
+
+
+def _index_result(table_or_curve, token: str, band=None, band_rho: str = "mass") -> IndexResult:
+    """One index of a table or curve as an ``IndexResult``.
+
+    Standardisation uses rho = p . r of the evaluated curve (rho_pt for
+    band indices) and raises NumericError where rho is within ``_EDGE``
+    of 0 or 1.
+    """
+    spec = INDICES[token]
+    if spec.needs_band:
+        if band_rho not in ("mass", "mean"):
+            raise ValidationError(f"band_rho must be 'mass' or 'mean', got {band_rho!r}")
+        _check_band(*band)
+    p, r = _masses_risks(table_or_curve)
+    rho = float(p @ r)
+    extra: dict = {}
+    w, rho_std, rho_label = p, rho, "rho"
+    if spec.needs_band:
+        w = clipped_band_masses(p, *band)
+        width = float(w.sum())
+        if width <= _EDGE:
+            raise ValidationError("band contains no curve mass")
+        rho_mass = float(w @ r)
+        rho_by = {"mass": rho_mass, "mean": rho_mass / width}
+        other = "mean" if band_rho == "mass" else "mass"
+        rho_std, rho_label = rho_by[band_rho], "rho_pt"
+        extra = dict(
+            band=(float(band[0]), float(band[1])),
+            rho_pt=rho_std,
+            notes=(f"rho_pt[{other}]={rho_by[other]:.12g}",),
+        )
+    value = spec.statistic(w, r)
+    if spec.scale is not None:
+        if rho_std < _EDGE or rho_std > 1.0 - _EDGE:
+            raise NumericError(f"{spec.name} undefined at {rho_label}={rho_std}")
+        value = value / spec.scale(rho_std)
+    # a standardised R has always been reported under the name "R"
+    name = "R" if token == "rstd" else spec.name
+    return IndexResult(name, value, spec.scale is not None, rho, **extra)
+
+
+def _index_results(table_or_curve, tokens, band=None) -> list[IndexResult]:
+    """The requested indices of a table or curve, in token order."""
+    _check_request(tokens, band)
+    return [_index_result(table_or_curve, token, band) for token in tokens]
 
 
 def predictiveness_u(table_or_curve) -> IndexResult:
@@ -195,13 +322,7 @@ def predictiveness_u(table_or_curve) -> IndexResult:
         ``value`` in [-2 rho (1-rho), 2 rho (1-rho)]; negative values
         can only arise from non-monotone curves.
     """
-    p, r = _masses_risks(table_or_curve)
-    return IndexResult(
-        name="U",
-        value=u_statistic(p, r),
-        standardized=False,
-        rho_used=_eval_rho(p, r),
-    )
+    return _index_result(table_or_curve, "u")
 
 
 def predictiveness_u_std(table_or_curve) -> IndexResult:
@@ -210,16 +331,7 @@ def predictiveness_u_std(table_or_curve) -> IndexResult:
     rho is the mass-weighted mean risk of the evaluated curve.  Raises
     NumericError when rho is 0 or 1, where the maximum degenerates.
     """
-    p, r = _masses_risks(table_or_curve)
-    rho = _eval_rho(p, r)
-    if rho < _EDGE or rho > 1.0 - _EDGE:
-        raise NumericError(f"standardised U undefined at rho={rho}")
-    return IndexResult(
-        name="U_std",
-        value=u_statistic(p, r) / (2.0 * rho * (1.0 - rho)),
-        standardized=True,
-        rho_used=rho,
-    )
+    return _index_result(table_or_curve, "ustd")
 
 
 def partial_u(
@@ -257,65 +369,20 @@ def partial_u(
     -------
     IndexResult
     """
-    if band_rho not in ("mass", "mean"):
-        raise ValidationError(f"band_rho must be 'mass' or 'mean', got {band_rho!r}")
-    _check_band(q0, q1)
-    p, r = _masses_risks(table_or_curve)
-    m = clipped_band_masses(p, q0, q1)
-    width = float(m.sum())
-    if width <= _EDGE:
-        raise ValidationError("band contains no curve mass")
-    value = u_statistic(m, r)
-    rho_mass = float(m @ r)
-    rho_mean = rho_mass / width
-    rho_pt = rho_mass if band_rho == "mass" else rho_mean
-    other = "mean" if band_rho == "mass" else "mass"
-    other_value = rho_mean if band_rho == "mass" else rho_mass
-    notes = (f"rho_pt[{other}]={other_value:.12g}",)
-    if standardized:
-        if rho_pt < _EDGE or rho_pt > 1.0 - _EDGE:
-            raise NumericError(f"standardised partial U undefined at rho_pt={rho_pt}")
-        value = value / (2.0 * rho_pt * (1.0 - rho_pt))
-    return IndexResult(
-        name="U_partial_std" if standardized else "U_partial",
-        value=value,
-        standardized=standardized,
-        rho_used=_eval_rho(p, r),
-        band=(float(q0), float(q1)),
-        rho_pt=rho_pt,
-        notes=notes,
-    )
+    token = "upartialstd" if standardized else "upartial"
+    return _index_result(table_or_curve, token, (q0, q1), band_rho)
 
 
 def r_square(table_or_curve, standardized: bool = False) -> IndexResult:
     """Variance of predicted risk around its mean, optionally / rho(1-rho)."""
-    p, r = _masses_risks(table_or_curve)
-    rho = _eval_rho(p, r)
-    value = r_square_statistic(p, r)
-    if standardized:
-        if rho < _EDGE or rho > 1.0 - _EDGE:
-            raise NumericError(f"standardised R undefined at rho={rho}")
-        value = value / (rho * (1.0 - rho))
-    return IndexResult(name="R", value=value, standardized=standardized, rho_used=rho)
+    return _index_result(table_or_curve, "rstd" if standardized else "r")
 
 
 def total_gain(table_or_curve) -> IndexResult:
     """Mean absolute deviation of risk from its mean."""
-    p, r = _masses_risks(table_or_curve)
-    return IndexResult(
-        name="TG",
-        value=total_gain_statistic(p, r),
-        standardized=False,
-        rho_used=_eval_rho(p, r),
-    )
+    return _index_result(table_or_curve, "tg")
 
 
 def average_entropy(table_or_curve) -> IndexResult:
     """Entropy reduction H(rho) - sum p H(r), natural log."""
-    p, r = _masses_risks(table_or_curve)
-    return IndexResult(
-        name="AE",
-        value=average_entropy_statistic(p, r),
-        standardized=False,
-        rho_used=_eval_rho(p, r),
-    )
+    return _index_result(table_or_curve, "ae")

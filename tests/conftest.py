@@ -92,6 +92,51 @@ def refit_rows_one_by_one(p, r):
     return out
 
 
+# The Bayes plug-in p = a rho + b (1 - rho), r = a rho / p as its three call
+# sites wrote it before they shared one core: the references the shared
+# core must equal bit for bit.
+
+
+def plugin_conditionals_reference(counts, laplace=0.0):
+    """Former ``_plugin_conditionals`` arithmetic: P(g|D), P(g|not D) of the
+    genotypes seen in either arm, after adding ``laplace`` to each cell."""
+    seen = (counts.n_case + counts.n_control) > 0
+    n_case = counts.n_case[seen].astype(float)
+    n_control = counts.n_control[seen].astype(float)
+    g = n_case.size
+    a = (n_case + laplace) / (counts.n_cases + laplace * g)
+    b = (n_control + laplace) / (counts.n_controls + laplace * g)
+    return a, b
+
+
+def build_risk_table_reference(a, b, rho):
+    """Former ``build_risk_table`` arithmetic: kept p and r, sorted by risk."""
+    p = a * rho + b * (1.0 - rho)
+    keep = p > 0
+    p = p[keep]
+    r = (a[keep] * rho) / p
+    order = np.argsort(r, kind="stable")
+    return p[order], r[order]
+
+
+def plugin_rows_reference(case, control, rho):
+    """Former ``_plugin_rows``: row-wise masses and risks from count arrays."""
+    case = np.asarray(case, dtype=float)
+    control = np.asarray(control, dtype=float)
+    a = case / case.sum(axis=-1, keepdims=True)
+    b = control / control.sum(axis=-1, keepdims=True)
+    p = a * rho + b * (1.0 - rho)
+    r = np.divide(a * rho, p, out=np.zeros_like(p), where=p > 0)
+    return p, r
+
+
+def apply_plugin_reference(a, b, rho):
+    """Former ``apply_model_to_test`` arithmetic on the seen genotypes."""
+    p = a * rho + b * (1.0 - rho)
+    r = (a * rho) / p
+    return p, r
+
+
 def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
     """Subject-file aggregation by a per-row dict loop.
 

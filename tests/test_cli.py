@@ -146,6 +146,41 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def test_cli_import_and_curve_leave_scipy_special_unloaded(counts_file, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
+    code = (
+        "import sys, predictu.cli as cli\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        "for command in ('curve', 'links'):\n"
+        f"    assert cli.main([command, {counts_file!r}, '--rho', '0.21', '--out', {str(tmp_path)!r}]) == 0\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
+        "print(loaded)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summarize", "{counts}", "--rho", "0.1", "--band", "2:3"],
+        ["validate", "--train", "{counts}", "--test", "{counts}", "--rho", "0.21",
+         "--band", "0.9:0.1"],
+        ["simulate", "--preset", "sim1_h005", "--replicates", "2", "--n-cases", "50",
+         "--n-controls", "50", "--bootstrap", "5", "--band", "5:6"],
+    ],
+    ids=["summarize", "validate", "simulate"],
+)
+def test_invalid_band_is_rejected_without_partial_indices(argv, counts_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = [a.format(counts=counts_file) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "--band" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_summarize_golden_values(counts_file, tmp_path):
     out = tmp_path / "run"
     code = main([

@@ -16,7 +16,6 @@ from predictu.fileio import (
     read_json,
     run_provenance,
     write_counts_csv,
-    write_curve_csv,
     write_eval_csv,
     write_json,
     write_xy_csv,
@@ -278,7 +277,7 @@ def test_write_curve_csv_roundtrips_floats(tmp_path):
     path = tmp_path / "curve.csv"
     q = [0.1, 1.0 / 3.0, 1.0]
     r = [0.2, 2.0 / 3.0, 0.9]
-    write_curve_csv(path, q, r, run_provenance({}, seed=None))
+    write_xy_csv(path, "q", q, "r", r, run_provenance({}, seed=None))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# predictu ")
     assert lines[1] == "q,r"

@@ -8,6 +8,7 @@ from predictu.isotonic import pava
 from predictu.risk_model import (
     CaseControlCounts,
     GenotypeId,
+    _plugin_rows,
     apply_model_to_test,
     build_risk_table,
     curve_points,
@@ -15,7 +16,14 @@ from predictu.risk_model import (
 )
 from predictu.summary_indices import u_statistic
 
-from conftest import brute_force_u, random_sorted_table
+from conftest import (
+    apply_plugin_reference,
+    brute_force_u,
+    build_risk_table_reference,
+    plugin_conditionals_reference,
+    plugin_rows_reference,
+    random_sorted_table,
+)
 
 
 def test_build_single_genotype_degenerate():
@@ -299,7 +307,7 @@ def _reference_apply(train_order, test_counts, laplace):
 
 
 def _ids(genotypes):
-    # GenotypeId equality looks at the index only; compare both fields
+    # GenotypeId equality looks at the key only; compare both fields
     return [(g.index, g.label) for g in genotypes]
 
 
@@ -392,3 +400,69 @@ def test_bookkeeping_calls_stay_linear_in_genotypes(monkeypatch):
     assert table.dropped  # the dropped-genotype path ran
     assert eq_calls <= 4 * n_genotypes
     assert _CountingLabel.hashes <= 8 * n_genotypes
+
+
+def test_genotype_id_equality_follows_key():
+    assert GenotypeId(3, "a") == GenotypeId(7, "a")
+    assert hash(GenotypeId(3, "a")) == hash(GenotypeId(7, "a"))
+    assert GenotypeId(0, "a") != GenotypeId(0, "b")
+    assert GenotypeId(4) == GenotypeId(4) and GenotypeId(4) != GenotypeId(5)
+    assert GenotypeId(4) != GenotypeId(4, "4")  # key 4 against key "4"
+    assert GenotypeId(4, "a") in {GenotypeId(9, "a")}
+    with pytest.raises(TypeError):
+        GenotypeId(0, "a") < GenotypeId(1, "b")
+
+
+def test_one_bayes_core_matches_the_parent_plugins():
+    rng = np.random.default_rng(106)
+    n_unseen = n_one_arm = 0
+    for trial in range(300):
+        g = int(rng.integers(1, 30))
+        rho = float(rng.uniform(0.01, 0.6))
+        # 0.3 is inexact in binary, so the sum of n + 0.3 can differ from N + 0.3 G
+        laplace = (0.0, 0.5, 0.3)[trial % 3]
+        # zero-count cells, and cells seen in one arm only
+        while True:
+            n_case = rng.integers(0, 6, g) * (rng.random(g) < 0.7)
+            n_control = rng.integers(0, 6, g) * (rng.random(g) < 0.7)
+            if n_case.sum() and n_control.sum():
+                break
+        n_unseen += int(((n_case + n_control) == 0).sum())
+        n_one_arm += int(((n_case == 0) != (n_control == 0)).sum())
+        labels = [f"L{j}" for j in rng.permutation(g)]
+        counts = CaseControlCounts(
+            tuple(GenotypeId(i, lab) for i, lab in enumerate(labels)), n_case, n_control, rho
+        )
+        a, b = plugin_conditionals_reference(counts, laplace)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            table = estimate_risk_table(counts, laplace)
+            # zero-mass rows reach build_risk_table itself when nothing filters them
+            full = build_risk_table(n_case / n_case.sum(), n_control / n_control.sum(), rho)
+        p, r = build_risk_table_reference(a, b, rho)
+        assert np.array_equal(table.p, p) and np.array_equal(table.r, r)
+        p, r = build_risk_table_reference(n_case / n_case.sum(), n_control / n_control.sum(), rho)
+        assert np.array_equal(full.p, p) and np.array_equal(full.r, r)
+
+        # a shuffled train order over some of the genotypes, so some are unseen
+        order = [counts.genotypes[i] for i in rng.permutation(g)[: int(rng.integers(1, g + 1))]]
+        try:
+            curve = apply_model_to_test(order, counts, laplace)
+        except ValidationError:
+            continue  # the order holds only genotypes unseen in the data
+        p, r = apply_plugin_reference(a, b, rho)
+        kept = [x for x, k in zip(counts.genotypes, (n_case + n_control) > 0) if k]
+        idx = [kept.index(x) for x in curve.genotypes]
+        assert np.array_equal(curve.q, np.cumsum(p[idx])) and np.array_equal(curve.r, r[idx])
+
+        # the row path, 1-d and (B, G), on int and on float counts
+        rows = int(rng.integers(1, 6))
+        case = rng.integers(0, 6, (rows, g)) * (rng.random((rows, g)) < 0.7)
+        control = rng.integers(0, 6, (rows, g)) * (rng.random((rows, g)) < 0.7)
+        case[:, rng.integers(g)] += 1
+        control[:, rng.integers(g)] += 1
+        for c, d in ((case, control), (case[0], control[0]), (case * 1.0, control * 1.0)):
+            got, want = _plugin_rows(c, d, rho), plugin_rows_reference(c, d, rho)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert n_unseen > 100 and n_one_arm > 100

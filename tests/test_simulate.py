@@ -7,9 +7,13 @@ from predictu import NumericError, ValidationError
 from predictu import simulate as sim
 from predictu.risk_model import apply_model_to_test, estimate_risk_table
 from predictu.summary_indices import (
-    average_entropy_statistic,
-    r_square_statistic,
-    total_gain_statistic,
+    INDEX_TOKENS,
+    average_entropy,
+    partial_u,
+    predictiveness_u,
+    predictiveness_u_std,
+    r_square,
+    total_gain,
     u_statistic,
 )
 
@@ -224,22 +228,29 @@ def test_unknown_preset_lists_available():
 
 def test_truth_matches_direct_indices():
     pop = sim.build_population(sim.PopulationSpec(model=hand_model(), name="hand"))
+    band = (0.3, 0.9)
     reports = sim.run_bias_coverage(
         [pop],
-        indices=("u", "r", "tg", "ae"),
+        indices=INDEX_TOKENS,
+        band=band,
         n_replicates=1,
         n_cases=50,
         n_controls=50,
         seed=0,
         n_bootstrap=2,
     )
-    p, r, rho = pop.table.p, pop.table.r, pop.rho
+    table = pop.table
     want = {
-        "U": u_statistic(p, r),
-        "R": r_square_statistic(p, r, rho),
-        "TG": total_gain_statistic(p, r, rho),
-        "AE": average_entropy_statistic(p, r, rho),
+        "U": predictiveness_u(table).value,
+        "U_std": predictiveness_u_std(table).value,
+        "U_partial": partial_u(table, *band).value,
+        "U_partial_std": partial_u(table, *band, standardized=True).value,
+        "R": r_square(table).value,
+        "R_std": r_square(table, standardized=True).value,
+        "TG": total_gain(table).value,
+        "AE": average_entropy(table).value,
     }
+    assert [report.index_name for report in reports] == list(want)
     for report in reports:
         assert report.model == "hand"
         assert report.true_value == pytest.approx(want[report.index_name], abs=1e-12)
@@ -328,7 +339,7 @@ def test_harness_rejects_bad_requests():
 
 @pytest.mark.parametrize(
     "indices, band",
-    [(("u", "ustd", "r", "tg", "ae"), None), (sim.INDEX_TOKENS, (0.8, 1.0))],
+    [(("u", "ustd", "r", "tg", "ae"), None), (INDEX_TOKENS, (0.8, 1.0))],
 )
 def test_isotonic_harness_matches_row_by_row_refit(monkeypatch, indices, band):
     kwargs = dict(
