@@ -38,13 +38,11 @@ upper = partial_u(table, 0.5, 1.0)
 print(f"\n{upper.name}({upper.band[0]:.1f}, {upper.band[1]:.1f}) = {upper.value:.6f}")
 print(f"notes: {upper.notes}")
 
-# The band prevalence rho_pt has two conventions.  "mass" integrates
-# case mass over the band; "mean" averages the risks.  Both numbers
-# are always reported in the notes; the flag picks which one
-# standardizes the index.
-for convention in ("mass", "mean"):
-    std = partial_u(table, 0.5, 1.0, standardized=True, band_rho=convention)
-    print(f"standardized with band_rho={convention!r}: {std.value:.6f} (rho_pt={std.rho_pt:.4f})")
+# Standardizing divides by 2 rho_pt (1 - rho_pt), with rho_pt the band
+# mass integral of risk.  The mean risk within the band is reported in
+# the notes.
+std = partial_u(table, 0.5, 1.0, standardized=True)
+print(f"standardized: {std.value:.6f} (rho_pt={std.rho_pt:.4f}, {std.notes[0]})")
 
 # A full-axis band is the global index again (up to the last bit of
 # float accumulation order).

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -57,6 +58,21 @@ def _band(text: str) -> tuple[float, float]:
     return q0, q1
 
 
+def _in_range(kind, lo, hi=math.inf):
+    """An argparse type: a ``kind`` number in [lo, hi]."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} in [{lo}, {hi}], got {text!r}")
+        return value
+
+    return parse
+
+
 def _tokens(text: str) -> tuple[str, ...]:
     tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
     unknown = [t for t in tokens if t not in INDEX_TOKENS]
@@ -82,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="population prevalence (required; not identifiable from case-control data)")
         p.add_argument("--laplace", type=float, default=0.0,
                        help="additive smoothing for plug-in risks (default 0)")
-        p.add_argument("--max-bad-rows", type=float, default=0.01,
+        p.add_argument("--max-bad-rows", type=_in_range(float, 0, 1), default=0.01,
                        help="tolerated fraction of malformed subject rows (default 0.01)")
         p.add_argument("--out", default=".", help="output directory (default current)")
 
@@ -95,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--indices", type=_tokens, default=_tokens("u,ustd,r,tg,ae"))
     p.add_argument("--band", type=_band, default=None, help="partial-U band as q0:q1")
-    p.add_argument("--bootstrap", type=int, default=0, metavar="N",
+    p.add_argument("--bootstrap", type=_in_range(int, 0), default=0, metavar="N",
                    help="bootstrap replicates for percentile intervals (default: asymptotic only)")
-    p.add_argument("--permutation", type=int, default=0, metavar="N",
+    p.add_argument("--permutation", type=_in_range(int, 0), default=0, metavar="N",
                    help="permutation replicates for a null test of U (default: off)")
     p.add_argument("--seed", type=int, default=0)
 
@@ -127,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=400, metavar="N",
                    help="bootstrap replicates per dataset for coverage intervals")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_in_range(int, 1), default=None,
                    help="process count (default: PREDICTU_THREADS, else 1)")
     p.add_argument("--out", default=".")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

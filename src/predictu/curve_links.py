@@ -130,6 +130,20 @@ def _monotone(table_or_curve) -> bool:
     return bool(np.all(np.diff(r) >= 0))
 
 
+def _identity(table_or_curve, linked_u) -> IdentityCheck:
+    """Residual of U against ``linked_u(rho)``, the U an area implies."""
+    p, r = _masses_risks(table_or_curve)
+    rho = float(p @ r)
+    u = u_statistic(p, r)
+    linked = linked_u(rho)
+    return IdentityCheck(
+        residual=abs(u - linked),
+        u=u,
+        u_from_curve=linked,
+        monotone=_monotone(table_or_curve),
+    )
+
+
 def check_roc_identity(table_or_curve) -> IdentityCheck:
     """Residual of U = 2 rho (1 - rho) (2 AUC_R - 1).
 
@@ -137,17 +151,8 @@ def check_roc_identity(table_or_curve) -> IdentityCheck:
     the ROC built from the stored order need not honour the link; the
     residual is still reported, with ``monotone`` False.
     """
-    p, r = _masses_risks(table_or_curve)
-    rho = float(p @ r)
-    u = u_statistic(p, r)
     auc = roc_from_table(table_or_curve).auc
-    linked = 2.0 * rho * (1.0 - rho) * (2.0 * auc - 1.0)
-    return IdentityCheck(
-        residual=abs(u - linked),
-        u=u,
-        u_from_curve=linked,
-        monotone=_monotone(table_or_curve),
-    )
+    return _identity(table_or_curve, lambda rho: 2.0 * rho * (1.0 - rho) * (2.0 * auc - 1.0))
 
 
 def check_lorenz_identity(table_or_curve) -> IdentityCheck:
@@ -156,14 +161,5 @@ def check_lorenz_identity(table_or_curve) -> IdentityCheck:
     See the module docstring for why the factor is 4.  Exact on
     risk-sorted tables; reported with ``monotone`` False otherwise.
     """
-    p, r = _masses_risks(table_or_curve)
-    rho = float(p @ r)
-    u = u_statistic(p, r)
     auc = lorenz_from_table(table_or_curve).auc
-    linked = 4.0 * rho * (0.5 - auc)
-    return IdentityCheck(
-        residual=abs(u - linked),
-        u=u,
-        u_from_curve=linked,
-        monotone=_monotone(table_or_curve),
-    )
+    return _identity(table_or_curve, lambda rho: 4.0 * rho * (0.5 - auc))

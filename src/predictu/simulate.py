@@ -516,11 +516,10 @@ def _replicate_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
         if isotonic:
             pava_rows(r, p)
 
-        point = _index_rows(p[:1], r[:1], rho, tokens, band)
-        boot = _index_rows(p[1:], r[1:], rho, tokens, band)
+        stack = _index_rows(p, r, rho, tokens, band)
         for t, token in enumerate(tokens):
-            values[row, t] = point[token][0]
-            reps = boot[token]
+            values[row, t] = stack[token][0]
+            reps = stack[token][1:]
             reps = reps[np.isfinite(reps)]
             if reps.size:
                 lo_q, hi_q = np.percentile(reps, [tail, 100.0 - tail])

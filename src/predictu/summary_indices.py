@@ -18,7 +18,11 @@ evaluation; unlike U they do not depend on the stored order.
 
 Array-level functions (``u_statistic`` and friends) accept stacked
 curves with genotypes on the last axis, which the resampling engines
-use to evaluate thousands of bootstrap replicates in one call.
+use to evaluate thousands of bootstrap replicates in one call.  One
+row-wise evaluator computes and standardises every index of the
+``INDICES`` table; the ``IndexResult`` functions call it with the curve
+as a one-row stack, so the CLI, the harness and the partial bootstrap
+compute each index the same way.
 """
 
 from __future__ import annotations
@@ -61,8 +65,7 @@ class IndexResult:
 
     ``rho_used`` is the mass-weighted mean risk of the evaluated curve;
     ``rho_pt`` is the band mass integral of risk for partial indices.
-    ``notes`` carries auxiliary values such as the alternative band
-    centring convention.
+    ``notes`` carries auxiliary values such as the mean band risk.
     """
 
     name: str
@@ -147,20 +150,18 @@ def partial_u_statistic(p, r, q0: float, q1: float) -> np.ndarray | float:
     return u_statistic(clipped_band_masses(p, q0, q1), r)
 
 
-def r_square_statistic(p, r, rho=None) -> np.ndarray | float:
-    """R = sum_i p_i (r_i - rho)^2, with rho = sum p r unless given."""
+def r_square_statistic(p, r) -> np.ndarray | float:
+    """R = sum_i p_i (r_i - rho)^2, with rho = sum p r."""
     p, r = np.broadcast_arrays(np.asarray(p, float), np.asarray(r, float))
-    if rho is None:
-        rho = (p * r).sum(axis=-1, keepdims=True)
+    rho = (p * r).sum(axis=-1, keepdims=True)
     out = (p * (r - rho) ** 2).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
-def total_gain_statistic(p, r, rho=None) -> np.ndarray | float:
-    """TG = sum_i p_i |r_i - rho|, with rho = sum p r unless given."""
+def total_gain_statistic(p, r) -> np.ndarray | float:
+    """TG = sum_i p_i |r_i - rho|, with rho = sum p r."""
     p, r = np.broadcast_arrays(np.asarray(p, float), np.asarray(r, float))
-    if rho is None:
-        rho = (p * r).sum(axis=-1, keepdims=True)
+    rho = (p * r).sum(axis=-1, keepdims=True)
     out = (p * np.abs(r - rho)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -174,15 +175,15 @@ def binary_entropy(x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def average_entropy_statistic(p, r, rho=None) -> np.ndarray | float:
-    """AE = H(rho) - sum_i p_i H(r_i): the expected entropy reduction.
+def average_entropy_statistic(p, r) -> np.ndarray | float:
+    """AE = H(rho) - sum_i p_i H(r_i), with rho = sum p r: the expected
+    entropy reduction.
 
     Positive whenever the risks separate at all; zero for a flat curve.
     Natural logarithm throughout.
     """
     p, r = np.broadcast_arrays(np.asarray(p, float), np.asarray(r, float))
-    if rho is None:
-        rho = (p * r).sum(axis=-1)
+    rho = (p * r).sum(axis=-1)
     out = binary_entropy(rho) - (p * binary_entropy(r)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -241,10 +242,11 @@ def _check_request(tokens, band) -> None:
 def _index_rows(p, r, rho: float, tokens, band=None) -> dict[str, np.ndarray]:
     """Each requested index evaluated row-wise on stacked curves.
 
-    Standardised global indices divide by the scale at the given ``rho``;
-    band indices by the scale at each row's rho_pt, NaN where that scale
-    is not positive.  Each statistic runs once per stack for its plain
-    and standardised tokens.
+    The one place an index is computed and standardised.  Standardised
+    global indices divide by the scale at the given ``rho``; band
+    indices by the scale at each row's rho_pt = sum_i m_i r_i, NaN where
+    that scale is not positive.  Each statistic runs once per stack for
+    its plain and standardised tokens.
     """
     out: dict[str, np.ndarray] = {}
     raw: dict = {}
@@ -267,50 +269,45 @@ def _index_rows(p, r, rho: float, tokens, band=None) -> dict[str, np.ndarray]:
     return out
 
 
-def _index_result(table_or_curve, token: str, band=None, band_rho: str = "mass") -> IndexResult:
-    """One index of a table or curve as an ``IndexResult``.
+def _index_results(table_or_curve, tokens, band=None) -> list[IndexResult]:
+    """The requested indices of a table or curve, in token order.
 
-    Standardisation uses rho = p . r of the evaluated curve (rho_pt for
-    band indices) and raises NumericError where rho is within ``_EDGE``
-    of 0 or 1.
+    The values are one ``_index_rows`` call on the curve as a one-row
+    stack, with rho = p . r.  Checked first, in token order: a band
+    index needs curve mass in the band, and a standardised index raises
+    NumericError where its rho (rho_pt = m . r for a band index) is
+    within ``_EDGE`` of 0 or 1.  Band results report that rho_pt (the
+    row path sums the same products for its standardiser, equal within
+    rounding) and, in ``notes``, the mean band risk rho_pt / sum_i m_i.
     """
-    spec = INDICES[token]
-    if spec.needs_band:
-        if band_rho not in ("mass", "mean"):
-            raise ValidationError(f"band_rho must be 'mass' or 'mean', got {band_rho!r}")
-        _check_band(*band)
+    _check_request(tokens, band)
     p, r = _masses_risks(table_or_curve)
     rho = float(p @ r)
-    extra: dict = {}
-    w, rho_std, rho_label = p, rho, "rho"
-    if spec.needs_band:
-        w = clipped_band_masses(p, *band)
-        width = float(w.sum())
-        if width <= _EDGE:
-            raise ValidationError("band contains no curve mass")
-        rho_mass = float(w @ r)
-        rho_by = {"mass": rho_mass, "mean": rho_mass / width}
-        other = "mean" if band_rho == "mass" else "mass"
-        rho_std, rho_label = rho_by[band_rho], "rho_pt"
-        extra = dict(
-            band=(float(band[0]), float(band[1])),
-            rho_pt=rho_std,
-            notes=(f"rho_pt[{other}]={rho_by[other]:.12g}",),
-        )
-    value = spec.statistic(w, r)
-    if spec.scale is not None:
-        if rho_std < _EDGE or rho_std > 1.0 - _EDGE:
-            raise NumericError(f"{spec.name} undefined at {rho_label}={rho_std}")
-        value = value / spec.scale(rho_std)
-    # a standardised R has always been reported under the name "R"
-    name = "R" if token == "rstd" else spec.name
-    return IndexResult(name, value, spec.scale is not None, rho, **extra)
-
-
-def _index_results(table_or_curve, tokens, band=None) -> list[IndexResult]:
-    """The requested indices of a table or curve, in token order."""
-    _check_request(tokens, band)
-    return [_index_result(table_or_curve, token, band) for token in tokens]
+    in_band: dict = {}
+    for token in tokens:
+        spec = INDICES[token]
+        if spec.needs_band and not in_band:
+            m = clipped_band_masses(p, *band)
+            width = float(m.sum())
+            if width <= _EDGE:
+                raise ValidationError("band contains no curve mass")
+            rho_pt = float(m @ r)
+            in_band = dict(
+                band=(float(band[0]), float(band[1])),
+                rho_pt=rho_pt,
+                notes=(f"rho_pt[mean]={rho_pt / width:.12g}",),
+            )
+        at, label = (in_band["rho_pt"], "rho_pt") if spec.needs_band else (rho, "rho")
+        if spec.scale is not None and (at < _EDGE or at > 1.0 - _EDGE):
+            raise NumericError(f"{spec.name} undefined at {label}={at}")
+    rows = _index_rows(p[None], r[None], rho, tokens, band)
+    results = []
+    for token in tokens:
+        spec = INDICES[token]
+        extra = in_band if spec.needs_band else {}
+        value = float(rows[token][0])
+        results.append(IndexResult(spec.name, value, spec.scale is not None, rho, **extra))
+    return results
 
 
 def predictiveness_u(table_or_curve) -> IndexResult:
@@ -322,7 +319,7 @@ def predictiveness_u(table_or_curve) -> IndexResult:
         ``value`` in [-2 rho (1-rho), 2 rho (1-rho)]; negative values
         can only arise from non-monotone curves.
     """
-    return _index_result(table_or_curve, "u")
+    return _index_results(table_or_curve, ("u",))[0]
 
 
 def predictiveness_u_std(table_or_curve) -> IndexResult:
@@ -331,31 +328,19 @@ def predictiveness_u_std(table_or_curve) -> IndexResult:
     rho is the mass-weighted mean risk of the evaluated curve.  Raises
     NumericError when rho is 0 or 1, where the maximum degenerates.
     """
-    return _index_result(table_or_curve, "ustd")
+    return _index_results(table_or_curve, ("ustd",))[0]
 
 
-def partial_u(
-    table_or_curve,
-    q0: float,
-    q1: float,
-    standardized: bool = False,
-    band_rho: str = "mass",
-) -> IndexResult:
+def partial_u(table_or_curve, q0: float, q1: float, standardized: bool = False) -> IndexResult:
     """Partial predictiveness U over the quantile band (q0, q1].
 
     The raw value restricts the pairwise sum to clipped in-band masses;
     with ``q0=0, q1=1`` it reproduces the global U exactly.  The
-    standardised form divides by 2 rho_pt (1 - rho_pt) where rho_pt
-    follows the ``band_rho`` convention:
-
-    - ``"mass"`` (default): rho_pt = sum_i m_i r_i, the band integral of
-      risk with clipped masses m_i.  Over the full band this is rho, so
-      the standardised partial U degrades gracefully to U_std.
-    - ``"mean"``: rho_pt = sum_i m_i r_i / sum_i m_i, the mean risk
-      within the band.
-
-    Both rho_pt values are always reported; the unused convention lands
-    in ``notes``.
+    standardised form divides by 2 rho_pt (1 - rho_pt), where
+    rho_pt = sum_i m_i r_i is the band integral of risk with clipped
+    masses m_i.  Over the full band rho_pt is rho, so the standardised
+    partial U degrades gracefully to U_std.  The mean risk within the
+    band, rho_pt / sum_i m_i, is reported in ``notes``.
 
     Parameters
     ----------
@@ -363,26 +348,25 @@ def partial_u(
     q0, q1 : float
         Band edges with 0 <= q0 < q1 <= 1.
     standardized : bool
-    band_rho : {"mass", "mean"}
 
     Returns
     -------
     IndexResult
     """
     token = "upartialstd" if standardized else "upartial"
-    return _index_result(table_or_curve, token, (q0, q1), band_rho)
+    return _index_results(table_or_curve, (token,), (q0, q1))[0]
 
 
 def r_square(table_or_curve, standardized: bool = False) -> IndexResult:
     """Variance of predicted risk around its mean, optionally / rho(1-rho)."""
-    return _index_result(table_or_curve, "rstd" if standardized else "r")
+    return _index_results(table_or_curve, ("rstd" if standardized else "r",))[0]
 
 
 def total_gain(table_or_curve) -> IndexResult:
     """Mean absolute deviation of risk from its mean."""
-    return _index_result(table_or_curve, "tg")
+    return _index_results(table_or_curve, ("tg",))[0]
 
 
 def average_entropy(table_or_curve) -> IndexResult:
     """Entropy reduction H(rho) - sum p H(r), natural log."""
-    return _index_result(table_or_curve, "ae")
+    return _index_results(table_or_curve, ("ae",))[0]

@@ -3,10 +3,19 @@ import csv
 import numpy as np
 import pytest
 
-from predictu.errors import ValidationError
+from predictu.errors import NumericError, ValidationError
 from predictu.fileio import ParseReport, _sniff_delimiter
 from predictu.isotonic import pava
 from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
+from predictu.summary_indices import (
+    _EDGE,
+    INDICES,
+    IndexResult,
+    _check_band,
+    _check_request,
+    _masses_risks,
+    clipped_band_masses,
+)
 
 
 @pytest.fixture
@@ -135,6 +144,46 @@ def apply_plugin_reference(a, b, rho):
     p = a * rho + b * (1.0 - rho)
     r = (a * rho) / p
     return p, r
+
+
+# The scalar index evaluator as it stood beside the row path, before every
+# IndexResult became a one-row call into it: the reference the one evaluator
+# must equal (a standardised R was then named "R").
+
+
+def index_result_reference(table_or_curve, token, band=None):
+    """Former ``_index_result``: rho = p @ r, and rho_pt = m @ r for a band."""
+    spec = INDICES[token]
+    if spec.needs_band:
+        _check_band(*band)
+    p, r = _masses_risks(table_or_curve)
+    rho = float(p @ r)
+    extra = {}
+    w, rho_std, rho_label = p, rho, "rho"
+    if spec.needs_band:
+        w = clipped_band_masses(p, *band)
+        width = float(w.sum())
+        if width <= _EDGE:
+            raise ValidationError("band contains no curve mass")
+        rho_std, rho_label = float(w @ r), "rho_pt"
+        extra = dict(
+            band=(float(band[0]), float(band[1])),
+            rho_pt=rho_std,
+            notes=(f"rho_pt[mean]={rho_std / width:.12g}",),
+        )
+    value = spec.statistic(w, r)
+    if spec.scale is not None:
+        if rho_std < _EDGE or rho_std > 1.0 - _EDGE:
+            raise NumericError(f"{spec.name} undefined at {rho_label}={rho_std}")
+        value = value / spec.scale(rho_std)
+    name = "R" if token == "rstd" else spec.name
+    return IndexResult(name, value, spec.scale is not None, rho, **extra)
+
+
+def index_results_reference(table_or_curve, tokens, band=None):
+    """Former ``_index_results``: the request check, then one index at a time."""
+    _check_request(tokens, band)
+    return [index_result_reference(table_or_curve, token, band) for token in tokens]
 
 
 def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):

@@ -181,6 +181,52 @@ def test_invalid_band_is_rejected_without_partial_indices(argv, counts_file, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "-5"], "--bootstrap"),
+        (["summarize", "{counts}", "--rho", "0.21", "--permutation", "-3"], "--permutation"),
+        (["simulate", "--preset", "smoke", "--replicates", "2", "--n-cases", "50",
+          "--n-controls", "50", "--bootstrap", "5", "--workers", "0"], "--workers"),
+        (["simulate", "--preset", "smoke", "--replicates", "2", "--n-cases", "50",
+          "--n-controls", "50", "--bootstrap", "5", "--workers", "-2"], "--workers"),
+        (["curve", "{subjects}", "--rho", "0.21", "--max-bad-rows", "-1"], "--max-bad-rows"),
+        (["curve", "{subjects}", "--rho", "0.21", "--max-bad-rows", "1.5"], "--max-bad-rows"),
+    ],
+    ids=["bootstrap", "permutation", "workers-zero", "workers-negative",
+         "max-bad-rows-negative", "max-bad-rows-above-one"],
+)
+def test_out_of_range_count_flags_are_rejected(argv, flag, counts_file, subject_file,
+                                               tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = [a.format(counts=counts_file, subjects=subject_file) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_r_and_r_std_keep_distinct_names(counts_file, tmp_path, capsys):
+    summary, check, merged = tmp_path / "s", tmp_path / "v", tmp_path / "m"
+    assert main(["summarize", counts_file, "--rho", "0.21", "--indices", "r,rstd",
+                 "--out", str(summary)]) == 0
+    blocks = read_json(summary / "indices.json")["indices"]
+    assert [b["name"] for b in blocks] == ["R", "R_std"]
+    assert blocks[1]["value"] == pytest.approx(0.0229 / (0.21 * 0.79), rel=1e-12)
+
+    capsys.readouterr()
+    assert main(["validate", "--train", counts_file, "--test", counts_file, "--rho", "0.21",
+                 "--indices", "rstd,r", "--isotonic", "--out", str(check)]) == 0
+    doc = read_json(check / "validate.json")
+    for section in ("train", "test", "refit"):
+        assert [b["name"] for b in doc[section]["indices"]] == ["R_std", "R"]
+    r_std = doc["train"]["indices"][0]["value"]
+    assert capsys.readouterr().out.startswith(f"R_std: train={r_std:.6g}  test={r_std:.6g}")
+
+    assert main(["report", str(summary / "indices.json"), "--out", str(merged)]) == 0
+    rows = (merged / "report.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["R", "R_std"]
+
+
 def test_summarize_golden_values(counts_file, tmp_path):
     out = tmp_path / "run"
     code = main([

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from predictu.errors import NumericError, ValidationError
-from predictu.risk_model import build_risk_table, curve_points
+from predictu.risk_model import CurvePoints, build_risk_table, curve_points
 from predictu.summary_indices import (
+    INDEX_TOKENS,
+    _index_results,
     average_entropy,
     clipped_band_masses,
     partial_u,
@@ -16,7 +19,7 @@ from predictu.summary_indices import (
     u_statistic,
 )
 
-from conftest import brute_force_u, random_sorted_table
+from conftest import brute_force_u, index_results_reference, random_sorted_table
 
 
 def constant_risk_table(rho=0.3):
@@ -95,12 +98,11 @@ def test_partial_matches_clipped_mass_brute_force():
 
 def test_partial_reports_both_rho_conventions(three_genotype_table):
     by_mass = partial_u(three_genotype_table, 0.5, 1.0)
-    by_mean = partial_u(three_genotype_table, 0.5, 1.0, band_rho="mean")
     # band (0.5, 1.0): masses (0.3, 0.2), risks (0.2, 0.5)
     assert by_mass.rho_pt == pytest.approx(0.3 * 0.2 + 0.2 * 0.5, abs=1e-12)
-    assert by_mean.rho_pt == pytest.approx((0.3 * 0.2 + 0.2 * 0.5) / 0.5, abs=1e-12)
     assert any("rho_pt[mean]" in note for note in by_mass.notes)
-    assert any("rho_pt[mass]" in note for note in by_mean.notes)
+    (mean,) = [n.split("=")[1] for n in by_mass.notes if n.startswith("rho_pt[mean]=")]
+    assert float(mean) == pytest.approx((0.3 * 0.2 + 0.2 * 0.5) / 0.5, abs=1e-12)
 
 
 def test_partial_rejects_bad_band(three_genotype_table):
@@ -196,3 +198,87 @@ def test_index_result_serialization(three_genotype_table):
     assert block["standardized"] is True
     assert block["band"] == [0.5, 1.0]
     assert set(block) == {"name", "value", "standardized", "band", "rho", "rho_pt", "notes"}
+
+
+def _outcome(evaluate, x, tokens, band):
+    try:
+        return evaluate(x, tokens, band)
+    except (NumericError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(got, want):
+    """Field for field, but for two intended changes: a standardised R is
+    named R_std, and U_partial_std is standardised by the row reduction
+    of rho_pt, which may move its value in the last digits."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w.name == "R" and w.standardized:
+            w = replace(w, name="R_std")
+        if w.name == "U_partial_std":
+            assert g.value == pytest.approx(w.value, rel=1e-14, abs=0.0)
+            assert g.rho_pt == pytest.approx(w.rho_pt, rel=1e-14, abs=0.0)
+            w = replace(w, value=g.value, rho_pt=g.rho_pt)
+        assert g == w
+        assert repr(g) == repr(w)  # float types and signed zeros too
+
+
+def _shuffled(rng, tokens):
+    return tuple(tokens[i] for i in rng.permutation(len(tokens)))
+
+
+def _bands(rng, masses):
+    """The full band, a random band and a band inside one step."""
+    q0 = float(rng.uniform(0.0, 0.9))
+    upper = np.cumsum(masses)
+    k = int(rng.integers(masses.size))
+    lower = upper[k] - masses[k]
+    return [
+        (0.0, 1.0),
+        (q0, float(rng.uniform(q0 + 0.01, 1.0))),
+        (float(lower + 0.25 * masses[k]), float(lower + 0.75 * masses[k])),
+    ]
+
+
+def test_one_evaluator_matches_the_scalar_reference():
+    rng = np.random.default_rng(208)
+    for _ in range(300):
+        table = random_sorted_table(rng)
+        perm = rng.permutation(table.n_genotypes)
+        shuffled = CurvePoints(q=np.cumsum(table.p[perm]), r=table.r[perm], rho=table.rho)
+        for x in (table, shuffled):
+            masses = x.p if x is table else x.masses
+            for band in _bands(rng, masses):
+                tokens = _shuffled(rng, INDEX_TOKENS)
+                want = index_results_reference(x, tokens, band)
+                _assert_matches_reference(_index_results(x, tokens, band), want)
+
+
+@pytest.mark.parametrize(
+    "case, band",
+    [
+        ("degenerate_rho", (0.2, 0.6)),
+        ("degenerate_rho_pt", (0.1, 0.3)),
+        ("empty_band", (0.5, 0.5 + 1e-13)),
+        ("missing_band", None),
+        ("bad_band", (0.8, 0.2)),
+        ("bad_band", (-0.1, 0.5)),
+    ],
+)
+def test_one_evaluator_raises_as_the_scalar_reference(case, band):
+    table = {
+        "degenerate_rho": build_risk_table([0.3, 0.7], [0.6, 0.4], rho=5e-13),
+        # the lowest genotype has risk 0 and mass 0.4
+        "degenerate_rho_pt": build_risk_table([0.0, 0.5, 0.5], [0.5, 0.25, 0.25], rho=0.2),
+    }.get(case, build_risk_table([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], rho=0.2))
+    rng = np.random.default_rng(209)
+    orders = [(t,) for t in INDEX_TOKENS] + [_shuffled(rng, INDEX_TOKENS) for _ in range(20)]
+    raised = 0
+    for tokens in orders:
+        want = _outcome(index_results_reference, table, tokens, band)
+        _assert_matches_reference(_outcome(_index_results, table, tokens, band), want)
+        raised += isinstance(want, tuple)
+    assert raised > 0
