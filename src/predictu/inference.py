@@ -21,12 +21,17 @@ Resampling is stratified within arms (bootstrap) or redraws the case
 counts from the pooled genotype totals by multivariate hypergeometric
 sampling (permutation, equivalent to permuting labels).  All streams
 derive from the plan seed plus fixed stream tags, so results are
-reproducible and independent of any parallel execution.
+reproducible and independent of any parallel execution.  Replicates
+are drawn and evaluated in row blocks of a fixed byte size whose
+concatenation is the one-call draw, so memory stays flat in the
+replicate count (beyond the B-length results and, for the bootstrap,
+one narrow-integer case stack) and no result depends on the blocks.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +59,9 @@ __all__ = [
 # stream tags keep bootstrap and permutation draws decoupled per seed
 _TAG_BOOTSTRAP = 101
 _TAG_PERMUTATION = 211
+# replicate rows per block: one (rows, G) float64 array of a block stays
+# within this many bytes, so resampling memory does not grow with B
+_BLOCK_BYTES = 1 << 20
 
 
 class Method(enum.Enum):
@@ -295,22 +303,41 @@ def _largest_remainder(p: np.ndarray, n: int) -> np.ndarray:
     return base
 
 
-def _bootstrap_counts(
-    counts: CaseControlCounts, plan: ResamplePlan
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified bootstrap count matrices, one replicate per row.
+def _blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices covering ``n_rows`` replicates, each block
+    small enough that a (rows, width) float64 array stays within
+    ``_BLOCK_BYTES`` (at least one row per block)."""
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _bootstrap_blocks(
+    counts: CaseControlCounts, plan: ResamplePlan, pos: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Stratified bootstrap count rows aligned by ``pos``, in replicate blocks.
 
     Resampling subjects with replacement within an arm is equivalent to
-    a multinomial draw over that arm's genotype frequencies.
+    a multinomial draw over that arm's genotype frequencies.  The stream
+    draws all case rows, then all control rows, so the case rows are
+    drawn first, block by block, into one held stack of the narrowest
+    signed integer that holds ``n_D``; the control rows are then drawn a
+    block at a time.  Yields ``(rows, case, control)`` per block, in
+    replicate order; together the blocks equal one full-size draw.
     """
     if plan.scheme is not Scheme.STRATIFIED_BOOTSTRAP:
         raise ValidationError(f"bootstrap requires STRATIFIED_BOOTSTRAP, got {plan.scheme}")
     rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP])
     n_d = counts.n_cases
     n_dbar = counts.n_controls
-    case = rng.multinomial(n_d, counts.n_case / n_d, size=plan.n_replicates)
-    control = rng.multinomial(n_dbar, counts.n_control / n_dbar, size=plan.n_replicates)
-    return case, control
+    blocks = _blocks(plan.n_replicates, max(counts.n_case.size, pos.size))
+    held = np.empty((plan.n_replicates, pos.size), dtype=np.min_scalar_type(-n_d - 1))
+    freq = counts.n_case / n_d
+    for rows in blocks:
+        held[rows] = _take(rng.multinomial(n_d, freq, size=rows.stop - rows.start), pos)
+    freq = counts.n_control / n_dbar
+    for rows in blocks:
+        control = _take(rng.multinomial(n_dbar, freq, size=rows.stop - rows.start), pos)
+        yield rows, held[rows], control
 
 
 def _percentile_ci(values: np.ndarray, level: float) -> ConfidenceInterval:
@@ -360,7 +387,9 @@ def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> fl
     multivariate hypergeometric sampling, which is exactly a uniform
     permutation of case/control labels at fixed genotypes.  The
     comparison |U*| >= |U| runs on the int64 kernel contraction, so it
-    is exact at any sample size.
+    is exact at any sample size.  The replicates are drawn from the one
+    stream a block at a time and counted as they go, so memory is one
+    block's working set whatever the replicate count.
 
     The ``order`` must come from outside the data being tested (a
     trained model, an external ranking, or a fixed convention).  An
@@ -380,10 +409,11 @@ def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> fl
     pooled = case + control
     n_d = counts.n_cases
     rng = np.random.default_rng([plan.seed, _TAG_PERMUTATION])
-    perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=plan.n_replicates)
-    perm_control = pooled[None, :] - perm_case
-    stats = np.abs(_contract(perm_case, perm_control))
-    hits = int(np.count_nonzero(stats >= observed))
+    hits = 0
+    for rows in _blocks(plan.n_replicates, pooled.size):
+        perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=rows.stop - rows.start)
+        stats = np.abs(_contract(perm_case, pooled[None, :] - perm_case))
+        hits += int(np.count_nonzero(stats >= observed))
     return (1 + hits) / (1 + plan.n_replicates)
 
 
@@ -424,12 +454,14 @@ def _bootstrap_estimates(
 ) -> tuple[UEstimate, UEstimate | None]:
     """Global and (given a band) partial bootstrap estimates from one draw.
 
-    The stratified count matrices are drawn once and aligned to the
-    order.  The global replicates are the int64 contraction of those
-    rows; the partial replicates rebuild the plug-in curve of the same
-    rows in float.  Each int matrix is released as its float copy is
-    made, and the float counts before the band statistic, so the peak
-    is that of the partial statistic alone.
+    The stratified replicates are drawn once, in fixed-size row blocks
+    (``_bootstrap_blocks``).  Each block's global replicates are the
+    int64 contraction of its rows, and given a band its partial
+    replicates rebuild the plug-in curve of the same rows in float;
+    only the B-length value vectors outlive a block.  Memory is the
+    held case stack (B x G narrow integers) plus one block's working
+    set, whatever B is.  Non-finite partial replicates are dropped at
+    the end, in draw order.
     """
     if band is not None:
         _check_band(*band)
@@ -438,25 +470,22 @@ def _bootstrap_estimates(
     case, control, pos = _align_counts(counts, order)
     rho = counts.rho
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
+    token = "upartialstd" if standardized else "upartial"
 
-    boot_case, boot_control = _bootstrap_counts(counts, plan)
-    boot_case = _take(boot_case, pos)
-    boot_control = _take(boot_control, pos)
-    values = scale * _contract(boot_case, boot_control)
+    values = np.empty(plan.n_replicates)
+    partial = np.empty(plan.n_replicates)
+    for rows, boot_case, boot_control in _bootstrap_blocks(counts, plan, pos):
+        values[rows] = scale * _contract(boot_case, boot_control)
+        if band is not None:
+            p, r = _plugin_rows(boot_case.astype(float), boot_control.astype(float), rho)
+            partial[rows] = _index_rows(p, r, rho, (token,), band)[token]
     total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
     if band is None:
         return total, None
 
-    token = "upartialstd" if standardized else "upartial"
     p, r = _plugin_rows(case[None, :].astype(float), control[None, :].astype(float), rho)
     point = float(_index_rows(p, r, rho, (token,), band)[token][0])
-    del case, control, pos, p, r
-    boot_case = boot_case.astype(float)
-    boot_control = boot_control.astype(float)
-    p, r = _plugin_rows(boot_case, boot_control, rho)
-    del boot_case, boot_control  # the band statistic sets the peak: hold nothing extra
-    values = _index_rows(p, r, rho, (token,), band)[token]
-    values = values[np.isfinite(values)]
-    if values.size == 0:
+    partial = partial[np.isfinite(partial)]
+    if partial.size == 0:
         raise NumericError("no finite bootstrap replicate for the partial U")
-    return total, _replicate_estimate(point, values, plan, level)
+    return total, _replicate_estimate(point, partial, plan, level)

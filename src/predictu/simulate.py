@@ -435,16 +435,23 @@ class EvalReport:
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Worker processes to use: argument, else PREDICTU_THREADS, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("PREDICTU_THREADS", "").strip()
-    if env:
+    """Worker processes to use: argument, else PREDICTU_THREADS, else 1.
+
+    A count below 1 from either source is invalid input, not 1 worker.
+    """
+    source = "workers"
+    if requested is None:
+        env = os.environ.get("PREDICTU_THREADS", "").strip()
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError as exc:
             raise ValidationError(f"PREDICTU_THREADS must be an integer, got {env!r}") from exc
-    return 1
+        source = "PREDICTU_THREADS"
+    if int(requested) < 1:
+        raise ValidationError(f"{source} must be at least 1, got {requested}")
+    return int(requested)
 
 
 def _true_values(population: Population, tokens, band) -> dict[str, float]:

@@ -5,14 +5,30 @@ import pytest
 
 from predictu.errors import NumericError, ValidationError
 from predictu.fileio import ParseReport, _sniff_delimiter
+from predictu.inference import (
+    _TAG_BOOTSTRAP,
+    _TAG_PERMUTATION,
+    ResamplePlan,
+    Scheme,
+    _align_counts,
+    _contract,
+    _replicate_estimate,
+    _take,
+)
 from predictu.isotonic import pava
-from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
+from predictu.risk_model import (
+    CaseControlCounts,
+    GenotypeId,
+    _plugin_rows,
+    build_risk_table,
+)
 from predictu.summary_indices import (
     _EDGE,
     INDICES,
     IndexResult,
     _check_band,
     _check_request,
+    _index_rows,
     _masses_risks,
     clipped_band_masses,
 )
@@ -184,6 +200,88 @@ def index_results_reference(table_or_curve, tokens, band=None):
     """Former ``_index_results``: the request check, then one index at a time."""
     _check_request(tokens, band)
     return [index_result_reference(table_or_curve, token, band) for token in tokens]
+
+
+def same(a, b):
+    """Equal estimates, counting NaN fields in the same places as equal."""
+    # a standardized point is NaN when its band holds no case mass, and
+    # NaN fields make == false; repr is exact for every float
+    return a == b or repr(a) == repr(b)
+
+
+# The resampling routines as they stood before replicates were drawn in
+# fixed-size blocks: each draws its full (B, G) count matrices in one call.
+# The references the block routines must equal exactly.
+
+
+def bootstrap_counts_reference(
+    counts: CaseControlCounts, plan: ResamplePlan
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified bootstrap count matrices, one replicate per row.
+
+    Resampling subjects with replacement within an arm is equivalent to
+    a multinomial draw over that arm's genotype frequencies.
+    """
+    if plan.scheme is not Scheme.STRATIFIED_BOOTSTRAP:
+        raise ValidationError(f"bootstrap requires STRATIFIED_BOOTSTRAP, got {plan.scheme}")
+    rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP])
+    n_d = counts.n_cases
+    n_dbar = counts.n_controls
+    case = rng.multinomial(n_d, counts.n_case / n_d, size=plan.n_replicates)
+    control = rng.multinomial(n_dbar, counts.n_control / n_dbar, size=plan.n_replicates)
+    return case, control
+
+
+def bootstrap_estimates_reference(
+    counts, order, plan, level=0.95, band=None, standardized=False
+):
+    """Former ``_bootstrap_estimates``: the whole draw, then each statistic."""
+    if band is not None:
+        _check_band(*band)
+    if not 0.0 <= level < 1.0:
+        raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
+    case, control, pos = _align_counts(counts, order)
+    rho = counts.rho
+    scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
+
+    boot_case, boot_control = bootstrap_counts_reference(counts, plan)
+    boot_case = _take(boot_case, pos)
+    boot_control = _take(boot_control, pos)
+    values = scale * _contract(boot_case, boot_control)
+    total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
+    if band is None:
+        return total, None
+
+    token = "upartialstd" if standardized else "upartial"
+    p, r = _plugin_rows(case[None, :].astype(float), control[None, :].astype(float), rho)
+    point = float(_index_rows(p, r, rho, (token,), band)[token][0])
+    del case, control, pos, p, r
+    boot_case = boot_case.astype(float)
+    boot_control = boot_control.astype(float)
+    p, r = _plugin_rows(boot_case, boot_control, rho)
+    del boot_case, boot_control
+    values = _index_rows(p, r, rho, (token,), band)[token]
+    values = values[np.isfinite(values)]
+    if values.size == 0:
+        raise NumericError("no finite bootstrap replicate for the partial U")
+    return total, _replicate_estimate(point, values, plan, level)
+
+
+def permutation_test_reference(counts, order, plan):
+    """Former ``permutation_test``: all B hypergeometric rows in one call."""
+    if plan.scheme is not Scheme.LABEL_PERMUTATION:
+        raise ValidationError(f"permutation requires LABEL_PERMUTATION, got {plan.scheme}")
+    case, control, _ = _align_counts(counts, order)
+    observed = abs(int(_contract(case, control)))
+
+    pooled = case + control
+    n_d = counts.n_cases
+    rng = np.random.default_rng([plan.seed, _TAG_PERMUTATION])
+    perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=plan.n_replicates)
+    perm_control = pooled[None, :] - perm_case
+    stats = np.abs(_contract(perm_case, perm_control))
+    hits = int(np.count_nonzero(stats >= observed))
+    return (1 + hits) / (1 + plan.n_replicates)
 
 
 def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):

@@ -205,6 +205,15 @@ def test_out_of_range_count_flags_are_rejected(argv, flag, counts_file, subject_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["-2", "0"])
+def test_non_positive_thread_variable_is_rejected(threads, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("PREDICTU_THREADS", threads)
+    code = main(["simulate", "--preset", "smoke", "--replicates", "2", "--n-cases", "50",
+                 "--n-controls", "50", "--bootstrap", "5", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"PREDICTU_THREADS must be at least 1, got {threads}" in capsys.readouterr().err
+
+
 def test_r_and_r_std_keep_distinct_names(counts_file, tmp_path, capsys):
     summary, check, merged = tmp_path / "s", tmp_path / "v", tmp_path / "m"
     assert main(["summarize", counts_file, "--rho", "0.21", "--indices", "r,rstd",

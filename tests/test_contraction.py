@@ -16,7 +16,6 @@ from predictu.inference import (
     ResamplePlan,
     Scheme,
     _align_counts,
-    _bootstrap_counts,
     _contract,
     _take,
     asymptotic_variance_u,
@@ -27,7 +26,7 @@ from predictu.inference import (
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId
 
-from conftest import random_case
+from conftest import bootstrap_counts_reference, random_case
 
 
 def _arrange(mat, counts, order):
@@ -59,7 +58,7 @@ def dense_reference(counts, order, boot_plan, perm_plan):
         s_case / (n_d * (n_d - 1)) + s_control / (n_dbar * (n_dbar - 1))
     )
 
-    boot_case, boot_control = _bootstrap_counts(counts, boot_plan)
+    boot_case, boot_control = bootstrap_counts_reference(counts, boot_plan)
     boot_case = _arrange(boot_case, counts, order)
     boot_control = _arrange(boot_control, counts, order)
     boot_sums = np.einsum("bg,bg->b", boot_case @ phi, boot_control)
@@ -90,7 +89,7 @@ def test_contraction_equals_dense_reference_exactly():
 
         case, control, pos = _align_counts(counts, order)
         assert case.dtype == control.dtype == np.int64
-        boot_case, boot_control = _bootstrap_counts(counts, boot_plan)
+        boot_case, boot_control = bootstrap_counts_reference(counts, boot_plan)
         for mat in (boot_case, boot_control):
             taken = _take(mat, pos)
             assert taken.flags.c_contiguous

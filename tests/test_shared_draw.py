@@ -20,7 +20,7 @@ from predictu.inference import (
     ResamplePlan,
     UEstimate,
     _align_counts,
-    _bootstrap_counts,
+    _bootstrap_blocks,
     _bootstrap_estimates,
     _contract,
     _percentile_ci,
@@ -31,7 +31,7 @@ from predictu.inference import (
 from predictu.risk_model import CaseControlCounts, GenotypeId, _plugin_rows, estimate_risk_table
 from predictu.summary_indices import clipped_band_masses, partial_u_statistic
 
-from conftest import random_case
+from conftest import bootstrap_counts_reference, random_case, same
 
 
 def old_bootstrap_ci(counts, order, plan, level=0.95):
@@ -39,7 +39,7 @@ def old_bootstrap_ci(counts, order, plan, level=0.95):
     rho = counts.rho
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
     point = scale * int(_contract(case, control))
-    boot_case, boot_control = _bootstrap_counts(counts, plan)
+    boot_case, boot_control = bootstrap_counts_reference(counts, plan)
     values = scale * _contract(_take(boot_case, pos), _take(boot_control, pos))
     variance = float(np.var(values, ddof=1)) if plan.n_replicates > 1 else 0.0
     return UEstimate(point, variance, Method.BOOTSTRAP, _percentile_ci(values, level),
@@ -50,7 +50,7 @@ def old_partial_u_variance(counts, order, band, plan, level=0.95, standardized=F
     q0, q1 = band
     case, control, pos = _align_counts(counts, order)
     rho = counts.rho
-    boot_case, boot_control = _bootstrap_counts(counts, plan)
+    boot_case, boot_control = bootstrap_counts_reference(counts, plan)
     boot_case = _take(boot_case, pos).astype(float)
     boot_control = _take(boot_control, pos).astype(float)
 
@@ -72,12 +72,6 @@ def old_partial_u_variance(counts, order, band, plan, level=0.95, standardized=F
     variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
     return UEstimate(point, variance, Method.BOOTSTRAP, _percentile_ci(values, level),
                      plan.n_replicates, plan.seed)
-
-
-def same(a, b):
-    # a standardized point is NaN when its band holds no case mass, and
-    # NaN fields make == false; repr is exact for every float
-    return a == b or repr(a) == repr(b)
 
 
 def test_wrappers_equal_the_two_draw_reference():
@@ -118,9 +112,9 @@ def test_summarize_draws_once(monkeypatch, tmp_path):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return _bootstrap_counts(*args, **kwargs)
+        return _bootstrap_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "_bootstrap_counts", counted)
+    monkeypatch.setattr(inference, "_bootstrap_blocks", counted)
     out = tmp_path / "run"
     code = cli.main(["summarize", str(path), "--rho", "0.21", "--bootstrap", "50",
                      "--band", "0.5:1", "--seed", "3", "--out", str(out)])

@@ -332,6 +332,8 @@ def test_harness_rejects_bad_requests():
         dict(level=0.0),
         dict(level=1.0),
         dict(level=float("nan")),
+        dict(workers=0),
+        dict(workers=-2),
     ):
         with pytest.raises(ValidationError):
             sim.run_bias_coverage([spec], n_replicates=2, **bad)
