@@ -8,6 +8,11 @@ by exact marker-tuple match.  Format B is pre-aggregated:
 starting with ``#`` are ignored in both, so written counts files
 re-parse even with their provenance comment.
 
+Both layouts are read as UTF-8 (a leading byte-order mark is dropped)
+by one reader that streams the file in chunks of a fixed number of
+rows.  A subject file is tallied chunk by chunk, so parsing holds one
+chunk of rows plus the distinct genotypes, however long the file.
+
 All writers embed a provenance block (tool version, configuration
 hash, seed) and produce deterministic bytes for fixed inputs: no
 timestamps, no environment-dependent fields.
@@ -18,9 +23,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, compress, filterfalse, islice
 from operator import itemgetter
 
 import numpy as np
@@ -29,6 +36,10 @@ from .errors import ValidationError
 from .risk_model import CaseControlCounts, GenotypeId, RiskTable
 
 _DELIMITERS = ",\t;"
+# rows held at once while a file is read (a chunk of 2**14 short rows
+# is a few MiB)
+_CHUNK_ROWS = 1 << 14
+_SKIP_LINE = re.compile(r"\s*(?:#|$)").match
 
 
 @dataclass(frozen=True)
@@ -56,34 +67,65 @@ def _sniff_delimiter(sample: str) -> str:
 
 @contextmanager
 def _open_text(path):
-    """Open ``path`` as UTF-8 text; an unreadable file is invalid input."""
+    """Open ``path`` as UTF-8 text, a leading byte-order mark dropped; an
+    unreadable file is invalid input."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+        raise ValidationError(f"{path}: not UTF-8 text (byte {_bad_byte(path)})") from exc
+
+
+def _bad_byte(path) -> int | None:
+    """Offset in the file of the first byte that is not UTF-8.
+
+    The streaming decoder reports offsets within its read buffer, so the
+    error path decodes the raw bytes again, whole.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.start
+    return None
 
 
 def _is_counts_file(path) -> bool:
     """Whether the first non-blank, non-comment line is a counts header."""
     with _open_text(path) as fh:
-        for line in fh:
-            if (s := line.lstrip()) and s[0] != "#":
-                return "genotype_id" in s.lower()
-    return False
+        return "genotype_id" in next(filterfalse(_SKIP_LINE, fh), "").lower()
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_chunks(path):
+    r"""Yield the stripped header, then the rows below it in lists of at
+    most ``_CHUNK_ROWS``.
+
+    Lines end only at ``\n``, ``\r`` or ``\r\n``, as the csv module
+    reads them.  Blank lines, ``#`` comments and rows of only blank
+    cells are dropped; the delimiter is sniffed from the first 50 kept
+    lines.  The file stays open while the caller walks the chunks, so
+    one chunk is held at a time, never the whole file.
+    """
     with _open_text(path) as fh:
-        lines = [line for line in fh.read().splitlines() if (s := line.lstrip()) and s[0] != "#"]
-    reader = csv.reader(lines, delimiter=_sniff_delimiter("\n".join(lines[:50])[:8192]))
-    rows = [row for row in reader if "".join(row).strip()]
-    if not rows:
+        lines = filterfalse(_SKIP_LINE, fh)
+        head = list(islice(lines, 50))
+        sample = "\n".join(line.rstrip("\r\n") for line in head)[:8192]
+        reader = csv.reader(chain(head, lines), delimiter=_sniff_delimiter(sample))
+        header = None
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
+            if header is None and chunk:
+                header = [cell.strip() for cell in chunk.pop(0)]
+                yield header
+            if header is not None:
+                yield chunk
+            # drop this chunk before the next one is read
+            del chunk
+    if header is None:
         raise ValidationError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
 
 
 def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
@@ -109,7 +151,8 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         Genotypes are labelled by the ``/``-joined marker tuple and
         indexed in sorted-label order.
     """
-    header, rows = _read_rows(path)
+    chunks = _read_chunks(path)
+    header = next(chunks)
     lowered = [h.lower() for h in header]
     if "status" not in lowered:
         raise ValidationError(f"{path}: missing required column 'status'")
@@ -121,36 +164,44 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
     if not marker_cols:
         raise ValidationError(f"{path}: no marker columns after sample_id/status")
 
-    # tally the raw (status, *markers) cells at C speed; strip, check and
-    # join once per distinct key, not once per row
+    # tally the raw (status, *markers) cells of each chunk at C speed; walk
+    # a chunk row by row only to word its warnings; strip, check and join
+    # once per distinct key at the end
     width = len(header)
-    ragged = bool(set(map(len, rows)) - {width})
-    good = [row for row in rows if len(row) == width] if ragged else rows
+    key = itemgetter(status_col, *marker_cols)
+    tally: Counter = Counter()
+    warnings: list[str] = []
+    n_rows = 0
+    for rows in chunks:
+        ragged = bool(set(map(len, rows)) - {width})
+        good = [row for row in rows if len(row) == width] if ragged else rows
+        chunk_tally = Counter(map(key, good))
+        bad_status = {raw for raw, *_ in chunk_tally if raw.strip() not in ("0", "1")}
+        if ragged or bad_status:
+            for lineno, row in enumerate(rows, start=n_rows + 2):
+                if len(row) != width:
+                    warnings.append(f"line {lineno}: expected {width} columns, got {len(row)}")
+                elif row[status_col] in bad_status:
+                    warnings.append(f"line {lineno}: status {row[status_col].strip()!r} is not 0 or 1")
+        tally.update(chunk_tally)
+        n_rows += len(rows)
+        del rows, good  # hold one chunk, not two, while the next is read
+    n_dropped = len(warnings)
+
     cases: dict[str, int] = {}
     controls: dict[str, int] = {}
-    bad_status: set[str] = set()
-    for (raw, *cells), n in Counter(map(itemgetter(status_col, *marker_cols), good)).items():
+    for (raw, *cells), n in tally.items():
         status = raw.strip()
         if status not in ("0", "1"):
-            bad_status.add(raw)
             continue
         label = "/".join(cell.strip() for cell in cells)
         bucket = cases if status == "1" else controls
         bucket[label] = bucket.get(label, 0) + n
 
-    warnings: list[str] = []
-    if ragged or bad_status:
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != width:
-                warnings.append(f"line {lineno}: expected {width} columns, got {len(row)}")
-            elif row[status_col] in bad_status:
-                warnings.append(f"line {lineno}: status {row[status_col].strip()!r} is not 0 or 1")
-    n_dropped = len(warnings)
-
     report = ParseReport(
         path=str(path),
-        n_rows=len(rows),
-        n_used=len(rows) - n_dropped,
+        n_rows=n_rows,
+        n_used=n_rows - n_dropped,
         n_dropped=n_dropped,
         n_markers=len(marker_cols),
         warnings=tuple(warnings),
@@ -175,7 +226,8 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
 
 def parse_counts_file(path, rho: float):
     """Read pre-aggregated counts: ``genotype_id, n_case, n_control``."""
-    header, rows = _read_rows(path)
+    chunks = _read_chunks(path)
+    header = next(chunks)
     lowered = [h.lower() for h in header]
     required = ("genotype_id", "n_case", "n_control")
     missing = [c for c in required if c not in lowered]
@@ -186,7 +238,7 @@ def parse_counts_file(path, rho: float):
     seen: set[str] = set()
     n_case: list[int] = []
     n_control: list[int] = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in enumerate(chain.from_iterable(chunks), start=2):
         if len(row) != len(header):
             raise ValidationError(f"{path}: line {lineno}: wrong column count")
         label = row[cols[0]].strip()
@@ -208,7 +260,7 @@ def parse_counts_file(path, rho: float):
         rho=rho,
     )
     report = ParseReport(
-        path=str(path), n_rows=len(rows), n_used=len(rows), n_dropped=0, n_markers=0
+        path=str(path), n_rows=len(labels), n_used=len(labels), n_dropped=0, n_markers=0
     )
     return counts, report
 

@@ -131,6 +131,31 @@ def test_counts_file_with_provenance_comment_is_detected(subject_file, tmp_path)
     assert rows[0] == rows[1] and len(rows[0]) == 1 + 3
 
 
+@pytest.mark.parametrize("text", [SUBJECTS, COUNTS], ids=["subjects", "counts"])
+def test_byte_order_mark_reads_like_plain_text(text, tmp_path, capsys):
+    curves = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(prefix + text, encoding="utf-8")
+        out = tmp_path / name
+        assert main(["curve", str(path), "--rho", "0.21", "--out", str(out)]) == 0
+        meta = read_json(out / "curve.json")
+        assert (meta["n_genotypes"], meta["parse"]["dropped"]) == (3, 0)
+        curves.append((out / "curve.csv").read_text().splitlines()[1:])
+    assert curves[0] == curves[1]
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_non_utf8_input_names_the_offset_in_the_file(tmp_path, capsys):
+    header, body = SUBJECTS.split("\n", 1)
+    data = ("\ufeff" + header + "\n" + body * 60).encode("utf-8")
+    at = len(data) - 100
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    assert main(["curve", str(path), "--rho", "0.21", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte {at})\n"
+
+
 @pytest.mark.parametrize("command", ["curve", "summarize", "links"])
 def test_format_is_not_accepted_where_it_would_be_ignored(command, counts_file, tmp_path):
     assert main([command, counts_file, "--rho", "0.21", "--format", "json",

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from predictu import ValidationError
+from predictu import ValidationError, fileio
 from predictu.fileio import (
     ParseReport,
     curve_metadata,
@@ -24,6 +25,13 @@ from predictu.risk_model import build_risk_table
 from predictu.simulate import EvalReport
 
 from conftest import parse_subjects_row_by_row
+
+
+@pytest.fixture(params=[1, 2, 3, 7, fileio._CHUNK_ROWS], ids=["1", "2", "3", "7", "default"])
+def chunk_rows(request, monkeypatch):
+    """Read files in chunks of this many rows, down to one row a chunk."""
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", request.param)
+    return request.param
 
 
 def subjects(tmp_path, text, name="subjects.csv"):
@@ -161,7 +169,7 @@ def random_subject_text(rng) -> str:
     return end.join(lines) + end
 
 
-def test_tally_matches_row_by_row_reference(tmp_path):
+def test_tally_matches_row_by_row_reference(tmp_path, chunk_rows):
     rng = np.random.default_rng(5)
     outcomes = set()
     for trial in range(300):
@@ -186,6 +194,147 @@ def test_tally_matches_row_by_row_reference(tmp_path):
         assert report == want_report
         outcomes.add("warned" if report.warnings else "clean")
     assert outcomes == {"error", "warned", "clean"}
+
+
+def test_header_below_more_skipped_lines_than_a_chunk(tmp_path, chunk_rows):
+    # comment and blank lines never reach a chunk; rows of blank cells do,
+    # so the header here sits past the first chunk for every small size
+    text = "# note\n\n   \n" * 10 + ",,\n , \n" * 5 + "sample_id,status,snp1\ns1,1,0\ns2,0,1\n"
+    path = subjects(tmp_path, text)
+    counts, report = parse_subject_file(path, rho=0.1)
+    want, want_report = parse_subjects_row_by_row(path, 0.1)
+    assert [str(g) for g in counts.genotypes] == ["0", "1"]
+    assert np.array_equal(counts.n_case, [1, 0])
+    assert np.array_equal(counts.n_control, [0, 1])
+    assert report == want_report
+    assert [str(g) for g in want.genotypes] == ["0", "1"]
+
+
+def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_rows):
+    text = (
+        "sample_id,status,snp1\n"
+        "s1,1,0\n"
+        "s2,1,0\n"
+        "s3,1\n"
+        "s4,2,0\n"
+        ",,\n"
+        "s5,0,1\n"
+        "s6,x,1\n"
+        "s7,0,1,9\n"
+        "s8, 2 ,1\n"
+        "s9,0,2\n"
+        "s10,2,2\n"
+    )
+    path = subjects(tmp_path, text)
+    counts, report = parse_subject_file(path, rho=0.1, max_bad_rows=1.0)
+    assert report.warnings == (
+        "line 4: expected 3 columns, got 2",
+        "line 5: status '2' is not 0 or 1",
+        "line 7: status 'x' is not 0 or 1",
+        "line 8: expected 3 columns, got 4",
+        "line 9: status '2' is not 0 or 1",
+        "line 11: status '2' is not 0 or 1",
+    )
+    assert (report.n_rows, report.n_used, report.n_dropped) == (10, 4, 6)
+    assert np.array_equal(counts.n_case, [2, 0, 0])
+    assert np.array_equal(counts.n_control, [0, 1, 1])
+    assert parse_subjects_row_by_row(path, 0.1, 1.0)[1] == report
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("g3,1", "line 5: wrong column count"),
+        ("g0,1,1", "line 5: duplicate genotype_id 'g0'"),
+        ("g3,1.5,2", "line 5: counts must be integers"),
+    ],
+    ids=["ragged", "duplicate", "non-integer"],
+)
+def test_counts_errors_name_the_same_line_in_any_chunk(tmp_path, chunk_rows, row, message):
+    # line numbers count the header and the kept rows: the comment, blank
+    # line and blank-cell row above the bad row are not counted
+    text = "# provenance\ngenotype_id,n_case,n_control\ng0,5,45\n\n,,\ng1,6,24\n# note\ng2,1,1\n"
+    path = subjects(tmp_path, text + row + "\ng9,1,1\n", "c.csv")
+    with pytest.raises(ValidationError) as caught:
+        parse_counts_file(path, rho=0.2)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("parse", [parse_subject_file, parse_counts_file])
+def test_non_utf8_error_names_the_offset_in_the_file(tmp_path, bom, parse):
+    # the bad byte lies far past the decoder's first read buffer
+    head = bom + b"genotype_id,n_case,n_control\n"
+    rows = b"".join(b"g%d,1,1\n" % k for k in range(20000))
+    data = head + rows
+    at = 140021
+    data = data[:at] + b"\xff" + data[at:]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError) as caught:
+        parse(path, rho=0.2)
+    assert str(caught.value) == f"{path}: not UTF-8 text (byte {at})"
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, bom):
+    path = subjects(tmp_path, bom + "sample_id,status,snp1\ns1,1,0\ns2,1,1\ns3,0,1\n")
+    counts, report = parse_subject_file(path, rho=0.1)
+    assert [str(g) for g in counts.genotypes] == ["0", "1"]
+    assert np.array_equal(counts.n_case, [1, 1])
+    assert np.array_equal(counts.n_control, [0, 1])
+    assert report.n_markers == 1
+
+    path = subjects(tmp_path, bom + "genotype_id,n_case,n_control\ng0,5,45\ng1,6,24\n", "c.csv")
+    counts, _ = parse_counts_file(path, rho=0.2)
+    assert [str(g) for g in counts.genotypes] == ["g0", "g1"]
+    assert np.array_equal(counts.n_case, [5, 6])
+
+
+def test_lines_split_only_at_line_ends(tmp_path):
+    # \r, \n and \r\n end a line; \f, \v, \x1c-\x1e, \x85, U+2028 and
+    # U+2029 are cell content, and a quoted cell may span lines
+    inside = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    rows = [f"s{k},1,a{ch}b" for k, ch in enumerate(inside)]
+    text = "sample_id,status,snp1\r" + "\r\n".join(rows) + '\ns9,0,"c\nd"\rs10,0,e\n'
+    counts, report = parse_subject_file(subjects(tmp_path, text), rho=0.1)
+    assert [str(g) for g in counts.genotypes] == sorted(
+        [f"a{ch}b" for ch in inside] + ["c\nd", "e"]
+    )
+    assert np.array_equal(counts.n_case, [1] * len(inside) + [0, 0])
+    assert np.array_equal(counts.n_control, [0] * len(inside) + [1, 1])
+    assert (report.n_rows, report.warnings) == (len(inside) + 2, ())
+
+    # a separator that is not a line end no longer splits two rows
+    path = subjects(tmp_path, "sample_id,status,snp1\ns1,1,0\u2028s2,0,1\ns3,0,1\ns4,1,0\n", "u.csv")
+    _, report = parse_subject_file(path, rho=0.1, max_bad_rows=1.0)
+    assert report.warnings == ("line 2: expected 3 columns, got 5",)
+
+
+def _parse_peak_mib(path) -> float:
+    tracemalloc.start()
+    try:
+        parse_subject_file(path, rho=0.1)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_does_not_grow_with_rows(tmp_path):
+    # both files span several chunks and see the same 243 genotypes, so a
+    # peak that tracks the file size shows as a gap between the two
+    rng = np.random.default_rng(3)
+    pool = [f"s,{k % 2}," + ",".join(str(k // 2 // 3**j % 3) for j in range(5)) for k in range(486)]
+    peaks = []
+    for n in (40_000, 160_000):
+        path = tmp_path / f"s{n}.csv"
+        rows = "\n".join(map(pool.__getitem__, rng.integers(0, len(pool), size=n)))
+        path.write_text("sample_id,status,m1,m2,m3,m4,m5\n" + rows + "\n")
+        del rows
+        peaks.append(_parse_peak_mib(path))
+    assert n > 2 * fileio._CHUNK_ROWS
+    assert abs(peaks[1] - peaks[0]) < 1.0, peaks
+    assert max(peaks) < 16.0, peaks
 
 
 def test_counts_roundtrip_with_provenance(tmp_path):
