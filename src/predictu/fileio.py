@@ -6,7 +6,8 @@ per subject; subjects are aggregated into multi-locus genotype counts
 by exact marker-tuple match.  Format B is pre-aggregated:
 ``genotype_id``, ``n_case``, ``n_control``.  Blank lines and lines
 starting with ``#`` are ignored in both, so written counts files
-re-parse even with their provenance comment.
+re-parse even with their provenance comment.  Warnings and errors name
+the file line on which the offending row starts.
 
 Both layouts are read as UTF-8 (a leading byte-order mark is dropped)
 by one reader that streams the file in chunks of a fixed number of
@@ -24,7 +25,7 @@ import csv
 import hashlib
 import json
 import re
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse, islice
@@ -99,6 +100,15 @@ def _is_counts_file(path) -> bool:
         return "genotype_id" in next(filterfalse(_SKIP_LINE, fh), "").lower()
 
 
+def _records(lines):
+    """A csv reader over the lines that are not blank or ``#`` comments,
+    its delimiter sniffed from the first 50 of them."""
+    lines = filterfalse(_SKIP_LINE, lines)
+    head = list(islice(lines, 50))
+    sample = "\n".join(line.rstrip("\r\n") for line in head)[:8192]
+    return csv.reader(chain(head, lines), delimiter=_sniff_delimiter(sample))
+
+
 def _read_chunks(path):
     r"""Yield the stripped header, then the rows below it in lists of at
     most ``_CHUNK_ROWS``.
@@ -107,25 +117,72 @@ def _read_chunks(path):
     reads them.  Blank lines, ``#`` comments and rows of only blank
     cells are dropped; the delimiter is sniffed from the first 50 kept
     lines.  The file stays open while the caller walks the chunks, so
-    one chunk is held at a time, never the whole file.
+    one chunk is held at a time, never the whole file.  A row the csv
+    module cannot read is invalid input, named by its file line.
     """
     with _open_text(path) as fh:
-        lines = filterfalse(_SKIP_LINE, fh)
-        head = list(islice(lines, 50))
-        sample = "\n".join(line.rstrip("\r\n") for line in head)[:8192]
-        reader = csv.reader(chain(head, lines), delimiter=_sniff_delimiter(sample))
+        reader = _records(fh)
         header = None
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
-            if header is None and chunk:
-                header = [cell.strip() for cell in chunk.pop(0)]
-                yield header
-            if header is not None:
-                yield chunk
-            # drop this chunk before the next one is read
-            del chunk
+        try:
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
+                if header is None and chunk:
+                    header = [cell.strip() for cell in chunk.pop(0)]
+                    yield header
+                if header is not None:
+                    yield chunk
+                # drop this chunk before the next one is read
+                del chunk
+        except csv.Error as exc:
+            line = deque(_row_starts(path), maxlen=1).pop()
+            raise ValidationError(f"{path}: line {line}: {exc}") from exc
     if header is None:
         raise ValidationError(f"{path}: file is empty")
+
+
+def _row_starts(path):
+    """Yield the file line (from 1) on which each row ``_read_chunks``
+    keeps starts, the header's first; a row the csv module cannot read
+    yields its start line and ends the walk.
+
+    The parsers count kept rows only; this second read of the file runs
+    only to word a warning or an error.
+    """
+    kept = deque()  # file line numbers of the kept lines not yet in a row
+
+    def numbered(fh):
+        for n, line in enumerate(fh, start=1):
+            if not _SKIP_LINE(line):
+                kept.append(n)
+            yield line
+
+    with _open_text(path) as fh:
+        reader = _records(numbered(fh))
+        taken = 0
+        try:
+            for row in reader:
+                start = kept[0]
+                for _ in range(reader.line_num - taken):
+                    kept.popleft()
+                taken = reader.line_num
+                if "".join(row).strip():
+                    yield start
+        except csv.Error:
+            yield kept[0]
+
+
+def _file_lines(path, ordinals) -> dict[int, int]:
+    """File line of each kept row in ``ordinals``, the header being row 0."""
+    wanted = set(ordinals)
+    lines: dict[int, int] = {}
+    if not wanted:
+        return lines
+    for ordinal, line in enumerate(_row_starts(path)):
+        if ordinal in wanted:
+            lines[ordinal] = line
+            if len(lines) == len(wanted):
+                break
+    return lines
 
 
 def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
@@ -170,7 +227,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
     width = len(header)
     key = itemgetter(status_col, *marker_cols)
     tally: Counter = Counter()
-    warnings: list[str] = []
+    bad: list[tuple[int, str]] = []  # (kept-row ordinal, the header 0; problem)
     n_rows = 0
     for rows in chunks:
         ragged = bool(set(map(len, rows)) - {width})
@@ -178,15 +235,20 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         chunk_tally = Counter(map(key, good))
         bad_status = {raw for raw, *_ in chunk_tally if raw.strip() not in ("0", "1")}
         if ragged or bad_status:
-            for lineno, row in enumerate(rows, start=n_rows + 2):
+            for ordinal, row in enumerate(rows, start=n_rows + 1):
                 if len(row) != width:
-                    warnings.append(f"line {lineno}: expected {width} columns, got {len(row)}")
+                    bad.append((ordinal, f"expected {width} columns, got {len(row)}"))
                 elif row[status_col] in bad_status:
-                    warnings.append(f"line {lineno}: status {row[status_col].strip()!r} is not 0 or 1")
+                    bad.append((ordinal, f"status {row[status_col].strip()!r} is not 0 or 1"))
         tally.update(chunk_tally)
         n_rows += len(rows)
         del rows, good  # hold one chunk, not two, while the next is read
-    n_dropped = len(warnings)
+    n_dropped = len(bad)
+    if n_rows and n_dropped / n_rows > max_bad_rows:
+        raise ValidationError(
+            f"{path}: {n_dropped}/{n_rows} malformed rows exceeds "
+            f"--max-bad-rows {max_bad_rows:g}"
+        )
 
     cases: dict[str, int] = {}
     controls: dict[str, int] = {}
@@ -198,19 +260,15 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         bucket = cases if status == "1" else controls
         bucket[label] = bucket.get(label, 0) + n
 
+    lines = _file_lines(path, (ordinal for ordinal, _ in bad))
     report = ParseReport(
         path=str(path),
         n_rows=n_rows,
         n_used=n_rows - n_dropped,
         n_dropped=n_dropped,
         n_markers=len(marker_cols),
-        warnings=tuple(warnings),
+        warnings=tuple(f"line {lines[ordinal]}: {problem}" for ordinal, problem in bad),
     )
-    if report.n_rows and report.dropped_fraction > max_bad_rows:
-        raise ValidationError(
-            f"{path}: {n_dropped}/{report.n_rows} malformed rows exceeds "
-            f"--max-bad-rows {max_bad_rows:g}"
-        )
     labels = sorted(set(cases) | set(controls))
     if not labels:
         raise ValidationError(f"{path}: no usable subject rows")
@@ -238,16 +296,20 @@ def parse_counts_file(path, rho: float):
     seen: set[str] = set()
     n_case: list[int] = []
     n_control: list[int] = []
-    for lineno, row in enumerate(chain.from_iterable(chunks), start=2):
+
+    def error(ordinal, problem):
+        return ValidationError(f"{path}: line {_file_lines(path, [ordinal])[ordinal]}: {problem}")
+
+    for ordinal, row in enumerate(chain.from_iterable(chunks), start=1):
         if len(row) != len(header):
-            raise ValidationError(f"{path}: line {lineno}: wrong column count")
+            raise error(ordinal, "wrong column count")
         label = row[cols[0]].strip()
         if label in seen:
-            raise ValidationError(f"{path}: line {lineno}: duplicate genotype_id {label!r}")
+            raise error(ordinal, f"duplicate genotype_id {label!r}")
         try:
             a, b = int(row[cols[1]]), int(row[cols[2]])
         except ValueError as exc:
-            raise ValidationError(f"{path}: line {lineno}: counts must be integers") from exc
+            raise error(ordinal, "counts must be integers") from exc
         labels.append(label)
         seen.add(label)
         n_case.append(a)

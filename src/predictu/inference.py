@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -241,13 +242,12 @@ def asymptotic_variance_u(counts: CaseControlCounts, order) -> float:
 
 def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
     """Attach a normal confidence interval built from ``estimate.variance``."""
-    from scipy.special import ndtri  # off the import path of predictu.cli
-
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
     if not np.isfinite(estimate.variance) or estimate.variance < 0:
         raise NumericError(f"cannot build an interval from variance {estimate.variance}")
-    half = float(ndtri(0.5 + level / 2.0)) * np.sqrt(estimate.variance)
+    # the lower tail: 1 - level is exact, 0.5 + level / 2 rounds
+    half = -NormalDist().inv_cdf((1.0 - level) / 2.0) * np.sqrt(estimate.variance)
     ci = ConfidenceInterval(estimate.u_hat - half, estimate.u_hat + half, level)
     return replace(estimate, ci=ci)
 

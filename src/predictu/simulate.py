@@ -208,6 +208,8 @@ def penetrance_model(
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # the bracket cannot shrink; later steps leave it as is
             if float(probs @ np.clip(mid * score, 0.0, 1.0)) < target_rho:
                 lo = mid
             else:
@@ -240,6 +242,8 @@ def _recentred(pen0: np.ndarray, probs: np.ndarray, rho: float, s: float) -> np.
     lo, hi = -1.0 - abs(s), 1.0 + abs(s)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if mean_at(mid) < rho:
             lo = mid
         else:
@@ -282,6 +286,8 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if h2_at(mid) < target_h2:
             lo = mid
         else:

@@ -166,12 +166,21 @@ def total_gain_statistic(p, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x, exactly 0 at x = 0 and NaN for NaN or negative x."""
+    # the log of a negative cell is NaN; no other cell can warn
+    with np.errstate(invalid="ignore"):
+        out = np.log(x, out=np.zeros_like(x), where=x != 0)
+    out *= x
+    return out
+
+
 def binary_entropy(x) -> np.ndarray | float:
     """H(x) = -(x ln x + (1-x) ln(1-x)) with H(0) = H(1) = 0."""
-    from scipy.special import xlogy  # off the import path of predictu.cli
-
     x = np.asarray(x, float)
-    out = -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x))
+    out = _xlogx(x)
+    out += _xlogx(1.0 - x)
+    np.negative(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,6 +16,12 @@ from predictu.inference import (
     _take,
 )
 from predictu.isotonic import pava
+from predictu.simulate import (
+    DiseaseModel,
+    _exposures,
+    genotype_matrix,
+    genotype_probabilities,
+)
 from predictu.risk_model import (
     CaseControlCounts,
     GenotypeId,
@@ -288,19 +294,26 @@ def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
     """Subject-file aggregation by a per-row dict loop.
 
     The former ``parse_subject_file`` with its row reader: the reference
-    the Counter tally must reproduce exactly, warnings included.
+    the Counter tally must reproduce exactly, warnings included.  Warnings
+    name the file line a row starts on, counting blank and comment lines.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [
-            line
-            for line in fh.read().splitlines()
+        numbered = [
+            (lineno, line)
+            for lineno, line in enumerate(fh.read().splitlines(), start=1)
             if line.strip() and not line.lstrip().startswith("#")
         ]
+    lines = [line for _, line in numbered]
     if not lines:
         raise ValidationError(f"{path}: file is empty")
     reader = csv.reader(lines, delimiter=_sniff_delimiter("\n".join(lines[:50])[:8192]))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    header = [cell.strip() for cell in rows[0]]
+    rows = []  # (file line the row starts on, cells)
+    taken = 0
+    for row in reader:
+        if row and any(cell.strip() for cell in row):
+            rows.append((numbered[taken][0], row))
+        taken = reader.line_num
+    header = [cell.strip() for cell in rows[0][1]]
     rows = rows[1:]
 
     lowered = [h.lower() for h in header]
@@ -316,7 +329,7 @@ def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
     controls: dict[str, int] = {}
     warnings: list[str] = []
     n_dropped = 0
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != len(header):
             n_dropped += 1
             warnings.append(f"line {lineno}: expected {len(header)} columns, got {len(row)}")
@@ -354,3 +367,73 @@ def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
         rho=rho,
     )
     return counts, report
+
+
+# The three simulation bisections as they stood before they stopped once the
+# bracket could not shrink: 200 steps each, every one taken.  The references
+# the early-stopping versions must equal bit for bit.
+
+
+def penetrance_model_reference(snps, target_rho, interactions=()):
+    """Former ``penetrance_model``: the baseline bisected for 200 steps."""
+    snps = tuple(snps)
+    interactions = tuple(interactions)
+    x = _exposures(snps, genotype_matrix(len(snps)))
+    log_score = x @ np.log([snp.rr for snp in snps])
+    for inter in interactions:
+        log_score = log_score + np.log(inter.rr) * x[:, inter.a] * x[:, inter.b]
+    score = np.exp(log_score)
+    probs = genotype_probabilities(snps)
+    baseline = target_rho / float(probs @ score)
+    if np.max(baseline * score) > 1.0:
+        lo, hi = 0.0, baseline
+        while float(probs @ np.clip(hi * score, 0.0, 1.0)) < target_rho:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if float(probs @ np.clip(mid * score, 0.0, 1.0)) < target_rho:
+                lo = mid
+            else:
+                hi = mid
+        baseline = hi
+    pen = np.clip(baseline * score, 0.0, 1.0)
+    return DiseaseModel(snps, interactions, pen, float(target_rho))
+
+
+def recentred_reference(pen0, probs, rho, s):
+    """Former ``_recentred``: the recentring shift bisected for 200 steps."""
+    base = rho + s * (pen0 - rho)
+    lo, hi = -1.0 - abs(s), 1.0 + abs(s)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(probs @ np.clip(base + mid, 0.0, 1.0)) < rho:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(base + 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def calibrated_penetrance_reference(model, target_h2):
+    """Former ``calibrate_heritability`` penetrance: the spread scale s
+    bisected for 200 steps, each step recentred by ``recentred_reference``."""
+    probs = genotype_probabilities(model.snps)
+    rho = model.target_rho
+    pen0 = model.penetrance
+
+    def h2_at(s):
+        pen = recentred_reference(pen0, probs, rho, s)
+        mean = float(probs @ pen)
+        return float(probs @ (pen - mean) ** 2) / (mean * (1.0 - mean))
+
+    lo, hi = 0.0, 1.0
+    while h2_at(hi) < target_h2:
+        if h2_at(2.0 * hi) - h2_at(hi) < 1e-12:
+            raise NumericError(f"heritability target {target_h2} unreachable")
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h2_at(mid) < target_h2:
+            lo = mid
+        else:
+            hi = mid
+    return recentred_reference(pen0, probs, rho, 0.5 * (lo + hi))

@@ -105,8 +105,14 @@ def test_every_subcommand_warns_on_dropped_rows(command, subject_file, tmp_path,
         ("latin1_header.csv", "sample_id,status,snp\u00e9\ns1,1,0\n".encode("latin-1")),
         ("latin1_row.csv", (SUBJECTS + "\u00e91,0,1\n").encode("latin-1")),
         ("blank_cells.csv", b",,\n , ,\n# note\n,\n"),
+        # a quote never closed swallows every later line into one cell
+        ("open_quote_subjects.csv",
+         b'sample_id,status,m1\ns0,1,"0\n' + b"".join(b"s%d,0,1\n" % k for k in range(20000))),
+        ("open_quote_counts.csv",
+         b'genotype_id,n_case,n_control\ng0,1,"1\n' + b"".join(b"g%d,0,1\n" % k for k in range(20000))),
     ],
-    ids=["missing", "latin1-header", "latin1-row", "blank-cells"],
+    ids=["missing", "latin1-header", "latin1-row", "blank-cells",
+         "open-quote-subjects", "open-quote-counts"],
 )
 def test_unreadable_input_is_invalid(name, content, tmp_path, capsys):
     path = tmp_path / name
@@ -185,6 +191,41 @@ def test_cli_import_and_curve_leave_scipy_special_unloaded(counts_file, tmp_path
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_every_subcommand_runs_with_scipy_blocked(subject_file, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
+    out = str(tmp_path)
+    every = ",".join(["u", "ustd", "upartial", "upartialstd", "r", "rstd", "tg", "ae"])
+    runs = [
+        ["curve", subject_file, "--rho", "0.21", "--out", f"{out}/curve"],
+        ["links", subject_file, "--rho", "0.21", "--out", f"{out}/links"],
+        ["summarize", subject_file, "--rho", "0.21", "--indices", every,
+         "--band", "0.5:1", "--out", f"{out}/plain"],
+        ["summarize", subject_file, "--rho", "0.21", "--indices", every,
+         "--band", "0.5:1", "--bootstrap", "50", "--out", f"{out}/boot"],
+        ["validate", "--train", subject_file, "--test", subject_file, "--rho", "0.21",
+         "--isotonic", "--out", f"{out}/validate"],
+        ["simulate", "--preset", "smoke", "--isotonic", "--replicates", "3",
+         "--n-cases", "100", "--n-controls", "100", "--bootstrap", "20",
+         "--workers", "1", "--format", "json", "--out", f"{out}/simulate"],
+        ["report", f"{out}/plain/indices.json", f"{out}/simulate/eval.json",
+         "--out", f"{out}/report"],
+    ]
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import predictu.cli as cli\n"
+        f"print([cli.main(argv) for argv in {runs!r}])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == str([0] * len(runs)), res.stderr
 
 
 @pytest.mark.parametrize(

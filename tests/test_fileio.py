@@ -230,10 +230,10 @@ def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_rows):
     assert report.warnings == (
         "line 4: expected 3 columns, got 2",
         "line 5: status '2' is not 0 or 1",
-        "line 7: status 'x' is not 0 or 1",
-        "line 8: expected 3 columns, got 4",
-        "line 9: status '2' is not 0 or 1",
-        "line 11: status '2' is not 0 or 1",
+        "line 8: status 'x' is not 0 or 1",
+        "line 9: expected 3 columns, got 4",
+        "line 10: status '2' is not 0 or 1",
+        "line 12: status '2' is not 0 or 1",
     )
     assert (report.n_rows, report.n_used, report.n_dropped) == (10, 4, 6)
     assert np.array_equal(counts.n_case, [2, 0, 0])
@@ -244,20 +244,68 @@ def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_rows):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("g3,1", "line 5: wrong column count"),
-        ("g0,1,1", "line 5: duplicate genotype_id 'g0'"),
-        ("g3,1.5,2", "line 5: counts must be integers"),
+        ("g3,1", "line 9: wrong column count"),
+        ("g0,1,1", "line 9: duplicate genotype_id 'g0'"),
+        ("g3,1.5,2", "line 9: counts must be integers"),
     ],
     ids=["ragged", "duplicate", "non-integer"],
 )
 def test_counts_errors_name_the_same_line_in_any_chunk(tmp_path, chunk_rows, row, message):
-    # line numbers count the header and the kept rows: the comment, blank
-    # line and blank-cell row above the bad row are not counted
+    # line numbers are file lines: the comments, blank line and blank-cell
+    # row above the bad row are counted
     text = "# provenance\ngenotype_id,n_case,n_control\ng0,5,45\n\n,,\ng1,6,24\n# note\ng2,1,1\n"
     path = subjects(tmp_path, text + row + "\ng9,1,1\n", "c.csv")
     with pytest.raises(ValidationError) as caught:
         parse_counts_file(path, rho=0.2)
     assert str(caught.value) == f"{path}: {message}"
+
+
+def test_warnings_name_file_lines(tmp_path, chunk_rows):
+    # comment and blank lines are counted, and a row spanning lines is
+    # named by the line it starts on
+    text = (
+        "# note\n"
+        "\n"
+        "sample_id,status,m1\n"
+        "s1,1,0\n"
+        "\n"
+        "s2,0,1\n"
+        "s3,2,1\n"
+        "s4,0\n"
+        's5,0,"a\nb"\n'
+        's6,"x\ny",1\n'
+        "s7,1,0\r"
+        "s8,1\r\n"
+    )
+    path = subjects(tmp_path, text)
+    _, report = parse_subject_file(path, rho=0.1, max_bad_rows=1.0)
+    assert report.warnings == (
+        "line 7: status '2' is not 0 or 1",
+        "line 8: expected 3 columns, got 2",
+        "line 11: status 'x\\ny' is not 0 or 1",
+        "line 14: expected 3 columns, got 2",
+    )
+    assert (report.n_rows, report.n_dropped) == (8, 4)
+
+
+@pytest.mark.parametrize(
+    "parse, header",
+    [
+        (parse_subject_file, "sample_id,status,m1"),
+        (parse_counts_file, "genotype_id,n_case,n_control"),
+    ],
+    ids=["subjects", "counts"],
+)
+def test_unclosed_quote_is_invalid_input_naming_its_line(tmp_path, chunk_rows, parse, header):
+    # the open quote takes every later line into one cell, past the csv
+    # module's field limit
+    rows = "".join(f"g{k},0,1\n" for k in range(20000))
+    path = subjects(tmp_path, f"# note\n\n{header}\ng0,1,1\ng1,1,\"0\n" + rows)
+    with pytest.raises(ValidationError) as caught:
+        parse(path, rho=0.1)
+    assert str(caught.value) == (
+        f"{path}: line 5: field larger than field limit ({csv.field_size_limit()})"
+    )
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])

@@ -6,8 +6,10 @@ import pytest
 from predictu import simulate as sim
 from predictu.errors import NumericError, ValidationError
 from predictu.inference import (
+    Method,
     ResamplePlan,
     Scheme,
+    UEstimate,
     asymptotic_ci,
     asymptotic_variance_u,
     bootstrap_ci,
@@ -248,6 +250,23 @@ def test_asymptotic_ci_trivials(two_genotype_counts):
     assert degenerate.ci.lower == degenerate.ci.upper
     with pytest.raises(ValidationError):
         asymptotic_ci(est, level=1.0)
+
+
+@pytest.mark.parametrize(
+    "level, quantile",
+    [
+        (0.8, 1.2815515655446004),
+        (0.9, 1.6448536269514722),
+        (0.95, 1.959963984540054),
+        (0.99, 2.5758293035489004),
+    ],
+)
+def test_asymptotic_ci_quantile_stays_within_2_ulp(level, quantile):
+    # the normal quantiles as scipy's ndtri(0.5 + level / 2) gave them
+    est = UEstimate(u_hat=0.0, variance=1.0, method=Method.TWO_SAMPLE_ASYMPTOTIC)
+    ci = asymptotic_ci(est, level).ci
+    assert ci.lower == -ci.upper
+    assert abs(ci.upper - quantile) <= 2 * np.spacing(quantile)
 
 
 def test_permutation_separated_data_hits_minimum_p():

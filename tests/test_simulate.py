@@ -17,7 +17,12 @@ from predictu.summary_indices import (
     u_statistic,
 )
 
-from conftest import refit_rows_one_by_one
+from conftest import (
+    calibrated_penetrance_reference,
+    penetrance_model_reference,
+    recentred_reference,
+    refit_rows_one_by_one,
+)
 
 
 def hand_model():
@@ -219,6 +224,67 @@ def test_presets_load_and_hit_targets():
         if spec.name.startswith("sim"):
             assert spec.model.target_rho == pytest.approx(0.016, abs=1e-12)
             assert spec.model.n_genotypes == 81
+
+
+def test_presets_match_the_200_step_bisections():
+    for spec in sim.simulation_presets():
+        model = spec.model
+        want = penetrance_model_reference(model.snps, model.target_rho, model.interactions)
+        want = want.penetrance if model.target_h2 is None else (
+            calibrated_penetrance_reference(want, model.target_h2)
+        )
+        assert model.penetrance.tobytes() == want.tobytes(), spec.name
+
+
+def test_bisections_match_the_200_step_versions_on_random_models():
+    rng = np.random.default_rng(17)
+    modes = list(sim.Mode)
+    clipped = calibrated = 0
+    for trial in range(30):
+        n_loci = int(rng.integers(1, 4))
+        snps = [
+            sim.SnpSpec(
+                maf=float(rng.uniform(0.01, 0.5)),
+                mode=modes[int(rng.integers(len(modes)))],
+                rr=float(np.exp(rng.uniform(0.0, 4.0))),
+            )
+            for _ in range(n_loci)
+        ]
+        interactions = (
+            [sim.Interaction(a=0, b=1, rr=float(rng.uniform(0.5, 3.0)))]
+            if n_loci > 1 and rng.random() < 0.5
+            else []
+        )
+        target_rho = float(rng.uniform(0.005, 0.5))
+        model = sim.penetrance_model(snps, target_rho, interactions)
+        want = penetrance_model_reference(snps, target_rho, interactions)
+        assert model.penetrance.tobytes() == want.penetrance.tobytes()
+        clipped += bool(np.max(model.penetrance) == 1.0)
+
+        probs = sim.genotype_probabilities(model.snps)
+        for scale in (0.0, 1e-300, 1e-9, float(rng.uniform(0.0, 3.0)), 50.0):
+            got = sim._recentred(model.penetrance, probs, target_rho, scale)
+            want = recentred_reference(model.penetrance, probs, target_rho, scale)
+            assert got.tobytes() == want.tobytes(), (snps, target_rho, scale)
+
+        # the 200-step calibration is slow: one target per model, a third
+        # of the models, the targets near 0 among them
+        if trial % 3:
+            continue
+        h2 = sim.heritability(model)
+        target_h2 = (0.0, 1e-300, 1e-12, 0.5 * h2, 1.5 * h2)[trial // 3 % 5]
+        try:
+            got = sim.calibrate_heritability(model, target_h2).penetrance
+        except NumericError:
+            with pytest.raises(NumericError):
+                calibrated_penetrance_reference(model, target_h2)
+            continue
+        want = calibrated_penetrance_reference(model, target_h2)
+        assert got.tobytes() == want.tobytes(), (snps, target_rho, target_h2)
+        calibrated += 1
+    # clipping binds in some models, and most targets are reachable
+    assert 0 < clipped < 30
+    assert calibrated >= 8
 
 
 def test_unknown_preset_lists_available():

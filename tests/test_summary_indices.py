@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from predictu.summary_indices import (
     INDEX_TOKENS,
     _index_results,
     average_entropy,
+    binary_entropy,
     clipped_band_masses,
     partial_u,
     predictiveness_u,
@@ -128,6 +130,45 @@ def test_total_gain_trivials_and_hand_example(three_genotype_table):
     assert total_gain(perfect_predictor_table(rho)).value == pytest.approx(2 * rho * (1 - rho), abs=1e-12)
     # 0.5*0.11 + 0.3*0.01 + 0.2*0.29 = 0.116
     assert total_gain(three_genotype_table).value == pytest.approx(0.116, abs=1e-12)
+
+
+def test_binary_entropy_matches_math_log_within_2_ulp():
+    rng = np.random.default_rng(23)
+    x = np.concatenate([
+        rng.random(20_000),
+        rng.random(200) * 1e-300,
+        1.0 - rng.random(200) * 1e-12,
+        [0.5, 5e-324, 1e-320],
+    ])
+    got = binary_entropy(x)
+    want = np.array([binary_entropy_oracle(float(v)) for v in x])
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+def test_binary_entropy_edges_are_exact_and_silent():
+    with np.errstate(all="raise"):
+        assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
+        assert np.array_equal(binary_entropy(np.array([[0.0, 1.0], [1.0, 0.0]])), np.zeros((2, 2)))
+        # NaN in, NaN out, and a negative x ln x is NaN too
+        for bad in (np.nan, -0.5, 1.5):
+            assert math.isnan(binary_entropy(bad))
+        out = binary_entropy(np.array([0.2, np.nan, -1.0, 0.7]))
+    assert np.array_equal(np.isnan(out), [False, True, True, False])
+    assert out[0] == binary_entropy(0.2) and out[3] == binary_entropy(0.7)
+
+
+def test_binary_entropy_holds_three_stacks_at_once():
+    # the (B + 1, G) harness stacks: three float stacks and one mask are
+    # live at the peak
+    x = np.random.default_rng(4).random((201, 2000))
+    binary_entropy(x[:2])
+    tracemalloc.start()
+    try:
+        binary_entropy(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * x.nbytes, peak / x.nbytes
 
 
 def test_average_entropy_trivials_and_hand_example(three_genotype_table):
