@@ -14,7 +14,6 @@ import numpy as np
 
 from predictu.inference import (
     ResamplePlan,
-    Scheme,
     asymptotic_ci,
     bootstrap_ci,
     permutation_test,
@@ -40,7 +39,7 @@ plan = ResamplePlan(n_replicates=2000, seed=1)
 boot = bootstrap_ci(counts, genotypes, plan)
 print(f"bootstrap  95% CI  [{boot.ci.lower:.4f}, {boot.ci.upper:.4f}] ({plan.n_replicates} resamples)")
 
-perm_plan = ResamplePlan(n_replicates=999, seed=2, scheme=Scheme.LABEL_PERMUTATION)
+perm_plan = ResamplePlan(n_replicates=999, seed=2)
 p = permutation_test(counts, genotypes, perm_plan)
 print(f"permutation p-value under H0 U=0: {p:.4f}")
 
@@ -59,7 +58,7 @@ for k in range(200):
         n_control=rng.multinomial(150, q),
         rho=0.1,
     )
-    plan_k = ResamplePlan(n_replicates=199, seed=3000 + k, scheme=Scheme.LABEL_PERMUTATION)
+    plan_k = ResamplePlan(n_replicates=199, seed=3000 + k)
     reject_fixed += permutation_test(null, null_genotypes, plan_k) <= 0.05
     self_sorted = estimate_risk_table(null).genotypes
     reject_sorted += permutation_test(null, self_sorted, plan_k) <= 0.05

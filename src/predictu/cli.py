@@ -35,13 +35,13 @@ from .fileio import (
 )
 from .inference import (
     ResamplePlan,
-    Scheme,
     _bootstrap_estimates,
     asymptotic_ci,
     permutation_test,
     two_sample_u,
 )
 from .isotonic import pava
+from .parallel import worker_count
 from .risk_model import CurvePoints, apply_model_to_test, curve_points, estimate_risk_table
 from .simulate import build_population, load_model_spec, preset, run_bias_coverage
 from .summary_indices import INDEX_TOKENS, _check_band, _index_results
@@ -116,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutation", type=_in_range(int, 0), default=0, metavar="N",
                    help="permutation replicates for a null test of U (default: off)")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=_in_range(int, 1), default=None,
+                   help="process count (default: PREDICTU_THREADS, else 1)")
 
     p = sub.add_parser("links", help="ROC and Lorenz views of the same risk table")
     p.add_argument("input")
@@ -219,6 +221,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    workers = worker_count(args.workers)
     counts, report = _load_counts(args.input, args.rho, args.max_bad_rows)
     table = estimate_risk_table(counts, laplace=args.laplace)
     curve = curve_points(table)
@@ -234,17 +237,17 @@ def cmd_summarize(args) -> int:
     if args.bootstrap > 0:
         # one draw serves the global and the partial interval
         plan = ResamplePlan(n_replicates=args.bootstrap, seed=args.seed)
-        estimate, partial = _bootstrap_estimates(counts, order, plan, band=args.band)
+        estimate, partial = _bootstrap_estimates(
+            counts, order, plan, band=args.band, workers=workers
+        )
     else:
         estimate = asymptotic_ci(two_sample_u(counts, order))
     inference = {"global": estimate.to_dict()}
     if partial is not None:
         inference["partial"] = partial.to_dict()
     if args.permutation > 0:
-        plan = ResamplePlan(
-            n_replicates=args.permutation, seed=args.seed, scheme=Scheme.LABEL_PERMUTATION
-        )
-        inference["permutation_p"] = permutation_test(counts, order, plan)
+        plan = ResamplePlan(n_replicates=args.permutation, seed=args.seed)
+        inference["permutation_p"] = permutation_test(counts, order, plan, workers)
     write_json(os.path.join(out, "inference.json"), inference, prov)
 
     for block in blocks:

@@ -346,15 +346,16 @@ def run_provenance(config: dict, seed: int | None) -> dict:
     """Provenance block for output artifacts.
 
     The hash covers the configuration that affects results; output
-    locations are excluded so a re-run into a different directory
-    produces identical bytes.
+    locations and the worker count are excluded so a re-run into a
+    different directory or on another number of processes produces
+    identical bytes.
     """
     from . import __version__
 
     reduced = {
         k: v
         for k, v in sorted(config.items())
-        if k not in ("out", "command") and v is not None
+        if k not in ("out", "command", "workers") and v is not None
     }
     digest = hashlib.sha256(
         json.dumps(reduced, sort_keys=True, default=str).encode()

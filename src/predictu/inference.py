@@ -19,13 +19,16 @@ form exist only as test references.
 
 Resampling is stratified within arms (bootstrap) or redraws the case
 counts from the pooled genotype totals by multivariate hypergeometric
-sampling (permutation, equivalent to permuting labels).  All streams
-derive from the plan seed plus fixed stream tags, so results are
-reproducible and independent of any parallel execution.  Replicates
-are drawn and evaluated in row blocks of a fixed byte size whose
-concatenation is the one-call draw, so memory stays flat in the
-replicate count (beyond the B-length results and, for the bootstrap,
-one narrow-integer case stack) and no result depends on the blocks.
+sampling (permutation, equivalent to permuting labels).  Replicates
+come in fixed groups of ``_GROUP`` (32); group k draws from its own stream
+``[seed, tag, k]``, its case rows first and then its control rows, so
+a group's draw depends on nothing but the plan and its index.  Groups
+run on ``parallel.worker_count()`` processes and return only their
+replicate values (or permutation hits), and within a group rows are
+drawn and evaluated in blocks of a fixed byte size whose concatenation
+is the group's one-call draw.  Memory stays flat in the replicate count
+beyond the B-length results, and no result depends on the worker count
+or the block size.
 """
 
 from __future__ import annotations
@@ -37,21 +40,19 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import parallel
 from .errors import NumericError, ValidationError
 from .risk_model import CaseControlCounts, _plugin_rows
-from .summary_indices import _check_band, _index_rows, u_statistic
+from .summary_indices import _check_band, _index_rows
 
 __all__ = [
     "Method",
-    "Scheme",
     "ResamplePlan",
     "ConfidenceInterval",
     "UEstimate",
-    "pair_kernel",
     "two_sample_u",
     "asymptotic_variance_u",
     "asymptotic_ci",
-    "population_variance_u",
     "bootstrap_ci",
     "permutation_test",
     "partial_u_variance",
@@ -60,8 +61,11 @@ __all__ = [
 # stream tags keep bootstrap and permutation draws decoupled per seed
 _TAG_BOOTSTRAP = 101
 _TAG_PERMUTATION = 211
-# replicate rows per block: one (rows, G) float64 array of a block stays
-# within this many bytes, so resampling memory does not grow with B
+# replicates per group, the unit of resampling: a fixed constant, so the
+# streams do not depend on G, the block size or the worker count
+_GROUP = 32
+# replicate rows per block within a group: one (rows, G) float64 array
+# of a block stays within this many bytes
 _BLOCK_BYTES = 1 << 20
 
 
@@ -70,18 +74,12 @@ class Method(enum.Enum):
     BOOTSTRAP = "bootstrap"
 
 
-class Scheme(enum.Enum):
-    STRATIFIED_BOOTSTRAP = "stratified_bootstrap"
-    LABEL_PERMUTATION = "label_permutation"
-
-
 @dataclass(frozen=True)
 class ResamplePlan:
-    """Replicate count, master seed and resampling scheme."""
+    """Replicate count and master seed."""
 
     n_replicates: int
     seed: int
-    scheme: Scheme = Scheme.STRATIFIED_BOOTSTRAP
 
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
@@ -97,7 +95,13 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class UEstimate:
-    """A U estimate with its uncertainty assessment."""
+    """A U estimate with its uncertainty assessment.
+
+    A bootstrap estimate records the requested ``n_replicates`` and, in
+    ``n_finite``, how many of them gave a finite value and entered the
+    variance and interval (a partial U replicate whose band holds no
+    case mass is undefined when standardised).
+    """
 
     u_hat: float
     variance: float
@@ -105,6 +109,7 @@ class UEstimate:
     ci: ConfidenceInterval | None = None
     n_replicates: int | None = None
     seed: int | None = None
+    n_finite: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -115,25 +120,16 @@ class UEstimate:
             else {"lower": self.ci.lower, "upper": self.ci.upper, "level": self.ci.level},
             "method": self.method.value,
             "n_replicates": self.n_replicates,
+            "n_finite": self.n_finite,
             "seed": self.seed,
         }
 
 
-def pair_kernel(n: int) -> np.ndarray:
-    """phi[i, j] = sign(i - j) for order positions 0..n-1 (dense reference)."""
-    pos = np.arange(n)
-    return np.sign(pos[:, None] - pos[None, :]).astype(float)
-
-
-def _align_counts(
-    counts: CaseControlCounts, order
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Case and control counts along the given genotype order, and the
-    gather index ``pos`` that arranges any count matrix the same way.
+def _align_counts(counts: CaseControlCounts, order) -> tuple[np.ndarray, np.ndarray]:
+    """Case and control counts (int64) along the given genotype order.
 
     Every genotype with a nonzero count must appear in the order;
-    ordered genotypes absent from the counts (``pos`` -1) contribute
-    zero columns.
+    ordered genotypes absent from the counts get zero counts.
     """
     keys = [g.key for g in order]
     slot = {k: i for i, k in enumerate(keys)}
@@ -146,14 +142,8 @@ def _align_counts(
             pos[i] = j
         elif nc > 0 or nn > 0:
             raise ValidationError(f"genotype {g} has counts but no order position")
-    return _take(counts.n_case, pos), _take(counts.n_control, pos), pos
-
-
-def _take(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Columns of ``values`` (counts order, last axis) arranged by ``pos``."""
-    out = np.take(values, pos, axis=-1)
-    out[..., pos < 0] = 0
-    return out
+    seen = pos >= 0
+    return np.where(seen, counts.n_case[pos], 0), np.where(seen, counts.n_control[pos], 0)
 
 
 def _placements(control: np.ndarray) -> np.ndarray:
@@ -195,7 +185,7 @@ def two_sample_u(counts: CaseControlCounts, order) -> UEstimate:
     UEstimate
     """
     order = tuple(order)
-    case, control, _ = _align_counts(counts, order)
+    case, control = _align_counts(counts, order)
     rho = counts.rho
     n_d = counts.n_cases
     n_dbar = counts.n_controls
@@ -221,7 +211,7 @@ def asymptotic_variance_u(counts: CaseControlCounts, order) -> float:
     the kernel-scale estimate, so the deviations are centred on the
     same scale they are measured on.
     """
-    case, control, _ = _align_counts(counts, order)
+    case, control = _align_counts(counts, order)
     n_d = counts.n_cases
     n_dbar = counts.n_controls
     if n_d < 2 or n_dbar < 2:
@@ -252,57 +242,6 @@ def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
     return replace(estimate, ci=ci)
 
 
-def population_variance_u(table, n_population: int) -> float:
-    """Sampling variance of U for one cohort of given size from a known table.
-
-    Realises the table as integer genotype counts by largest-remainder
-    rounding, then applies the leading Hoeffding projection term
-
-        var = (4 / N) sum_i w_i (g_i - U)^2
-
-    with w_i = N_i / N and g_i the conditional mean of the pair kernel
-    given one subject of class i (order-aware, so the weighted mean of
-    g equals U).
-
-    Parameters
-    ----------
-    table : RiskTable
-        Population truth.
-    n_population : int
-        Cohort size N >= 2.
-
-    Returns
-    -------
-    float
-    """
-    if n_population < 2:
-        raise ValidationError("population variance needs N >= 2")
-    p = table.p
-    r = table.r
-    n_i = _largest_remainder(p, n_population)
-    w = n_i / n_population
-    u = u_statistic(w, r)
-    below_mass = np.cumsum(w) - w
-    below_wr = np.cumsum(w * r) - w * r
-    above_mass = 1.0 - np.cumsum(w)
-    above_wr = (w * r).sum() - np.cumsum(w * r)
-    # g_i = sum_{j<i} w_j (r_i - r_j) + sum_{j>i} w_j (r_j - r_i)
-    g = (r * below_mass - below_wr) + (above_wr - r * above_mass)
-    return float(4.0 / n_population * (w @ (g - u) ** 2))
-
-
-def _largest_remainder(p: np.ndarray, n: int) -> np.ndarray:
-    """Integer counts n_i with sum n, proportional to p, largest remainder."""
-    raw = p * n
-    base = np.floor(raw).astype(np.int64)
-    deficit = int(n - base.sum())
-    if deficit > 0:
-        # stable argsort on negated remainders: ties go to lower index
-        order = np.argsort(-(raw - base), kind="stable")
-        base[order[:deficit]] += 1
-    return base
-
-
 def _blocks(n_rows: int, width: int) -> list[slice]:
     """Consecutive row slices covering ``n_rows`` replicates, each block
     small enough that a (rows, width) float64 array stays within
@@ -311,33 +250,94 @@ def _blocks(n_rows: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _bootstrap_blocks(
-    counts: CaseControlCounts, plan: ResamplePlan, pos: np.ndarray
+def _n_groups(n_replicates: int) -> int:
+    return -(-n_replicates // _GROUP)
+
+
+def _group_rows(n_replicates: int, lo: int, hi: int) -> Iterator[tuple[int, slice]]:
+    """Each group of ``lo..hi-1`` with its replicate rows, counted from
+    the first row of group ``lo``."""
+    for group in range(lo, hi):
+        start = (group - lo) * _GROUP
+        yield group, slice(start, start + min(_GROUP, n_replicates - group * _GROUP))
+
+
+def _bootstrap_group(
+    case: np.ndarray, control: np.ndarray, seed: int, group: int, n_rows: int
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Stratified bootstrap count rows aligned by ``pos``, in replicate blocks.
+    """Stratified bootstrap count rows of one replicate group, in blocks.
 
     Resampling subjects with replacement within an arm is equivalent to
-    a multinomial draw over that arm's genotype frequencies.  The stream
-    draws all case rows, then all control rows, so the case rows are
-    drawn first, block by block, into one held stack of the narrowest
-    signed integer that holds ``n_D``; the control rows are then drawn a
-    block at a time.  Yields ``(rows, case, control)`` per block, in
-    replicate order; together the blocks equal one full-size draw.
+    a multinomial draw over that arm's genotype frequencies, here taken
+    along the order.  The group's stream ``[seed, _TAG_BOOTSTRAP, group]``
+    draws its ``n_rows`` case rows, then its control rows.  The case
+    rows are drawn first, block by block, into one held (n_rows, G)
+    stack of the narrowest signed integer that holds ``n_D``; the control
+    rows are then drawn a block at a time.  Yields ``(rows, case,
+    control)`` per block; together the blocks equal the group's one-call
+    draw.
     """
-    if plan.scheme is not Scheme.STRATIFIED_BOOTSTRAP:
-        raise ValidationError(f"bootstrap requires STRATIFIED_BOOTSTRAP, got {plan.scheme}")
-    rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP])
-    n_d = counts.n_cases
-    n_dbar = counts.n_controls
-    blocks = _blocks(plan.n_replicates, max(counts.n_case.size, pos.size))
-    held = np.empty((plan.n_replicates, pos.size), dtype=np.min_scalar_type(-n_d - 1))
-    freq = counts.n_case / n_d
+    rng = np.random.default_rng([seed, _TAG_BOOTSTRAP, group])
+    n_d = int(case.sum())
+    n_dbar = int(control.sum())
+    blocks = _blocks(n_rows, case.size)
+    held = np.empty((n_rows, case.size), dtype=np.min_scalar_type(-n_d - 1))
     for rows in blocks:
-        held[rows] = _take(rng.multinomial(n_d, freq, size=rows.stop - rows.start), pos)
-    freq = counts.n_control / n_dbar
+        held[rows] = rng.multinomial(n_d, case / n_d, size=rows.stop - rows.start)
     for rows in blocks:
-        control = _take(rng.multinomial(n_dbar, freq, size=rows.stop - rows.start), pos)
-        yield rows, held[rows], control
+        boot_control = rng.multinomial(n_dbar, control / n_dbar, size=rows.stop - rows.start)
+        yield rows, held[rows], boot_control
+
+
+def _bootstrap_values(
+    case: np.ndarray,
+    control: np.ndarray,
+    rho: float,
+    scale: float,
+    band: tuple[float, float] | None,
+    token: str,
+    seed: int,
+    n_replicates: int,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Global and (given a band) partial replicate values of groups lo..hi-1.
+
+    Each block's global values are ``scale`` times the int64 contraction
+    of its rows; given a band, its partial values rebuild the plug-in
+    curve of the same rows in float.  Only the value vectors outlive a
+    block.
+    """
+    n_rows = min(hi * _GROUP, n_replicates) - lo * _GROUP
+    values = np.empty(n_rows)
+    partial = None if band is None else np.empty(n_rows)
+    for group, span in _group_rows(n_replicates, lo, hi):
+        size = span.stop - span.start
+        for rows, boot_case, boot_control in _bootstrap_group(case, control, seed, group, size):
+            at = slice(span.start + rows.start, span.start + rows.stop)
+            values[at] = scale * _contract(boot_case, boot_control)
+            if band is not None:
+                p, r = _plugin_rows(boot_case.astype(float), boot_control.astype(float), rho)
+                partial[at] = _index_rows(p, r, rho, (token,), band)[token]
+    return values, partial
+
+
+def _permutation_hits(
+    pooled: np.ndarray, n_d: int, observed: int, seed: int, n_replicates: int, lo: int, hi: int
+) -> int:
+    """Permuted replicates of groups lo..hi-1 with |case' phi control| >= observed.
+
+    Group k draws its case rows from the stream ``[seed,
+    _TAG_PERMUTATION, k]``, a block at a time, and counts them as it goes.
+    """
+    hits = 0
+    for group, span in _group_rows(n_replicates, lo, hi):
+        rng = np.random.default_rng([seed, _TAG_PERMUTATION, group])
+        for rows in _blocks(span.stop - span.start, pooled.size):
+            perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=rows.stop - rows.start)
+            stats = np.abs(_contract(perm_case, pooled[None, :] - perm_case))
+            hits += int(np.count_nonzero(stats >= observed))
+    return hits
 
 
 def _percentile_ci(values: np.ndarray, level: float) -> ConfidenceInterval:
@@ -349,7 +349,8 @@ def _percentile_ci(values: np.ndarray, level: float) -> ConfidenceInterval:
 def _replicate_estimate(
     point: float, values: np.ndarray, plan: ResamplePlan, level: float
 ) -> UEstimate:
-    """Point estimate with the variance and percentile interval of its replicates."""
+    """Point estimate with the variance and percentile interval of its
+    (finite) replicate values."""
     variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
     return UEstimate(
         u_hat=point,
@@ -358,17 +359,23 @@ def _replicate_estimate(
         ci=_percentile_ci(values, level),
         n_replicates=plan.n_replicates,
         seed=plan.seed,
+        n_finite=int(values.size),
     )
 
 
 def bootstrap_ci(
-    counts: CaseControlCounts, order, plan: ResamplePlan, level: float = 0.95
+    counts: CaseControlCounts,
+    order,
+    plan: ResamplePlan,
+    level: float = 0.95,
+    workers: int | None = None,
 ) -> UEstimate:
     """Percentile bootstrap interval for U along a fixed genotype order.
 
     The order is held fixed across replicates (it encodes the trained
     model); only the counts are resampled, stratified within cases and
-    controls.  Deterministic given the plan seed.
+    controls.  Deterministic given the plan seed, whatever ``workers``
+    (process count; default PREDICTU_THREADS, else 1).
 
     Returns
     -------
@@ -377,19 +384,23 @@ def bootstrap_ci(
         ``variance`` the replicate variance, ``ci`` the percentile
         interval.
     """
-    return _bootstrap_estimates(counts, order, plan, level)[0]
+    return _bootstrap_estimates(counts, order, plan, level, workers=workers)[0]
 
 
-def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> float:
+def permutation_test(
+    counts: CaseControlCounts, order, plan: ResamplePlan, workers: int | None = None
+) -> float:
     """Two-sided permutation p-value for H0: U = 0 (labels exchangeable).
 
     Redraws the case counts from the pooled genotype totals by
     multivariate hypergeometric sampling, which is exactly a uniform
     permutation of case/control labels at fixed genotypes.  The
     comparison |U*| >= |U| runs on the int64 kernel contraction, so it
-    is exact at any sample size.  The replicates are drawn from the one
-    stream a block at a time and counted as they go, so memory is one
-    block's working set whatever the replicate count.
+    is exact at any sample size.  The replicates are drawn in groups,
+    each from its own stream, on ``workers`` processes (default
+    PREDICTU_THREADS, else 1), and counted as they go, so memory is one
+    block's working set whatever the replicate count and the p-value is
+    the same for any worker count.
 
     The ``order`` must come from outside the data being tested (a
     trained model, an external ranking, or a fixed convention).  An
@@ -401,20 +412,19 @@ def permutation_test(counts: CaseControlCounts, order, plan: ResamplePlan) -> fl
     float
         p = (1 + #{|U*| >= |U|}) / (1 + n_replicates).
     """
-    if plan.scheme is not Scheme.LABEL_PERMUTATION:
-        raise ValidationError(f"permutation requires LABEL_PERMUTATION, got {plan.scheme}")
-    case, control, _ = _align_counts(counts, order)
+    case, control = _align_counts(counts, order)
     observed = abs(int(_contract(case, control)))
-
-    pooled = case + control
-    n_d = counts.n_cases
-    rng = np.random.default_rng([plan.seed, _TAG_PERMUTATION])
-    hits = 0
-    for rows in _blocks(plan.n_replicates, pooled.size):
-        perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=rows.stop - rows.start)
-        stats = np.abs(_contract(perm_case, pooled[None, :] - perm_case))
-        hits += int(np.count_nonzero(stats >= observed))
-    return (1 + hits) / (1 + plan.n_replicates)
+    hits = parallel.map_ranges(
+        _permutation_hits,
+        _n_groups(plan.n_replicates),
+        workers,
+        case + control,
+        counts.n_cases,
+        observed,
+        plan.seed,
+        plan.n_replicates,
+    )
+    return (1 + sum(hits)) / (1 + plan.n_replicates)
 
 
 def partial_u_variance(
@@ -424,6 +434,7 @@ def partial_u_variance(
     plan: ResamplePlan,
     level: float = 0.95,
     standardized: bool = False,
+    workers: int | None = None,
 ) -> UEstimate:
     """Bootstrap variance and percentile interval for the partial U.
 
@@ -433,15 +444,19 @@ def partial_u_variance(
     full band (0, 1) the replicate values coincide with the global
     bootstrap to rounding.  The draw is the one ``bootstrap_ci`` makes:
     both go through one routine, which ``summarize`` calls once to get
-    the global and the partial interval from a single draw.
+    the global and the partial interval from a single draw.  Replicates
+    that are not finite are left out of the variance and interval and
+    counted in ``n_finite``.
 
     Parameters
     ----------
     standardized : bool
         If True, divide each replicate by 2 rho_pt (1 - rho_pt) with
         rho_pt the band mass integral of that replicate's curve.
+    workers : int, optional
+        Process count; defaults to PREDICTU_THREADS, else 1.
     """
-    return _bootstrap_estimates(counts, order, plan, level, band, standardized)[1]
+    return _bootstrap_estimates(counts, order, plan, level, band, standardized, workers)[1]
 
 
 def _bootstrap_estimates(
@@ -451,40 +466,47 @@ def _bootstrap_estimates(
     level: float = 0.95,
     band: tuple[float, float] | None = None,
     standardized: bool = False,
+    workers: int | None = None,
 ) -> tuple[UEstimate, UEstimate | None]:
     """Global and (given a band) partial bootstrap estimates from one draw.
 
-    The stratified replicates are drawn once, in fixed-size row blocks
-    (``_bootstrap_blocks``).  Each block's global replicates are the
-    int64 contraction of its rows, and given a band its partial
-    replicates rebuild the plug-in curve of the same rows in float;
-    only the B-length value vectors outlive a block.  Memory is the
-    held case stack (B x G narrow integers) plus one block's working
-    set, whatever B is.  Non-finite partial replicates are dropped at
-    the end, in draw order.
+    The stratified replicates are drawn once, group by group
+    (``_bootstrap_group``), on ``workers`` processes; each group returns
+    only its global and partial replicate values.  Memory is one group's
+    held case rows plus one block's working set per process, whatever B
+    is.  Non-finite partial replicates are dropped at the end, in draw
+    order.
     """
     if band is not None:
         _check_band(*band)
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
-    case, control, pos = _align_counts(counts, order)
+    case, control = _align_counts(counts, order)
     rho = counts.rho
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
     token = "upartialstd" if standardized else "upartial"
 
-    values = np.empty(plan.n_replicates)
-    partial = np.empty(plan.n_replicates)
-    for rows, boot_case, boot_control in _bootstrap_blocks(counts, plan, pos):
-        values[rows] = scale * _contract(boot_case, boot_control)
-        if band is not None:
-            p, r = _plugin_rows(boot_case.astype(float), boot_control.astype(float), rho)
-            partial[rows] = _index_rows(p, r, rho, (token,), band)[token]
+    parts = parallel.map_ranges(
+        _bootstrap_values,
+        _n_groups(plan.n_replicates),
+        workers,
+        case,
+        control,
+        rho,
+        scale,
+        band,
+        token,
+        plan.seed,
+        plan.n_replicates,
+    )
+    values = np.concatenate([part[0] for part in parts])
     total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
     if band is None:
         return total, None
 
     p, r = _plugin_rows(case[None, :].astype(float), control[None, :].astype(float), rho)
     point = float(_index_rows(p, r, rho, (token,), band)[token][0])
+    partial = np.concatenate([part[1] for part in parts])
     partial = partial[np.isfinite(partial)]
     if partial.size == 0:
         raise NumericError("no finite bootstrap replicate for the partial U")

@@ -25,15 +25,16 @@ from __future__ import annotations
 import enum
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 import yaml
 
+from . import parallel
 from .errors import NumericError, ValidationError
 from .isotonic import pava_rows
+from .parallel import worker_count
 from .risk_model import (
     CaseControlCounts,
     GenotypeId,
@@ -440,51 +441,30 @@ class EvalReport:
         }
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker processes to use: argument, else PREDICTU_THREADS, else 1.
-
-    A count below 1 from either source is invalid input, not 1 worker.
-    """
-    source = "workers"
-    if requested is None:
-        env = os.environ.get("PREDICTU_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            requested = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"PREDICTU_THREADS must be an integer, got {env!r}") from exc
-        source = "PREDICTU_THREADS"
-    if int(requested) < 1:
-        raise ValidationError(f"{source} must be at least 1, got {requested}")
-    return int(requested)
-
-
 def _true_values(population: Population, tokens, band) -> dict[str, float]:
     p, r = population.table.p, population.table.r
     values = _index_rows(p, r, population.rho, tokens, band)
     return {token: float(v[0]) for token, v in values.items()}
 
 
-def _replicate_chunk(payload) -> tuple[np.ndarray, np.ndarray]:
+def _replicate_chunk(
+    population,
+    tokens,
+    band,
+    n_cases,
+    n_controls,
+    n_train_cases,
+    n_train_controls,
+    isotonic,
+    n_bootstrap,
+    level,
+    truth,
+    seed,
+    model_idx,
+    rep_lo,
+    rep_hi,
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a contiguous block of replicates; values and coverage bits."""
-    (
-        population,
-        tokens,
-        band,
-        n_cases,
-        n_controls,
-        n_train_cases,
-        n_train_controls,
-        isotonic,
-        n_bootstrap,
-        level,
-        truth,
-        seed,
-        model_idx,
-        rep_lo,
-        rep_hi,
-    ) = payload
     rho = population.rho
     n_tokens = len(tokens)
     values = np.empty((rep_hi - rep_lo, n_tokens))
@@ -598,33 +578,24 @@ def run_bias_coverage(
     for model_idx, pop in enumerate(populations):
         population = build_population(pop) if isinstance(pop, PopulationSpec) else pop
         truth = _true_values(population, tokens, band)
-        bounds = np.linspace(0, n_replicates, min(n_workers, n_replicates) + 1).astype(int)
-        payloads = [
-            (
-                population,
-                tokens,
-                band,
-                n_cases,
-                n_controls,
-                n_train_cases,
-                n_train_controls,
-                isotonic,
-                n_bootstrap,
-                level,
-                truth,
-                seed,
-                model_idx,
-                int(lo),
-                int(hi),
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        if len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-                parts = list(pool.map(_replicate_chunk, payloads))
-        else:
-            parts = [_replicate_chunk(payloads[0])]
+        parts = parallel.map_ranges(
+            _replicate_chunk,
+            n_replicates,
+            n_workers,
+            population,
+            tokens,
+            band,
+            n_cases,
+            n_controls,
+            n_train_cases,
+            n_train_controls,
+            isotonic,
+            n_bootstrap,
+            level,
+            truth,
+            seed,
+            model_idx,
+        )
         values = np.concatenate([part[0] for part in parts], axis=0)
         covered = np.concatenate([part[1] for part in parts], axis=0)
 

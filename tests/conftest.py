@@ -6,14 +6,13 @@ import pytest
 from predictu.errors import NumericError, ValidationError
 from predictu.fileio import ParseReport, _sniff_delimiter
 from predictu.inference import (
+    _GROUP,
     _TAG_BOOTSTRAP,
     _TAG_PERMUTATION,
     ResamplePlan,
-    Scheme,
     _align_counts,
     _contract,
     _replicate_estimate,
-    _take,
 )
 from predictu.isotonic import pava
 from predictu.simulate import (
@@ -215,44 +214,58 @@ def same(a, b):
     return a == b or repr(a) == repr(b)
 
 
-# The resampling routines as they stood before replicates were drawn in
-# fixed-size blocks: each draws its full (B, G) count matrices in one call.
-# The references the block routines must equal exactly.
+def pair_kernel(n: int) -> np.ndarray:
+    """phi[i, j] = sign(i - j) for order positions 0..n-1 (dense reference)."""
+    pos = np.arange(n)
+    return np.sign(pos[:, None] - pos[None, :]).astype(float)
+
+
+# The resampling streams written out one group at a time: group k of
+# _GROUP replicates draws from its own stream [seed, tag, k], all its rows
+# of an arm in one call.  The references the group routines (in blocks,
+# on any number of worker processes) must equal exactly.
+
+
+def _groups(plan: ResamplePlan):
+    """(stream, rows) of each replicate group, in order."""
+    for k, start in enumerate(range(0, plan.n_replicates, _GROUP)):
+        yield k, min(_GROUP, plan.n_replicates - start)
 
 
 def bootstrap_counts_reference(
-    counts: CaseControlCounts, plan: ResamplePlan
+    counts: CaseControlCounts, order, plan: ResamplePlan
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified bootstrap count matrices, one replicate per row.
+    """Stratified bootstrap count matrices along the order, one replicate
+    per row.
 
     Resampling subjects with replacement within an arm is equivalent to
-    a multinomial draw over that arm's genotype frequencies.
+    a multinomial draw over that arm's genotype frequencies.  Each group
+    draws its case rows, then its control rows, in one call each.
     """
-    if plan.scheme is not Scheme.STRATIFIED_BOOTSTRAP:
-        raise ValidationError(f"bootstrap requires STRATIFIED_BOOTSTRAP, got {plan.scheme}")
-    rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP])
-    n_d = counts.n_cases
-    n_dbar = counts.n_controls
-    case = rng.multinomial(n_d, counts.n_case / n_d, size=plan.n_replicates)
-    control = rng.multinomial(n_dbar, counts.n_control / n_dbar, size=plan.n_replicates)
-    return case, control
+    case, control = _align_counts(counts, order)
+    boot_case, boot_control = [], []
+    for k, rows in _groups(plan):
+        rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP, k])
+        boot_case.append(rng.multinomial(counts.n_cases, case / counts.n_cases, size=rows))
+        boot_control.append(
+            rng.multinomial(counts.n_controls, control / counts.n_controls, size=rows)
+        )
+    return np.concatenate(boot_case), np.concatenate(boot_control)
 
 
 def bootstrap_estimates_reference(
     counts, order, plan, level=0.95, band=None, standardized=False
 ):
-    """Former ``_bootstrap_estimates``: the whole draw, then each statistic."""
+    """The whole draw, then each statistic on the whole stack."""
     if band is not None:
         _check_band(*band)
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
-    case, control, pos = _align_counts(counts, order)
+    case, control = _align_counts(counts, order)
     rho = counts.rho
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
 
-    boot_case, boot_control = bootstrap_counts_reference(counts, plan)
-    boot_case = _take(boot_case, pos)
-    boot_control = _take(boot_control, pos)
+    boot_case, boot_control = bootstrap_counts_reference(counts, order, plan)
     values = scale * _contract(boot_case, boot_control)
     total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
     if band is None:
@@ -261,11 +274,7 @@ def bootstrap_estimates_reference(
     token = "upartialstd" if standardized else "upartial"
     p, r = _plugin_rows(case[None, :].astype(float), control[None, :].astype(float), rho)
     point = float(_index_rows(p, r, rho, (token,), band)[token][0])
-    del case, control, pos, p, r
-    boot_case = boot_case.astype(float)
-    boot_control = boot_control.astype(float)
-    p, r = _plugin_rows(boot_case, boot_control, rho)
-    del boot_case, boot_control
+    p, r = _plugin_rows(boot_case.astype(float), boot_control.astype(float), rho)
     values = _index_rows(p, r, rho, (token,), band)[token]
     values = values[np.isfinite(values)]
     if values.size == 0:
@@ -273,18 +282,25 @@ def bootstrap_estimates_reference(
     return total, _replicate_estimate(point, values, plan, level)
 
 
-def permutation_test_reference(counts, order, plan):
-    """Former ``permutation_test``: all B hypergeometric rows in one call."""
-    if plan.scheme is not Scheme.LABEL_PERMUTATION:
-        raise ValidationError(f"permutation requires LABEL_PERMUTATION, got {plan.scheme}")
-    case, control, _ = _align_counts(counts, order)
-    observed = abs(int(_contract(case, control)))
+def permutation_draws_reference(counts, order, plan):
+    """Permuted case count matrix along the order, one replicate per row:
+    each group's hypergeometric rows in one call."""
+    case, control = _align_counts(counts, order)
+    rows = [
+        np.random.default_rng([plan.seed, _TAG_PERMUTATION, k]).multivariate_hypergeometric(
+            case + control, counts.n_cases, size=n
+        )
+        for k, n in _groups(plan)
+    ]
+    return np.concatenate(rows)
 
-    pooled = case + control
-    n_d = counts.n_cases
-    rng = np.random.default_rng([plan.seed, _TAG_PERMUTATION])
-    perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=plan.n_replicates)
-    perm_control = pooled[None, :] - perm_case
+
+def permutation_test_reference(counts, order, plan):
+    """p-value from the whole permuted stack at once."""
+    case, control = _align_counts(counts, order)
+    observed = abs(int(_contract(case, control)))
+    perm_case = permutation_draws_reference(counts, order, plan)
+    perm_control = (case + control)[None, :] - perm_case
     stats = np.abs(_contract(perm_case, perm_control))
     hits = int(np.count_nonzero(stats >= observed))
     return (1 + hits) / (1 + plan.n_replicates)

@@ -18,7 +18,6 @@ from predictu.curve_links import lorenz_from_table, roc_from_table
 from predictu.fileio import read_json
 from predictu.inference import (
     ResamplePlan,
-    Scheme,
     asymptotic_ci,
     bootstrap_ci,
     permutation_test,
@@ -283,9 +282,7 @@ def test_criterion_09_permutation_null_calibration(capsys):
             n_control=rng.multinomial(150, q),
             rho=0.1,
         )
-        plan = ResamplePlan(
-            n_replicates=199, seed=1000 + k, scheme=Scheme.LABEL_PERMUTATION
-        )
+        plan = ResamplePlan(n_replicates=199, seed=1000 + k)
         rejections += permutation_test(counts, genotypes, plan) <= 0.05
     rate = rejections / 1000.0
     verdict(

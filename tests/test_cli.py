@@ -258,9 +258,14 @@ def test_invalid_band_is_rejected_without_partial_indices(argv, counts_file, tmp
           "--n-controls", "50", "--bootstrap", "5", "--workers", "-2"], "--workers"),
         (["curve", "{subjects}", "--rho", "0.21", "--max-bad-rows", "-1"], "--max-bad-rows"),
         (["curve", "{subjects}", "--rho", "0.21", "--max-bad-rows", "1.5"], "--max-bad-rows"),
+        (["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "5", "--workers", "0"],
+         "--workers"),
+        (["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "5", "--workers", "-2"],
+         "--workers"),
     ],
     ids=["bootstrap", "permutation", "workers-zero", "workers-negative",
-         "max-bad-rows-negative", "max-bad-rows-above-one"],
+         "max-bad-rows-negative", "max-bad-rows-above-one", "summarize-workers-zero",
+         "summarize-workers-negative"],
 )
 def test_out_of_range_count_flags_are_rejected(argv, flag, counts_file, subject_file,
                                                tmp_path, capsys):
@@ -278,6 +283,37 @@ def test_non_positive_thread_variable_is_rejected(threads, monkeypatch, tmp_path
                  "--n-controls", "50", "--bootstrap", "5", "--out", str(tmp_path / "run")])
     assert code == 2
     assert f"PREDICTU_THREADS must be at least 1, got {threads}" in capsys.readouterr().err
+
+
+def test_summarize_rejects_a_zero_thread_variable(counts_file, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("PREDICTU_THREADS", "0")
+    out = tmp_path / "run"
+    code = main(["summarize", counts_file, "--rho", "0.21", "--bootstrap", "5",
+                 "--out", str(out)])
+    assert code == 2
+    assert "PREDICTU_THREADS must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summarize_bytes_do_not_depend_on_workers_or_block_size(tmp_path, monkeypatch):
+    path = tmp_path / "counts.csv"
+    rows = [f"g{i},{3 + (7 * i) % 11},{2 + (5 * i) % 13}" for i in range(30)]
+    path.write_text("genotype_id,n_case,n_control\n" + "\n".join(rows) + "\n")
+    args = ["summarize", str(path), "--rho", "0.1", "--indices", "u,upartialstd",
+            "--band", "0.8:1", "--bootstrap", "100", "--permutation", "99", "--seed", "4"]
+    names = ("indices.json", "inference.json", "curve.csv")
+
+    def run(tag, *extra):
+        out = tmp_path / tag
+        assert main(args + list(extra) + ["--out", str(out)]) == 0
+        return [(out / name).read_bytes() for name in names]
+
+    want = run("w1", "--workers", "1")
+    assert run("w2", "--workers", "2") == want
+    assert run("w3", "--workers", "3") == want
+    assert run("default") == want
+    monkeypatch.setattr(predictu.inference, "_BLOCK_BYTES", 8 * 30 - 1)  # one-row blocks
+    assert run("rows") == want
 
 
 def test_r_and_r_std_keep_distinct_names(counts_file, tmp_path, capsys):

@@ -14,19 +14,21 @@ import pytest
 from predictu.errors import ValidationError
 from predictu.inference import (
     ResamplePlan,
-    Scheme,
     _align_counts,
     _contract,
-    _take,
     asymptotic_variance_u,
     bootstrap_ci,
-    pair_kernel,
     permutation_test,
     two_sample_u,
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId
 
-from conftest import bootstrap_counts_reference, random_case
+from conftest import (
+    bootstrap_counts_reference,
+    pair_kernel,
+    permutation_draws_reference,
+    random_case,
+)
 
 
 def _arrange(mat, counts, order):
@@ -58,14 +60,11 @@ def dense_reference(counts, order, boot_plan, perm_plan):
         s_case / (n_d * (n_d - 1)) + s_control / (n_dbar * (n_dbar - 1))
     )
 
-    boot_case, boot_control = bootstrap_counts_reference(counts, boot_plan)
-    boot_case = _arrange(boot_case, counts, order)
-    boot_control = _arrange(boot_control, counts, order)
+    boot_case, boot_control = bootstrap_counts_reference(counts, order, boot_plan)
     boot_sums = np.einsum("bg,bg->b", boot_case @ phi, boot_control)
 
     pooled = (case + control).astype(np.int64)
-    rng = np.random.default_rng([perm_plan.seed, 211])
-    perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=perm_plan.n_replicates)
+    perm_case = permutation_draws_reference(counts, order, perm_plan)
     perm_control = pooled[None, :] - perm_case
     stats = np.abs(np.einsum("bg,bg->b", perm_case @ phi, perm_control.astype(float)))
     hits = int(np.count_nonzero(stats >= abs(kernel_sum)))
@@ -78,7 +77,7 @@ def test_contraction_equals_dense_reference_exactly():
     for trial in range(150):
         counts, order = random_case(rng)
         boot_plan = ResamplePlan(25, seed=trial)
-        perm_plan = ResamplePlan(25, seed=trial, scheme=Scheme.LABEL_PERMUTATION)
+        perm_plan = ResamplePlan(25, seed=trial)
         kernel_sum, u_hat, variance, boot_sums, p_value = dense_reference(
             counts, order, boot_plan, perm_plan
         )
@@ -87,14 +86,12 @@ def test_contraction_equals_dense_reference_exactly():
         assert asymptotic_variance_u(counts, order) == variance
         assert permutation_test(counts, order, perm_plan) == p_value
 
-        case, control, pos = _align_counts(counts, order)
+        case, control = _align_counts(counts, order)
         assert case.dtype == control.dtype == np.int64
-        boot_case, boot_control = bootstrap_counts_reference(counts, boot_plan)
-        for mat in (boot_case, boot_control):
-            taken = _take(mat, pos)
-            assert taken.flags.c_contiguous
-            np.testing.assert_array_equal(taken, _arrange(mat, counts, order))
-        sums = _contract(_take(boot_case, pos), _take(boot_control, pos))
+        np.testing.assert_array_equal(case, _arrange(counts.n_case, counts, order))
+        np.testing.assert_array_equal(control, _arrange(counts.n_control, counts, order))
+        boot_case, boot_control = bootstrap_counts_reference(counts, order, boot_plan)
+        sums = _contract(boot_case, boot_control)
         assert sums.dtype == np.int64
         np.testing.assert_array_equal(sums, boot_sums.astype(np.int64))
         np.testing.assert_array_equal(sums.astype(float), boot_sums)
@@ -124,7 +121,7 @@ def test_memory_stays_linear_in_genotypes():
     try:
         two_sample_u(counts, order)
         bootstrap_ci(counts, order, ResamplePlan(20, seed=1))
-        permutation_test(counts, order, ResamplePlan(20, seed=1, scheme=Scheme.LABEL_PERMUTATION))
+        permutation_test(counts, order, ResamplePlan(20, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -8,20 +8,17 @@ from predictu.errors import NumericError, ValidationError
 from predictu.inference import (
     Method,
     ResamplePlan,
-    Scheme,
     UEstimate,
     asymptotic_ci,
     asymptotic_variance_u,
     bootstrap_ci,
-    pair_kernel,
     partial_u_variance,
     permutation_test,
-    population_variance_u,
     two_sample_u,
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table, estimate_risk_table
 
-from conftest import brute_force_u
+from conftest import brute_force_u, pair_kernel
 
 
 def random_counts(rng, max_genotypes=8, n_low=20, n_high=120):
@@ -142,32 +139,6 @@ def test_asymptotic_variance_scales_inversely_with_n(two_genotype_counts):
     assert 0.4 <= var_2 / var_1 <= 0.6
 
 
-def test_population_variance_trivial_cases():
-    single = build_risk_table([1.0], [1.0], rho=0.2)
-    assert population_variance_u(single, 100) == pytest.approx(0.0, abs=1e-15)
-    cond = np.array([0.5, 0.5])
-    flat = build_risk_table(cond, cond, rho=0.2)
-    assert population_variance_u(flat, 100) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_population_variance_three_genotype_oracle(three_genotype_table):
-    # N = 1000 splits exactly into (500, 300, 200).  For a monotone
-    # table U = E|r_s - r_t| over independent subject pairs, so the
-    # projection g_i = sum_j w_j |r_i - r_j| has weighted mean U and
-    # var = (4/N) sum_i w_i (g_i - U)^2.  By hand: g = (0.11, 0.11, 0.29),
-    # sum w (g-U)^2 = 0.005184, var = 4/1000 * 0.005184 = 2.0736e-5.
-    value = population_variance_u(three_genotype_table, 1000)
-    r = three_genotype_table.r
-    w = np.array([500, 300, 200]) / 1000
-    g = np.abs(r[:, None] - r[None, :]) @ w
-    u = float(w @ g)
-    assert u == pytest.approx(0.146, abs=1e-12)
-    oracle = 4.0 / 1000 * float(w @ (g - u) ** 2)
-    assert oracle == pytest.approx(2.0736e-5, abs=1e-15)
-    assert value == pytest.approx(oracle, abs=1e-12)
-    assert value == pytest.approx(2.0736e-5, abs=1e-10)
-
-
 def test_bootstrap_single_replicate_collapses():
     counts = CaseControlCounts(
         genotypes=tuple(GenotypeId(i) for i in range(2)),
@@ -276,20 +247,16 @@ def test_permutation_separated_data_hits_minimum_p():
         n_control=np.array([25, 0]),
         rho=0.2,
     )
-    plan = ResamplePlan(99, seed=5, scheme=Scheme.LABEL_PERMUTATION)
+    plan = ResamplePlan(99, seed=5)
     p = permutation_test(counts, counts.genotypes, plan)
     assert p == pytest.approx(1.0 / 100.0, abs=1e-15)
 
 
-def test_permutation_deterministic_and_requires_scheme(two_genotype_counts):
-    plan = ResamplePlan(99, seed=6, scheme=Scheme.LABEL_PERMUTATION)
+def test_permutation_deterministic_replay(two_genotype_counts):
+    plan = ResamplePlan(99, seed=6)
     p1 = permutation_test(two_genotype_counts, two_genotype_counts.genotypes, plan)
     p2 = permutation_test(two_genotype_counts, two_genotype_counts.genotypes, plan)
     assert p1 == p2
-    with pytest.raises(ValidationError):
-        permutation_test(
-            two_genotype_counts, two_genotype_counts.genotypes, ResamplePlan(99, seed=6)
-        )
 
 
 def test_estimate_serialization_round_trip(two_genotype_counts):
@@ -297,7 +264,25 @@ def test_estimate_serialization_round_trip(two_genotype_counts):
         two_genotype_counts, two_genotype_counts.genotypes, ResamplePlan(50, seed=1)
     )
     block = est.to_dict()
-    assert set(block) == {"u_hat", "variance", "ci", "method", "n_replicates", "seed"}
+    assert set(block) == {"u_hat", "variance", "ci", "method", "n_replicates", "n_finite", "seed"}
     assert block["ci"]["level"] == 0.95
     assert block["method"] == "bootstrap"
-    assert block["n_replicates"] == 50
+    assert block["n_replicates"] == block["n_finite"] == 50
+
+
+def test_partial_counts_its_finite_replicates():
+    # the band lies in g1, whose single case a replicate often leaves out:
+    # then rho_pt = 0 and the standardised partial U is undefined
+    counts = CaseControlCounts(
+        genotypes=(GenotypeId(0, "g0"), GenotypeId(1, "g1")),
+        n_case=np.array([30, 1]),
+        n_control=np.array([30, 10]),
+        rho=0.1,
+    )
+    plan = ResamplePlan(200, seed=4)
+    est = partial_u_variance(counts, counts.genotypes, (0.9, 1.0), plan, standardized=True)
+    assert est.n_replicates == 200
+    assert 0 < est.n_finite < 200
+    assert est.to_dict()["n_finite"] == est.n_finite
+    whole = bootstrap_ci(counts, counts.genotypes, plan)
+    assert whole.n_finite == whole.n_replicates == 200

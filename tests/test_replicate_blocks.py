@@ -1,9 +1,10 @@
-"""Replicates drawn in fixed-size row blocks against the one-call draws.
+"""Replicate groups, drawn in fixed-size row blocks, against the
+one-call-per-group draws.
 
-The references in conftest draw all B rows of an arm in one call.  The
-block routines must reproduce their draws, estimates and p-values
-exactly at any block size, and their memory must not grow with B
-beyond the held case stack.
+The references in conftest draw all rows of an arm of each replicate
+group in one call.  The group routines must reproduce their draws,
+estimates and p-values exactly at any block size and any worker count,
+and their memory must not grow with B.
 """
 
 import tracemalloc
@@ -14,13 +15,13 @@ import pytest
 from predictu import inference
 from predictu.errors import NumericError
 from predictu.inference import (
-    _TAG_PERMUTATION,
+    _GROUP,
     ResamplePlan,
-    Scheme,
     _align_counts,
-    _bootstrap_blocks,
     _bootstrap_estimates,
-    _take,
+    _bootstrap_group,
+    bootstrap_ci,
+    partial_u_variance,
     permutation_test,
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId
@@ -28,16 +29,13 @@ from predictu.risk_model import CaseControlCounts, GenotypeId
 from conftest import (
     bootstrap_counts_reference,
     bootstrap_estimates_reference,
+    permutation_draws_reference,
     permutation_test_reference,
     random_case,
     same,
 )
 
-REPLICATES = (1, 2, 3, 7, 50)
-
-
-def _width(counts, order):
-    return max(len(counts.genotypes), len(order))
+REPLICATES = (1, 2, 3, 7, 50, 70)
 
 
 @pytest.fixture(params=["three_rows", "one_row"])
@@ -55,22 +53,32 @@ def block_rows(request, monkeypatch):
     return set_budget
 
 
+def _group_draws(counts, order, plan):
+    """Every group's blocks from ``_bootstrap_group``, concatenated."""
+    case, control = _align_counts(counts, order)
+    got_case, got_control = [], []
+    for k, start in enumerate(range(0, plan.n_replicates, _GROUP)):
+        n_rows = min(_GROUP, plan.n_replicates - start)
+        blocks = list(_bootstrap_group(case, control, plan.seed, k, n_rows))
+        assert [b[0] for b in blocks] == inference._blocks(n_rows, len(order))
+        got_case += [b[1] for b in blocks]
+        got_control += [b[2] for b in blocks]
+    return np.concatenate(got_case), np.concatenate(got_control)
+
+
 def _check_case(counts, order, set_budget, rng, seed):
-    rows = set_budget(_width(counts, order))
-    _, _, pos = _align_counts(counts, order)
+    rows = set_budget(len(order))
     for n_replicates in REPLICATES:
-        spans = [s.stop - s.start for s in inference._blocks(n_replicates, _width(counts, order))]
-        assert sum(spans) == n_replicates and max(spans) == min(rows, n_replicates)
+        n_rows = min(n_replicates, _GROUP)
+        spans = [s.stop - s.start for s in inference._blocks(n_rows, len(order))]
+        assert sum(spans) == n_rows and max(spans) == min(rows, n_rows)
 
         plan = ResamplePlan(n_replicates, seed=seed)
-        want_case, want_control = bootstrap_counts_reference(counts, plan)
-        blocks = list(_bootstrap_blocks(counts, plan, pos))
-        assert [b[0] for b in blocks] == inference._blocks(n_replicates, _width(counts, order))
-        got_case = np.concatenate([b[1] for b in blocks])
-        got_control = np.concatenate([b[2] for b in blocks])
+        want_case, want_control = bootstrap_counts_reference(counts, order, plan)
+        got_case, got_control = _group_draws(counts, order, plan)
         assert got_case.dtype == np.min_scalar_type(-counts.n_cases - 1)
-        np.testing.assert_array_equal(got_case, _take(want_case, pos))
-        np.testing.assert_array_equal(got_control, _take(want_control, pos))
+        np.testing.assert_array_equal(got_case, want_case)
+        np.testing.assert_array_equal(got_control, want_control)
 
         assert _bootstrap_estimates(counts, order, plan) == bootstrap_estimates_reference(
             counts, order, plan
@@ -90,19 +98,17 @@ def _check_case(counts, order, set_budget, rng, seed):
                 assert got[0] == want[0]
                 assert same(got[1], want[1])
 
-        perm = ResamplePlan(n_replicates, seed=seed, scheme=Scheme.LABEL_PERMUTATION)
-        assert permutation_test(counts, order, perm) == permutation_test_reference(
-            counts, order, perm
+        assert permutation_test(counts, order, plan) == permutation_test_reference(
+            counts, order, plan
         )
-        case, control, _ = _align_counts(counts, order)
-        pooled = case + control
-        whole = np.random.default_rng([seed, _TAG_PERMUTATION]).multivariate_hypergeometric(
-            pooled, counts.n_cases, size=n_replicates
-        )
-        stream = np.random.default_rng([seed, _TAG_PERMUTATION])
+        # a group's hypergeometric rows, drawn block by block, are its one-call draw
+        case, control = _align_counts(counts, order)
+        whole = permutation_draws_reference(counts, order, plan)[:n_rows]
+        stream = np.random.default_rng([seed, inference._TAG_PERMUTATION, 0])
         parts = [
-            stream.multivariate_hypergeometric(pooled, counts.n_cases, size=s.stop - s.start)
-            for s in inference._blocks(n_replicates, pooled.size)
+            stream.multivariate_hypergeometric(case + control, counts.n_cases,
+                                               size=s.stop - s.start)
+            for s in inference._blocks(n_rows, len(order))
         ]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
@@ -154,7 +160,6 @@ def test_resampling_memory_is_flat_in_replicates():
         rho=0.05,
     )
     order = counts.genotypes[::-1]
-    itemsize = np.min_scalar_type(-counts.n_cases - 1).itemsize
     small, large = 200, 2000
 
     def bootstrap(n):
@@ -162,12 +167,51 @@ def test_resampling_memory_is_flat_in_replicates():
         return lambda: _bootstrap_estimates(counts, order, plan, band=(0.9, 1.0))
 
     def permutation(n):
-        plan = ResamplePlan(n, seed=5, scheme=Scheme.LABEL_PERMUTATION)
+        plan = ResamplePlan(n, seed=5)
         return lambda: permutation_test(counts, order, plan)
 
     bootstrap(2)()  # first-call set-up stays out of the comparison
-    boot = {n: _peak(bootstrap(n)) - n * g * itemsize for n in (small, large)}
+    # the case rows held while a group's control rows are drawn included
+    boot = {n: _peak(bootstrap(n)) for n in (small, large)}
     perm = {n: _peak(permutation(n)) for n in (small, large)}
     mib = 2**20
     assert abs(boot[large] - boot[small]) <= mib, {n: v / mib for n, v in boot.items()}
     assert abs(perm[large] - perm[small]) <= mib, {n: v / mib for n, v in perm.items()}
+
+
+def _invariance_case():
+    rng = np.random.default_rng(29)
+    g = 40
+    counts = CaseControlCounts(
+        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
+        n_case=rng.integers(0, 30, g),
+        n_control=rng.integers(0, 30, g),
+        rho=0.1,
+    )
+    return counts, counts.genotypes[::-1], ResamplePlan(4 * _GROUP + 5, seed=8)
+
+
+def _results(counts, order, plan, workers):
+    band = (0.8, 1.0)
+    return (
+        _bootstrap_estimates(counts, order, plan, 0.9, band, True, workers=workers),
+        bootstrap_ci(counts, order, plan, workers=workers),
+        partial_u_variance(counts, order, band, plan, workers=workers),
+        permutation_test(counts, order, plan, workers=workers),
+    )
+
+
+def test_results_do_not_depend_on_the_worker_count():
+    counts, order, plan = _invariance_case()
+    serial = _results(counts, order, plan, 1)
+    assert same(serial[0], bootstrap_estimates_reference(counts, order, plan, 0.9, (0.8, 1.0), True))
+    for workers in (2, 3):
+        assert repr(_results(counts, order, plan, workers)) == repr(serial)
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    counts, order, plan = _invariance_case()
+    want = _results(counts, order, plan, 1)
+    for budget in (8 * len(order) - 1, 5 * 8 * len(order)):
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", budget)
+        assert repr(_results(counts, order, plan, 1)) == repr(want)

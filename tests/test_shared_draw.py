@@ -16,15 +16,15 @@ from predictu import cli, inference
 from predictu.errors import NumericError
 from predictu.fileio import parse_counts_file, read_json
 from predictu.inference import (
+    _GROUP,
     Method,
     ResamplePlan,
     UEstimate,
     _align_counts,
-    _bootstrap_blocks,
     _bootstrap_estimates,
+    _bootstrap_group,
     _contract,
     _percentile_ci,
-    _take,
     bootstrap_ci,
     partial_u_variance,
 )
@@ -35,24 +35,24 @@ from conftest import bootstrap_counts_reference, random_case, same
 
 
 def old_bootstrap_ci(counts, order, plan, level=0.95):
-    case, control, pos = _align_counts(counts, order)
+    case, control = _align_counts(counts, order)
     rho = counts.rho
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
     point = scale * int(_contract(case, control))
-    boot_case, boot_control = bootstrap_counts_reference(counts, plan)
-    values = scale * _contract(_take(boot_case, pos), _take(boot_control, pos))
+    boot_case, boot_control = bootstrap_counts_reference(counts, order, plan)
+    values = scale * _contract(boot_case, boot_control)
     variance = float(np.var(values, ddof=1)) if plan.n_replicates > 1 else 0.0
     return UEstimate(point, variance, Method.BOOTSTRAP, _percentile_ci(values, level),
-                     plan.n_replicates, plan.seed)
+                     plan.n_replicates, plan.seed, plan.n_replicates)
 
 
 def old_partial_u_variance(counts, order, band, plan, level=0.95, standardized=False):
     q0, q1 = band
-    case, control, pos = _align_counts(counts, order)
+    case, control = _align_counts(counts, order)
     rho = counts.rho
-    boot_case, boot_control = bootstrap_counts_reference(counts, plan)
-    boot_case = _take(boot_case, pos).astype(float)
-    boot_control = _take(boot_control, pos).astype(float)
+    boot_case, boot_control = bootstrap_counts_reference(counts, order, plan)
+    boot_case = boot_case.astype(float)
+    boot_control = boot_control.astype(float)
 
     def stat(case_rows, control_rows):
         p, r = _plugin_rows(case_rows, control_rows, rho)
@@ -64,14 +64,14 @@ def old_partial_u_variance(counts, order, band, plan, level=0.95, standardized=F
         return value
 
     point = float(stat(case[None, :].astype(float), control[None, :].astype(float))[0])
-    del case, control, pos
+    del case, control
     values = stat(boot_case, boot_control)
     values = values[np.isfinite(values)]
     if values.size == 0:
         raise NumericError("no finite bootstrap replicate for the partial U")
     variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
     return UEstimate(point, variance, Method.BOOTSTRAP, _percentile_ci(values, level),
-                     plan.n_replicates, plan.seed)
+                     plan.n_replicates, plan.seed, int(values.size))
 
 
 def test_wrappers_equal_the_two_draw_reference():
@@ -111,15 +111,16 @@ def test_summarize_draws_once(monkeypatch, tmp_path):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return _bootstrap_blocks(*args, **kwargs)
+        calls.append(args[3])  # the group
+        return _bootstrap_group(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "_bootstrap_blocks", counted)
+    monkeypatch.setattr(inference, "_bootstrap_group", counted)
     out = tmp_path / "run"
     code = cli.main(["summarize", str(path), "--rho", "0.21", "--bootstrap", "50",
                      "--band", "0.5:1", "--seed", "3", "--out", str(out)])
     assert code == 0
-    assert len(calls) == 1
+    # each replicate group is drawn once, for the global and the partial U
+    assert calls == list(range(-(-50 // _GROUP)))
     doc = read_json(out / "inference.json")
     counts, _ = parse_counts_file(path, rho=0.21)
     order = estimate_risk_table(counts).genotypes
