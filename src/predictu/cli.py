@@ -35,8 +35,8 @@ from .fileio import (
 )
 from .inference import (
     ResamplePlan,
-    _bootstrap_estimates,
     asymptotic_ci,
+    bootstrap_estimates,
     permutation_test,
     two_sample_u,
 )
@@ -237,7 +237,7 @@ def cmd_summarize(args) -> int:
     if args.bootstrap > 0:
         # one draw serves the global and the partial interval
         plan = ResamplePlan(n_replicates=args.bootstrap, seed=args.seed)
-        estimate, partial = _bootstrap_estimates(
+        estimate, partial = bootstrap_estimates(
             counts, order, plan, band=args.band, workers=workers
         )
     else:
@@ -353,18 +353,25 @@ def cmd_report(args) -> int:
             doc = read_json(path)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"{path}: not a readable JSON result file ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: not a result document (not a JSON object)")
         source = os.path.basename(path)
-        for block in doc.get("indices", []):
-            rows.append({
-                "source": source, "model": "", "index": block["name"],
-                "value": block["value"], "true_value": "", "pct_bias": "", "pct_coverage": "",
-            })
-        for block in doc.get("reports", []):
-            rows.append({
-                "source": source, "model": block["model"], "index": block["index"],
-                "value": block["mean"], "true_value": block["true_value"],
-                "pct_bias": block["pct_bias"], "pct_coverage": block["pct_coverage"],
-            })
+        try:
+            for block in doc.get("indices", []):
+                rows.append({
+                    "source": source, "model": "", "index": block["name"],
+                    "value": block["value"], "true_value": "", "pct_bias": "", "pct_coverage": "",
+                })
+            for block in doc.get("reports", []):
+                rows.append({
+                    "source": source, "model": block["model"], "index": block["index"],
+                    "value": block["mean"], "true_value": block["true_value"],
+                    "pct_bias": block["pct_bias"], "pct_coverage": block["pct_coverage"],
+                })
+        except KeyError as exc:
+            raise ValidationError(f"{path}: a result block lacks the key {exc}") from exc
+        except TypeError as exc:
+            raise ValidationError(f"{path}: not a result document ({exc})") from exc
     if not rows:
         raise ValidationError("no index or evaluation blocks found in the inputs")
     out = _outdir(args)

@@ -19,22 +19,20 @@ form exist only as test references.
 
 Resampling is stratified within arms (bootstrap) or redraws the case
 counts from the pooled genotype totals by multivariate hypergeometric
-sampling (permutation, equivalent to permuting labels).  Replicates
-come in fixed groups of ``_GROUP`` (32); group k draws from its own stream
-``[seed, tag, k]``, its case rows first and then its control rows, so
+sampling (permutation, equivalent to permuting labels).  The unit of
+resampling is a fixed group of ``_GROUP`` (8) replicates: group k draws
+from its own stream ``[seed, tag, k]``, all its case rows in one call
+and then all its control rows in one call, and is evaluated at once, so
 a group's draw depends on nothing but the plan and its index.  Groups
 run on ``parallel.worker_count()`` processes and return only their
-replicate values (or permutation hits), and within a group rows are
-drawn and evaluated in blocks of a fixed byte size whose concatenation
-is the group's one-call draw.  Memory stays flat in the replicate count
-beyond the B-length results, and no result depends on the worker count
-or the block size.
+replicate values (or permutation hits).  Memory per process is a few
+(8, G) arrays beyond the B-length results, flat in the replicate count,
+and no result depends on the worker count.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -53,6 +51,7 @@ __all__ = [
     "two_sample_u",
     "asymptotic_variance_u",
     "asymptotic_ci",
+    "bootstrap_estimates",
     "bootstrap_ci",
     "permutation_test",
     "partial_u_variance",
@@ -62,11 +61,9 @@ __all__ = [
 _TAG_BOOTSTRAP = 101
 _TAG_PERMUTATION = 211
 # replicates per group, the unit of resampling: a fixed constant, so the
-# streams do not depend on G, the block size or the worker count
-_GROUP = 32
-# replicate rows per block within a group: one (rows, G) float64 array
-# of a block stays within this many bytes
-_BLOCK_BYTES = 1 << 20
+# streams depend on neither G nor the worker count, and a group's working
+# set is a few (_GROUP, G) arrays
+_GROUP = 8
 
 
 class Method(enum.Enum):
@@ -242,51 +239,27 @@ def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
     return replace(estimate, ci=ci)
 
 
-def _blocks(n_rows: int, width: int) -> list[slice]:
-    """Consecutive row slices covering ``n_rows`` replicates, each block
-    small enough that a (rows, width) float64 array stays within
-    ``_BLOCK_BYTES`` (at least one row per block)."""
-    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
-    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-
-
 def _n_groups(n_replicates: int) -> int:
     return -(-n_replicates // _GROUP)
 
 
-def _group_rows(n_replicates: int, lo: int, hi: int) -> Iterator[tuple[int, slice]]:
-    """Each group of ``lo..hi-1`` with its replicate rows, counted from
-    the first row of group ``lo``."""
-    for group in range(lo, hi):
-        start = (group - lo) * _GROUP
-        yield group, slice(start, start + min(_GROUP, n_replicates - group * _GROUP))
+def _group_size(n_replicates: int, group: int) -> int:
+    return min(_GROUP, n_replicates - group * _GROUP)
 
 
 def _bootstrap_group(
     case: np.ndarray, control: np.ndarray, seed: int, group: int, n_rows: int
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Stratified bootstrap count rows of one replicate group, in blocks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified bootstrap count rows of one replicate group.
 
     Resampling subjects with replacement within an arm is equivalent to
     a multinomial draw over that arm's genotype frequencies, here taken
     along the order.  The group's stream ``[seed, _TAG_BOOTSTRAP, group]``
-    draws its ``n_rows`` case rows, then its control rows.  The case
-    rows are drawn first, block by block, into one held (n_rows, G)
-    stack of the narrowest signed integer that holds ``n_D``; the control
-    rows are then drawn a block at a time.  Yields ``(rows, case,
-    control)`` per block; together the blocks equal the group's one-call
-    draw.
+    draws its ``n_rows`` case rows in one call, then its control rows.
     """
     rng = np.random.default_rng([seed, _TAG_BOOTSTRAP, group])
-    n_d = int(case.sum())
-    n_dbar = int(control.sum())
-    blocks = _blocks(n_rows, case.size)
-    held = np.empty((n_rows, case.size), dtype=np.min_scalar_type(-n_d - 1))
-    for rows in blocks:
-        held[rows] = rng.multinomial(n_d, case / n_d, size=rows.stop - rows.start)
-    for rows in blocks:
-        boot_control = rng.multinomial(n_dbar, control / n_dbar, size=rows.stop - rows.start)
-        yield rows, held[rows], boot_control
+    boot_case = rng.multinomial(case.sum(), case / case.sum(), size=n_rows)
+    return boot_case, rng.multinomial(control.sum(), control / control.sum(), size=n_rows)
 
 
 def _bootstrap_values(
@@ -303,23 +276,21 @@ def _bootstrap_values(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Global and (given a band) partial replicate values of groups lo..hi-1.
 
-    Each block's global values are ``scale`` times the int64 contraction
+    Each group's global values are ``scale`` times the int64 contraction
     of its rows; given a band, its partial values rebuild the plug-in
     curve of the same rows in float.  Only the value vectors outlive a
-    block.
+    group.
     """
-    n_rows = min(hi * _GROUP, n_replicates) - lo * _GROUP
-    values = np.empty(n_rows)
-    partial = None if band is None else np.empty(n_rows)
-    for group, span in _group_rows(n_replicates, lo, hi):
-        size = span.stop - span.start
-        for rows, boot_case, boot_control in _bootstrap_group(case, control, seed, group, size):
-            at = slice(span.start + rows.start, span.start + rows.stop)
-            values[at] = scale * _contract(boot_case, boot_control)
-            if band is not None:
-                p, r = _plugin_rows(boot_case.astype(float), boot_control.astype(float), rho)
-                partial[at] = _index_rows(p, r, rho, (token,), band)[token]
-    return values, partial
+    values, partial = [], []
+    for group in range(lo, hi):
+        n_rows = _group_size(n_replicates, group)
+        boot_case, boot_control = _bootstrap_group(case, control, seed, group, n_rows)
+        values.append(scale * _contract(boot_case, boot_control))
+        if band is not None:
+            p, r = _plugin_rows(boot_case, boot_control, rho)
+            del boot_case, boot_control  # out of the band statistic's peak
+            partial.append(_index_rows(p, r, rho, (token,), band)[token])
+    return np.concatenate(values), np.concatenate(partial) if partial else None
 
 
 def _permutation_hits(
@@ -328,15 +299,15 @@ def _permutation_hits(
     """Permuted replicates of groups lo..hi-1 with |case' phi control| >= observed.
 
     Group k draws its case rows from the stream ``[seed,
-    _TAG_PERMUTATION, k]``, a block at a time, and counts them as it goes.
+    _TAG_PERMUTATION, k]`` in one call and counts them.
     """
     hits = 0
-    for group, span in _group_rows(n_replicates, lo, hi):
+    for group in range(lo, hi):
         rng = np.random.default_rng([seed, _TAG_PERMUTATION, group])
-        for rows in _blocks(span.stop - span.start, pooled.size):
-            perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=rows.stop - rows.start)
-            stats = np.abs(_contract(perm_case, pooled[None, :] - perm_case))
-            hits += int(np.count_nonzero(stats >= observed))
+        n_rows = _group_size(n_replicates, group)
+        perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=n_rows)
+        stats = np.abs(_contract(perm_case, pooled[None, :] - perm_case))
+        hits += int(np.count_nonzero(stats >= observed))
     return hits
 
 
@@ -384,7 +355,7 @@ def bootstrap_ci(
         ``variance`` the replicate variance, ``ci`` the percentile
         interval.
     """
-    return _bootstrap_estimates(counts, order, plan, level, workers=workers)[0]
+    return bootstrap_estimates(counts, order, plan, level, workers=workers)[0]
 
 
 def permutation_test(
@@ -399,7 +370,7 @@ def permutation_test(
     is exact at any sample size.  The replicates are drawn in groups,
     each from its own stream, on ``workers`` processes (default
     PREDICTU_THREADS, else 1), and counted as they go, so memory is one
-    block's working set whatever the replicate count and the p-value is
+    group's working set whatever the replicate count and the p-value is
     the same for any worker count.
 
     The ``order`` must come from outside the data being tested (a
@@ -414,16 +385,8 @@ def permutation_test(
     """
     case, control = _align_counts(counts, order)
     observed = abs(int(_contract(case, control)))
-    hits = parallel.map_ranges(
-        _permutation_hits,
-        _n_groups(plan.n_replicates),
-        workers,
-        case + control,
-        counts.n_cases,
-        observed,
-        plan.seed,
-        plan.n_replicates,
-    )
+    args = (case + control, counts.n_cases, observed, plan.seed, plan.n_replicates)
+    hits = parallel.map_ranges(_permutation_hits, _n_groups(plan.n_replicates), workers, *args)
     return (1 + sum(hits)) / (1 + plan.n_replicates)
 
 
@@ -442,11 +405,11 @@ def partial_u_variance(
     ``bootstrap_ci`` for the same plan), rebuilds the plug-in curve in
     the fixed order and evaluates the band-clipped statistic; with the
     full band (0, 1) the replicate values coincide with the global
-    bootstrap to rounding.  The draw is the one ``bootstrap_ci`` makes:
-    both go through one routine, which ``summarize`` calls once to get
-    the global and the partial interval from a single draw.  Replicates
-    that are not finite are left out of the variance and interval and
-    counted in ``n_finite``.
+    bootstrap to rounding.  It and ``bootstrap_ci`` are views of
+    ``bootstrap_estimates``, which ``summarize`` calls once to get the
+    global and the partial interval from a single draw.  Replicates that
+    are not finite are left out of the variance and interval and counted
+    in ``n_finite``.
 
     Parameters
     ----------
@@ -456,10 +419,10 @@ def partial_u_variance(
     workers : int, optional
         Process count; defaults to PREDICTU_THREADS, else 1.
     """
-    return _bootstrap_estimates(counts, order, plan, level, band, standardized, workers)[1]
+    return bootstrap_estimates(counts, order, plan, level, band, standardized, workers)[1]
 
 
-def _bootstrap_estimates(
+def bootstrap_estimates(
     counts: CaseControlCounts,
     order,
     plan: ResamplePlan,
@@ -471,11 +434,18 @@ def _bootstrap_estimates(
     """Global and (given a band) partial bootstrap estimates from one draw.
 
     The stratified replicates are drawn once, group by group
-    (``_bootstrap_group``), on ``workers`` processes; each group returns
-    only its global and partial replicate values.  Memory is one group's
-    held case rows plus one block's working set per process, whatever B
-    is.  Non-finite partial replicates are dropped at the end, in draw
-    order.
+    (``_bootstrap_group``), on ``workers`` processes (default
+    PREDICTU_THREADS, else 1); each group returns only its global and
+    partial replicate values, so memory is a few (8, G) arrays per
+    process whatever B is.  ``bootstrap_ci`` and ``partial_u_variance``
+    are the two halves of the result.  Non-finite partial replicates
+    are dropped at the end, in draw order.
+
+    Returns
+    -------
+    (UEstimate, UEstimate or None)
+        The global U estimate, and the partial U estimate (standardised
+        if ``standardized``) when a band is given.
     """
     if band is not None:
         _check_band(*band)
@@ -486,19 +456,8 @@ def _bootstrap_estimates(
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
     token = "upartialstd" if standardized else "upartial"
 
-    parts = parallel.map_ranges(
-        _bootstrap_values,
-        _n_groups(plan.n_replicates),
-        workers,
-        case,
-        control,
-        rho,
-        scale,
-        band,
-        token,
-        plan.seed,
-        plan.n_replicates,
-    )
+    args = (case, control, rho, scale, band, token, plan.seed, plan.n_replicates)
+    parts = parallel.map_ranges(_bootstrap_values, _n_groups(plan.n_replicates), workers, *args)
     values = np.concatenate([part[0] for part in parts])
     total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
     if band is None:

@@ -31,10 +31,9 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from . import parallel
+from . import inference, parallel
 from .errors import NumericError, ValidationError
 from .isotonic import pava_rows
-from .parallel import worker_count
 from .risk_model import (
     CaseControlCounts,
     GenotypeId,
@@ -63,7 +62,6 @@ __all__ = [
     "load_model_spec",
     "preset",
     "simulation_presets",
-    "worker_count",
 ]
 
 
@@ -131,9 +129,7 @@ class DiseaseModel:
             raise ValidationError("penetrance values must lie in [0, 1]")
         if not 0.0 < self.target_rho < 1.0:
             raise ValidationError(f"target_rho must lie in (0, 1), got {self.target_rho}")
-        for inter in self.interactions:
-            if not (0 <= inter.a < len(self.snps) and 0 <= inter.b < len(self.snps)):
-                raise ValidationError("interaction indexes a locus outside the model")
+        _check_loci(self.interactions, len(self.snps))
 
     @property
     def n_genotypes(self) -> int:
@@ -143,6 +139,15 @@ class DiseaseModel:
     def genotype_labels(self) -> tuple[str, ...]:
         grid = genotype_matrix(len(self.snps))
         return tuple("/".join(str(c) for c in row) for row in grid)
+
+
+def _check_loci(interactions, n_loci: int) -> None:
+    for inter in interactions:
+        if not (0 <= inter.a < n_loci and 0 <= inter.b < n_loci):
+            raise ValidationError(
+                f"interaction ({inter.a}, {inter.b}) indexes a locus outside the "
+                f"{n_loci}-locus model"
+            )
 
 
 def genotype_matrix(n_loci: int) -> np.ndarray:
@@ -192,6 +197,7 @@ def penetrance_model(
     """
     snps = tuple(snps if isinstance(snps, (list, tuple)) else [snps])
     interactions = tuple(interactions)
+    _check_loci(interactions, len(snps))
     grid = genotype_matrix(len(snps))
     x = _exposures(snps, grid)
     log_score = x @ np.log([snp.rr for snp in snps])
@@ -469,7 +475,6 @@ def _replicate_chunk(
     n_tokens = len(tokens)
     values = np.empty((rep_hi - rep_lo, n_tokens))
     covered = np.zeros((rep_hi - rep_lo, n_tokens), dtype=bool)
-    tail = 100.0 * (1.0 - level) / 2.0
 
     for row, k in enumerate(range(rep_lo, rep_hi)):
         rng_train = np.random.default_rng([seed, model_idx, k, 0])
@@ -515,8 +520,8 @@ def _replicate_chunk(
             reps = stack[token][1:]
             reps = reps[np.isfinite(reps)]
             if reps.size:
-                lo_q, hi_q = np.percentile(reps, [tail, 100.0 - tail])
-                covered[row, t] = lo_q <= truth[token] <= hi_q
+                ci = inference._percentile_ci(reps, level)
+                covered[row, t] = ci.lower <= truth[token] <= ci.upper
     return values, covered
 
 
@@ -572,7 +577,7 @@ def run_bias_coverage(
         raise ValidationError("need at least one bootstrap replicate")
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
-    n_workers = worker_count(workers)
+    n_workers = parallel.worker_count(workers)
 
     reports: list[EvalReport] = []
     for model_idx, pop in enumerate(populations):
@@ -631,7 +636,7 @@ def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
             for i in doc.get("interactions", [])
         )
         target_rho = float(doc["target_rho"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model specification: {exc}") from exc
     model = penetrance_model(snps, target_rho, interactions)
     target_h2 = doc.get("target_h2")
@@ -651,12 +656,17 @@ def load_model_spec(path) -> PopulationSpec:
     Expected keys: ``snps`` (list of {maf, mode, rr}), optional
     ``interactions`` (list of {pair: [a, b], rr}), ``target_rho``,
     optional ``target_h2``, ``population_size``, ``name``, ``version``.
+    Any unreadable, malformed or invalid file raises ``ValidationError``
+    naming the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model file {path} does not contain a mapping")
-    return _spec_from_mapping(doc, name=os.path.splitext(os.path.basename(str(path)))[0])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        if not isinstance(doc, dict):
+            raise ValidationError("does not contain a mapping")
+        return _spec_from_mapping(doc, name=os.path.splitext(os.path.basename(str(path)))[0])
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # a ValidationError is a ValueError
+        raise ValidationError(f"model file {path}: {exc}") from exc
 
 
 def _preset_dir():

@@ -222,8 +222,8 @@ def pair_kernel(n: int) -> np.ndarray:
 
 # The resampling streams written out one group at a time: group k of
 # _GROUP replicates draws from its own stream [seed, tag, k], all its rows
-# of an arm in one call.  The references the group routines (in blocks,
-# on any number of worker processes) must equal exactly.
+# of an arm in one call.  The references the group routines (on any
+# number of worker processes) must equal exactly.
 
 
 def _groups(plan: ResamplePlan):

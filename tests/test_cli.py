@@ -295,7 +295,7 @@ def test_summarize_rejects_a_zero_thread_variable(counts_file, monkeypatch, tmp_
     assert not out.exists()
 
 
-def test_summarize_bytes_do_not_depend_on_workers_or_block_size(tmp_path, monkeypatch):
+def test_summarize_bytes_do_not_depend_on_workers(tmp_path):
     path = tmp_path / "counts.csv"
     rows = [f"g{i},{3 + (7 * i) % 11},{2 + (5 * i) % 13}" for i in range(30)]
     path.write_text("genotype_id,n_case,n_control\n" + "\n".join(rows) + "\n")
@@ -312,8 +312,6 @@ def test_summarize_bytes_do_not_depend_on_workers_or_block_size(tmp_path, monkey
     assert run("w2", "--workers", "2") == want
     assert run("w3", "--workers", "3") == want
     assert run("default") == want
-    monkeypatch.setattr(predictu.inference, "_BLOCK_BYTES", 8 * 30 - 1)  # one-row blocks
-    assert run("rows") == want
 
 
 def test_r_and_r_std_keep_distinct_names(counts_file, tmp_path, capsys):
@@ -517,6 +515,36 @@ def test_simulate_from_model_yaml(tmp_path):
     assert lines[2].startswith("model,U,")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "No such file"),
+        ("snps: [maf: 0.3\n", "while parsing"),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n"
+            "interactions: [{pair: [0], rr: 2}]\n",
+            "malformed model specification",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n"
+            "interactions: [{pair: [0, 5], rr: 2}]\n",
+            "indexes a locus outside the 2-locus model",
+        ),
+    ],
+    ids=["missing", "bad-yaml", "short-pair", "locus-out-of-range"],
+)
+def test_simulate_rejects_bad_model_files(tmp_path, capsys, text, message):
+    model = tmp_path / "model.yaml"
+    if text is not None:
+        model.write_text(text)
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", str(model), "--replicates", "5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {model}" in err and message in err, err
+    assert not out.exists()
+
+
 def test_report_merges_and_reruns_identically(counts_file, tmp_path):
     idx = tmp_path / "idx"
     sim = tmp_path / "sim"
@@ -553,3 +581,13 @@ def test_report_without_inputs(tmp_path, capsys):
 def test_report_rejects_non_json_input(counts_file, tmp_path, capsys):
     assert main(["report", counts_file, "--out", str(tmp_path)]) == 2
     assert "not a readable JSON" in capsys.readouterr().err
+    # JSON that is not a result document
+    for name, text, message in (
+        ("list.json", "[1, 2]", "not a result document"),
+        ("index.json", '{"indices": [{"value": 1}]}', "a result block lacks the key 'name'"),
+        ("eval.json", '{"reports": [{"model": "m"}]}', "a result block lacks the key 'index'"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["report", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err

@@ -21,11 +21,11 @@ from predictu.inference import (
     ResamplePlan,
     UEstimate,
     _align_counts,
-    _bootstrap_estimates,
     _bootstrap_group,
     _contract,
     _percentile_ci,
     bootstrap_ci,
+    bootstrap_estimates,
     partial_u_variance,
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId, _plugin_rows, estimate_risk_table
@@ -97,7 +97,7 @@ def test_wrappers_equal_the_two_draw_reference():
                 assert same(got, want)
                 exact += got == want
                 nan_points += got != want
-                total, partial = _bootstrap_estimates(
+                total, partial = bootstrap_estimates(
                     counts, order, plan, level, band, standardized
                 )
                 assert total == old_bootstrap_ci(counts, order, plan, level)
@@ -143,7 +143,7 @@ def test_shared_peak_stays_within_the_partial_routine_alone():
     peaks = []
     for run in (
         lambda: old_partial_u_variance(counts, order, (0.9, 1.0), plan),
-        lambda: _bootstrap_estimates(counts, order, plan, band=(0.9, 1.0)),
+        lambda: bootstrap_estimates(counts, order, plan, band=(0.9, 1.0)),
     ):
         tracemalloc.start()
         try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from predictu import NumericError, ValidationError
+from predictu import parallel
 from predictu import simulate as sim
 from predictu.risk_model import apply_model_to_test, estimate_risk_table
 from predictu.summary_indices import (
@@ -370,14 +371,14 @@ def test_harness_worker_independence(monkeypatch):
     )
     for isotonic in (False, True):
         serial = sim.run_bias_coverage([spec], workers=1, isotonic=isotonic, **kwargs)
-        parallel = sim.run_bias_coverage([spec], workers=3, isotonic=isotonic, **kwargs)
-        assert serial == parallel
+        pooled = sim.run_bias_coverage([spec], workers=3, isotonic=isotonic, **kwargs)
+        assert serial == pooled
 
     monkeypatch.setenv("PREDICTU_THREADS", "4")
-    assert sim.worker_count() == 4
-    assert sim.worker_count(2) == 2
+    assert parallel.worker_count() == 4
+    assert parallel.worker_count(2) == 2
     monkeypatch.delenv("PREDICTU_THREADS")
-    assert sim.worker_count() == 1
+    assert parallel.worker_count() == 1
 
 
 def test_harness_rejects_bad_requests():
