@@ -2,9 +2,10 @@
 
 The references in conftest draw all rows of an arm of each replicate
 group in one call.  The group routines must reproduce their draws,
-estimates and p-values exactly, over any range of groups and at any
-worker count, and their memory must neither grow with B nor exceed a
-fixed bound at large G.
+estimates and p-values exactly, over any range of groups, at the fixed
+group size and at groups of one and three rows, and at any worker
+count; their memory must neither grow with B nor exceed a fixed bound
+at large G.
 """
 
 import tracemalloc
@@ -12,6 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import conftest
+from predictu import inference
 from predictu.errors import NumericError
 from predictu.inference import (
     _GROUP,
@@ -40,12 +43,26 @@ from conftest import (
 REPLICATES = (1, 2, 3, 7, 8, 9, 50, 70)
 
 
+@pytest.fixture(params=["three_rows", "one_row"])
+def group_rows(request, monkeypatch):
+    """Sets the group size of the routines and the references alike.
+
+    Groups of three rows leave a short last group for most B in
+    REPLICATES; groups of one row make every replicate its own stream.
+    """
+    rows = 3 if request.param == "three_rows" else 1
+    monkeypatch.setattr(inference, "_GROUP", rows)
+    monkeypatch.setattr(conftest, "_GROUP", rows)
+    return rows
+
+
 def _group_draws(counts, order, plan):
     """Every group's rows from ``_bootstrap_group``, concatenated."""
     case, control = _align_counts(counts, order)
+    group = inference._GROUP
     got_case, got_control = [], []
-    for k, start in enumerate(range(0, plan.n_replicates, _GROUP)):
-        n_rows = min(_GROUP, plan.n_replicates - start)
+    for k, start in enumerate(range(0, plan.n_replicates, group)):
+        n_rows = min(group, plan.n_replicates - start)
         boot_case, boot_control = _bootstrap_group(case, control, plan.seed, k, n_rows)
         assert boot_case.shape == boot_control.shape == (n_rows, len(order))
         got_case.append(boot_case)
@@ -58,6 +75,7 @@ def _check_case(counts, order, rng, seed):
     rho = counts.rho
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
     observed = abs(int(_contract(case, control)))
+    group = inference._GROUP
     for n_replicates in REPLICATES:
         plan = ResamplePlan(n_replicates, seed=seed)
         want_case, want_control = bootstrap_counts_reference(counts, order, plan)
@@ -89,13 +107,13 @@ def _check_case(counts, order, rng, seed):
 
         # a worker's range of groups covers exactly the reference rows of
         # those groups, whichever groups it starts and ends at
-        n_groups = -(-n_replicates // _GROUP)
+        n_groups = -(-n_replicates // group)
         perm_case = permutation_draws_reference(counts, order, plan)
         perm_stats = np.abs(_contract(perm_case, (case + control)[None, :] - perm_case))
         boot_values = scale * _contract(want_case, want_control)
         lo = int(rng.integers(0, n_groups))
         hi = int(rng.integers(lo + 1, n_groups + 1))
-        rows = slice(lo * _GROUP, min(hi * _GROUP, n_replicates))
+        rows = slice(lo * group, min(hi * group, n_replicates))
         hits = _permutation_hits(
             case + control, counts.n_cases, observed, seed, n_replicates, lo, hi
         )
@@ -107,32 +125,56 @@ def _check_case(counts, order, rng, seed):
         assert partial is None
 
 
-def _extra_cases():
-    """n_D = 127 and 128, all cases in one genotype or spread over five."""
-    for n_cases in (127, 128):
-        for spread in (False, True):
-            rng = np.random.default_rng(n_cases)
-            g = 5
-            n_case = np.zeros(g, dtype=np.int64)
-            n_case[0] = n_cases
-            if spread:
-                n_case = rng.multinomial(n_cases, np.full(g, 1 / g))
-            counts = CaseControlCounts(
-                genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
-                n_case=n_case,
-                n_control=np.array([40, 30, 20, 10, 5]),
-                rho=0.2,
-            )
-            yield counts, counts.genotypes[::-1], n_cases
+def _boundary_case(n_cases, spread):
+    """n_D = n_cases, all cases in one genotype (g0) or spread over five."""
+    rng = np.random.default_rng(n_cases)
+    g = 5
+    n_case = np.zeros(g, dtype=np.int64)
+    n_case[0] = n_cases
+    if spread:
+        n_case = rng.multinomial(n_cases, np.full(g, 1 / g))
+    counts = CaseControlCounts(
+        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
+        n_case=n_case,
+        n_control=np.array([40, 30, 20, 10, 5]),
+        rho=0.2,
+    )
+    return counts, counts.genotypes[::-1]
+
+
+def _check_random_cases(rng):
+    for trial in range(40):
+        counts, order = random_case(rng)
+        _check_case(counts, order, rng, seed=trial)
 
 
 def test_groups_equal_the_one_call_draws():
     rng = np.random.default_rng(83)
-    for trial in range(40):
-        counts, order = random_case(rng)
-        _check_case(counts, order, rng, seed=trial)
-    for counts, order, seed in _extra_cases():
-        _check_case(counts, order, rng, seed=seed)
+    _check_random_cases(rng)
+    for n_cases in (127, 128):
+        for spread in (False, True):
+            counts, order = _boundary_case(n_cases, spread)
+            _check_case(counts, order, rng, seed=n_cases)
+
+
+def test_blocks_equal_the_one_call_draws(group_rows):
+    _check_random_cases(np.random.default_rng(83))
+
+
+@pytest.mark.parametrize("n_cases", [127, 128])
+@pytest.mark.parametrize("spread", [False, True])
+def test_held_case_dtype_boundary(group_rows, n_cases, spread):
+    # n_D = 127 fits int8 and 128 does not; all cases in one genotype puts
+    # n_D itself in every bootstrap case row, which must hold it unwrapped
+    counts, order = _boundary_case(n_cases, spread)
+    assert np.min_scalar_type(-n_cases - 1) == (np.int8 if n_cases == 127 else np.int16)
+    case, control = _align_counts(counts, order)
+    for k in range(3):
+        boot_case, _ = _bootstrap_group(case, control, n_cases, k, group_rows)
+        np.testing.assert_array_equal(boot_case.sum(axis=1), n_cases)
+        if not spread:
+            np.testing.assert_array_equal(boot_case[:, -1], n_cases)
+    _check_case(counts, order, np.random.default_rng(n_cases), seed=n_cases)
 
 
 def _peak(run):
