@@ -248,16 +248,18 @@ def _group_size(n_replicates: int, group: int) -> int:
 
 
 def _bootstrap_group(
-    case: np.ndarray, control: np.ndarray, seed: int, group: int, n_rows: int
+    case: np.ndarray, control: np.ndarray, stream, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified bootstrap count rows of one replicate group.
 
     Resampling subjects with replacement within an arm is equivalent to
     a multinomial draw over that arm's genotype frequencies, here taken
-    along the order.  The group's stream ``[seed, _TAG_BOOTSTRAP, group]``
-    draws its ``n_rows`` case rows in one call, then its control rows.
+    along the order.  A generator seeded with the entropy ``stream``
+    draws the ``n_rows`` case rows in one call, then the control rows.
+    ``summarize`` passes ``[seed, _TAG_BOOTSTRAP, group]``; the
+    simulation harness passes ``[seed, population, replicate, 2]``.
     """
-    rng = np.random.default_rng([seed, _TAG_BOOTSTRAP, group])
+    rng = np.random.default_rng(stream)
     boot_case = rng.multinomial(case.sum(), case / case.sum(), size=n_rows)
     return boot_case, rng.multinomial(control.sum(), control / control.sum(), size=n_rows)
 
@@ -284,7 +286,8 @@ def _bootstrap_values(
     values, partial = [], []
     for group in range(lo, hi):
         n_rows = _group_size(n_replicates, group)
-        boot_case, boot_control = _bootstrap_group(case, control, seed, group, n_rows)
+        stream = [seed, _TAG_BOOTSTRAP, group]
+        boot_case, boot_control = _bootstrap_group(case, control, stream, n_rows)
         values.append(scale * _contract(boot_case, boot_control))
         if band is not None:
             p, r = _plugin_rows(boot_case, boot_control, rho)

@@ -84,8 +84,8 @@ class SnpSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.maf < 1.0:
             raise ValidationError(f"maf must lie in (0, 1), got {self.maf}")
-        if self.rr <= 0:
-            raise ValidationError(f"relative risk must be positive, got {self.rr}")
+        if not 0.0 < self.rr < np.inf:
+            raise ValidationError(f"relative risk must be finite and positive, got {self.rr}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class Interaction:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValidationError("interaction must involve two distinct loci")
-        if self.rr <= 0:
-            raise ValidationError(f"relative risk must be positive, got {self.rr}")
+        if not 0.0 < self.rr < np.inf:
+            raise ValidationError(f"relative risk must be finite and positive, got {self.rr}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,12 @@ class DiseaseModel:
         object.__setattr__(self, "penetrance", pen)
         if not self.snps:
             raise ValidationError("model needs at least one locus")
-        if pen.shape != (3 ** len(self.snps),):
-            raise ValidationError("penetrance length must be 3 ** n_loci")
-        if np.any(pen < 0) or np.any(pen > 1):
-            raise ValidationError("penetrance values must lie in [0, 1]")
         if not 0.0 < self.target_rho < 1.0:
             raise ValidationError(f"target_rho must lie in (0, 1), got {self.target_rho}")
+        if pen.shape != (3 ** len(self.snps),):
+            raise ValidationError("penetrance length must be 3 ** n_loci")
+        if not np.all((pen >= 0) & (pen <= 1)):  # NaN fails both
+            raise ValidationError("penetrance values must lie in [0, 1]")
         _check_loci(self.interactions, len(self.snps))
 
     @property
@@ -180,6 +180,24 @@ def _exposures(snps, grid: np.ndarray) -> np.ndarray:
     return x
 
 
+def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink the bracket [lo, hi] of a monotone crossing by halving.
+
+    ``below(x)`` is True left of the crossing.  200 halvings at most; the
+    loop stops early once the midpoint equals an end, as the bracket can
+    then no longer shrink and the remaining steps would leave it as is.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def penetrance_model(
     snps, target_rho: float, interactions=(),
 ) -> DiseaseModel:
@@ -210,18 +228,13 @@ def penetrance_model(
     baseline = target_rho / mean_score
     if np.max(baseline * score) > 1.0:
         # clipping binds: prevalence is monotone in the baseline, bisect
-        lo, hi = 0.0, baseline
-        while float(probs @ np.clip(hi * score, 0.0, 1.0)) < target_rho:
+        def below_rho(b: float) -> bool:
+            return float(probs @ np.clip(b * score, 0.0, 1.0)) < target_rho
+
+        hi = baseline
+        while below_rho(hi):
             hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # the bracket cannot shrink; later steps leave it as is
-            if float(probs @ np.clip(mid * score, 0.0, 1.0)) < target_rho:
-                lo = mid
-            else:
-                hi = mid
-        baseline = hi
+        _, baseline = _bisect(below_rho, 0.0, hi)
     pen = np.clip(baseline * score, 0.0, 1.0)
     return DiseaseModel(
         snps=snps,
@@ -242,19 +255,11 @@ def heritability(model: DiseaseModel) -> float:
 def _recentred(pen0: np.ndarray, probs: np.ndarray, rho: float, s: float) -> np.ndarray:
     """Penetrance spread scaled by s around rho, clipped, mean pinned to rho."""
     base = rho + s * (pen0 - rho)
-
-    def mean_at(delta: float) -> float:
-        return float(probs @ np.clip(base + delta, 0.0, 1.0))
-
-    lo, hi = -1.0 - abs(s), 1.0 + abs(s)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mean_at(mid) < rho:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(
+        lambda delta: float(probs @ np.clip(base + delta, 0.0, 1.0)) < rho,
+        -1.0 - abs(s),
+        1.0 + abs(s),
+    )
     return np.clip(base + 0.5 * (lo + hi), 0.0, 1.0)
 
 
@@ -270,8 +275,10 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
     NumericError
         If the target exceeds what clipping at [0, 1] allows.
     """
-    if target_h2 < 0:
-        raise ValidationError(f"target heritability must be nonnegative, got {target_h2}")
+    if not 0.0 <= target_h2 < np.inf:
+        raise ValidationError(
+            f"target heritability must be finite and nonnegative, got {target_h2}"
+        )
     probs = genotype_probabilities(model.snps)
     rho = model.target_rho
     pen0 = model.penetrance
@@ -283,7 +290,7 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
         mean = float(probs @ pen)
         return float(probs @ (pen - mean) ** 2) / (mean * (1.0 - mean))
 
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while h2_at(hi) < target_h2:
         if h2_at(2.0 * hi) - h2_at(hi) < 1e-12:
             raise NumericError(
@@ -291,14 +298,7 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
                 f"clipping saturates near {h2_at(hi):.6g}"
             )
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if h2_at(mid) < target_h2:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda s: h2_at(s) < target_h2, 0.0, hi)
     s = 0.5 * (lo + hi)
     return replace(model, penetrance=_recentred(pen0, probs, rho, s), target_h2=float(target_h2))
 
@@ -309,15 +309,12 @@ class PopulationSpec:
 
     model: DiseaseModel
     size: int = 1_000_000
-    hwe: bool = True
     name: str | None = None
     version: int | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValidationError("population size must be at least 1")
-        if not self.hwe:
-            raise ValidationError("only HWE genotype frequencies are supported")
 
 
 @dataclass(frozen=True)
@@ -459,8 +456,6 @@ def _replicate_chunk(
     band,
     n_cases,
     n_controls,
-    n_train_cases,
-    n_train_controls,
     isotonic,
     n_bootstrap,
     level,
@@ -479,10 +474,9 @@ def _replicate_chunk(
     for row, k in enumerate(range(rep_lo, rep_hi)):
         rng_train = np.random.default_rng([seed, model_idx, k, 0])
         rng_test = np.random.default_rng([seed, model_idx, k, 1])
-        rng_boot = np.random.default_rng([seed, model_idx, k, 2])
 
-        case_t = rng_train.multinomial(n_train_cases, population.cond_case)
-        ctrl_t = rng_train.multinomial(n_train_controls, population.cond_control)
+        case_t = rng_train.multinomial(n_cases, population.cond_case)
+        ctrl_t = rng_train.multinomial(n_controls, population.cond_control)
         case_s = rng_test.multinomial(n_cases, population.cond_case)
         ctrl_s = rng_test.multinomial(n_controls, population.cond_control)
 
@@ -503,12 +497,11 @@ def _replicate_chunk(
         case_e = case_s[order]
         ctrl_e = ctrl_s[order]
         # row 0 is the test curve, rows 1.. its bootstrap replicates
-        case_b = np.vstack(
-            [case_e, rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)]
+        case_b, ctrl_b = inference._bootstrap_group(
+            case_e, ctrl_e, [seed, model_idx, k, 2], n_bootstrap
         )
-        ctrl_b = np.vstack(
-            [ctrl_e, rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)]
-        )
+        case_b = np.vstack([case_e, case_b])
+        ctrl_b = np.vstack([ctrl_e, ctrl_b])
         p, r = _plugin_rows(case_b, ctrl_b, rho)
         del case_b, ctrl_b  # keep the refit's temporaries within the old peak
         if isotonic:
@@ -536,8 +529,6 @@ def run_bias_coverage(
     band: tuple[float, float] | None = None,
     n_bootstrap: int = 400,
     level: float = 0.95,
-    n_train_cases: int | None = None,
-    n_train_controls: int | None = None,
     workers: int | None = None,
 ) -> list[EvalReport]:
     """Percent bias and CI coverage of summary indices across populations.
@@ -569,9 +560,7 @@ def run_bias_coverage(
     _check_request(tokens, band)
     if n_replicates < 1:
         raise ValidationError("need at least one replicate")
-    n_train_cases = n_cases if n_train_cases is None else n_train_cases
-    n_train_controls = n_controls if n_train_controls is None else n_train_controls
-    if min(n_cases, n_controls, n_train_cases, n_train_controls) < 1:
+    if min(n_cases, n_controls) < 1:
         raise ValidationError("need at least one case and one control in each sample")
     if n_bootstrap < 1:
         raise ValidationError("need at least one bootstrap replicate")
@@ -592,8 +581,6 @@ def run_bias_coverage(
             band,
             n_cases,
             n_controls,
-            n_train_cases,
-            n_train_controls,
             isotonic,
             n_bootstrap,
             level,
@@ -625,6 +612,13 @@ def run_bias_coverage(
     return reports
 
 
+def _locus_pair(pair) -> tuple[int, int]:
+    """The two locus indices of an interaction entry; integers only."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)):
+        raise ValidationError(f"interaction pair must be two integer locus indices, got {pair!r}")
+    return pair[0], pair[1]
+
+
 def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
     try:
         snps = tuple(
@@ -632,7 +626,7 @@ def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
             for s in doc["snps"]
         )
         interactions = tuple(
-            Interaction(a=int(i["pair"][0]), b=int(i["pair"][1]), rr=float(i["rr"]))
+            Interaction(*_locus_pair(i["pair"]), rr=float(i["rr"]))
             for i in doc.get("interactions", [])
         )
         target_rho = float(doc["target_rho"])
@@ -665,7 +659,8 @@ def load_model_spec(path) -> PopulationSpec:
         if not isinstance(doc, dict):
             raise ValidationError("does not contain a mapping")
         return _spec_from_mapping(doc, name=os.path.splitext(os.path.basename(str(path)))[0])
-    except (OSError, ValueError, yaml.YAMLError) as exc:  # a ValidationError is a ValueError
+    # a ValidationError is a ValueError; int() of an infinite size overflows
+    except (OSError, ValueError, OverflowError, yaml.YAMLError) as exc:
         raise ValidationError(f"model file {path}: {exc}") from exc
 
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from predictu import inference
 from predictu.errors import NumericError, ValidationError
 from predictu.fileio import ParseReport, _sniff_delimiter
 from predictu.inference import (
@@ -14,7 +15,7 @@ from predictu.inference import (
     _contract,
     _replicate_estimate,
 )
-from predictu.isotonic import pava
+from predictu.isotonic import pava, pava_rows
 from predictu.simulate import (
     DiseaseModel,
     _exposures,
@@ -453,3 +454,75 @@ def calibrated_penetrance_reference(model, target_h2):
         else:
             hi = mid
     return recentred_reference(pen0, probs, rho, 0.5 * (lo + hi))
+
+
+def replicate_chunk_reference(
+    population,
+    tokens,
+    band,
+    n_cases,
+    n_controls,
+    isotonic,
+    n_bootstrap,
+    level,
+    truth,
+    seed,
+    model_idx,
+    rep_lo,
+    rep_hi,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Former ``simulate._replicate_chunk``, which drew its own stratified
+    bootstrap rows from ``rng_boot``: the reference the harness must equal
+    bit for bit now that it calls ``inference._bootstrap_group``."""
+    rho = population.rho
+    n_tokens = len(tokens)
+    values = np.empty((rep_hi - rep_lo, n_tokens))
+    covered = np.zeros((rep_hi - rep_lo, n_tokens), dtype=bool)
+
+    for row, k in enumerate(range(rep_lo, rep_hi)):
+        rng_train = np.random.default_rng([seed, model_idx, k, 0])
+        rng_test = np.random.default_rng([seed, model_idx, k, 1])
+        rng_boot = np.random.default_rng([seed, model_idx, k, 2])
+
+        case_t = rng_train.multinomial(n_cases, population.cond_case)
+        ctrl_t = rng_train.multinomial(n_controls, population.cond_control)
+        case_s = rng_test.multinomial(n_cases, population.cond_case)
+        ctrl_s = rng_test.multinomial(n_controls, population.cond_control)
+
+        # trained order: train-observed genotypes by estimated train risk,
+        # then the rest by estimated test risk (ties keep table position)
+        _, r_train = _plugin_rows(case_t, ctrl_t, rho)
+        _, r_test_all = _plugin_rows(case_s, ctrl_s, rho)
+        seen = (case_t + ctrl_t) > 0
+        seen_idx = np.flatnonzero(seen)
+        unseen_idx = np.flatnonzero(~seen)
+        order = np.concatenate(
+            [
+                seen_idx[np.argsort(r_train[seen_idx], kind="stable")],
+                unseen_idx[np.argsort(r_test_all[unseen_idx], kind="stable")],
+            ]
+        ).astype(np.int64)
+
+        case_e = case_s[order]
+        ctrl_e = ctrl_s[order]
+        # row 0 is the test curve, rows 1.. its bootstrap replicates
+        case_b = np.vstack(
+            [case_e, rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)]
+        )
+        ctrl_b = np.vstack(
+            [ctrl_e, rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)]
+        )
+        p, r = _plugin_rows(case_b, ctrl_b, rho)
+        del case_b, ctrl_b
+        if isotonic:
+            pava_rows(r, p)
+
+        stack = _index_rows(p, r, rho, tokens, band)
+        for t, token in enumerate(tokens):
+            values[row, t] = stack[token][0]
+            reps = stack[token][1:]
+            reps = reps[np.isfinite(reps)]
+            if reps.size:
+                ci = inference._percentile_ci(reps, level)
+                covered[row, t] = ci.lower <= truth[token] <= ci.upper
+    return values, covered

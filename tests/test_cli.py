@@ -530,8 +530,47 @@ def test_simulate_from_model_yaml(tmp_path):
             "interactions: [{pair: [0, 5], rr: 2}]\n",
             "indexes a locus outside the 2-locus model",
         ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n"
+            "interactions: [{pair: [0, 1, 2], rr: 2}]\n",
+            "interaction pair must be two integer locus indices",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n"
+            "interactions: [{pair: [0.7, 1], rr: 2}]\n",
+            "interaction pair must be two integer locus indices",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n"
+            "interactions: [{pair: \"01\", rr: 2}]\n",
+            "interaction pair must be two integer locus indices",
+        ),
+        ("target_rho: 0.05\nsnps: [{maf: 0.3, rr: .nan}]\n", "must be finite and positive"),
+        ("target_rho: 0.05\nsnps: [{maf: 0.3, rr: .inf}]\n", "must be finite and positive"),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n"
+            "interactions: [{pair: [0, 1], rr: .nan}]\n",
+            "must be finite and positive",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\ntarget_h2: .nan\n",
+            "target heritability must be finite and nonnegative",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\ntarget_h2: .inf\n",
+            "target heritability must be finite and nonnegative",
+        ),
+        ("target_rho: .nan\nsnps: [{maf: 0.3, rr: 2}]\n", "target_rho must lie in (0, 1)"),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\npopulation_size: .inf\n",
+            "cannot convert float infinity to integer",
+        ),
     ],
-    ids=["missing", "bad-yaml", "short-pair", "locus-out-of-range"],
+    ids=[
+        "missing", "bad-yaml", "short-pair", "locus-out-of-range", "long-pair",
+        "float-pair", "string-pair", "nan-rr", "inf-rr", "nan-interaction-rr",
+        "nan-h2", "inf-h2", "nan-rho", "inf-size",
+    ],
 )
 def test_simulate_rejects_bad_model_files(tmp_path, capsys, text, message):
     model = tmp_path / "model.yaml"

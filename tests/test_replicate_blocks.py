@@ -18,6 +18,7 @@ from predictu import inference
 from predictu.errors import NumericError
 from predictu.inference import (
     _GROUP,
+    _TAG_BOOTSTRAP,
     ResamplePlan,
     _align_counts,
     _bootstrap_group,
@@ -63,7 +64,8 @@ def _group_draws(counts, order, plan):
     got_case, got_control = [], []
     for k, start in enumerate(range(0, plan.n_replicates, group)):
         n_rows = min(group, plan.n_replicates - start)
-        boot_case, boot_control = _bootstrap_group(case, control, plan.seed, k, n_rows)
+        stream = [plan.seed, _TAG_BOOTSTRAP, k]
+        boot_case, boot_control = _bootstrap_group(case, control, stream, n_rows)
         assert boot_case.shape == boot_control.shape == (n_rows, len(order))
         got_case.append(boot_case)
         got_control.append(boot_control)
@@ -170,7 +172,7 @@ def test_held_case_dtype_boundary(group_rows, n_cases, spread):
     assert np.min_scalar_type(-n_cases - 1) == (np.int8 if n_cases == 127 else np.int16)
     case, control = _align_counts(counts, order)
     for k in range(3):
-        boot_case, _ = _bootstrap_group(case, control, n_cases, k, group_rows)
+        boot_case, _ = _bootstrap_group(case, control, [n_cases, _TAG_BOOTSTRAP, k], group_rows)
         np.testing.assert_array_equal(boot_case.sum(axis=1), n_cases)
         if not spread:
             np.testing.assert_array_equal(boot_case[:, -1], n_cases)

@@ -111,7 +111,7 @@ def test_summarize_draws_once(monkeypatch, tmp_path):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[3])  # the group
+        calls.append(args[2])  # the stream
         return _bootstrap_group(*args, **kwargs)
 
     monkeypatch.setattr(inference, "_bootstrap_group", counted)
@@ -120,7 +120,7 @@ def test_summarize_draws_once(monkeypatch, tmp_path):
                      "--band", "0.5:1", "--seed", "3", "--out", str(out)])
     assert code == 0
     # each replicate group is drawn once, for the global and the partial U
-    assert calls == list(range(-(-50 // _GROUP)))
+    assert calls == [[3, 101, g] for g in range(-(-50 // _GROUP))]
     doc = read_json(out / "inference.json")
     counts, _ = parse_counts_file(path, rho=0.21)
     order = estimate_risk_table(counts).genotypes

@@ -23,6 +23,7 @@ from conftest import (
     penetrance_model_reference,
     recentred_reference,
     refit_rows_one_by_one,
+    replicate_chunk_reference,
 )
 
 
@@ -149,10 +150,23 @@ def test_calibrate_flat_model_raises():
 def test_spec_validation():
     with pytest.raises(ValidationError):
         sim.SnpSpec(maf=0.0)
-    with pytest.raises(ValidationError):
-        sim.SnpSpec(maf=0.2, rr=-1.0)
+    for rr in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            sim.SnpSpec(maf=0.2, rr=rr)
+        with pytest.raises(ValidationError):
+            sim.Interaction(a=0, b=1, rr=rr)
     with pytest.raises(ValidationError):
         sim.Interaction(a=1, b=1, rr=1.5)
+    with pytest.raises(ValidationError):
+        sim.DiseaseModel(
+            snps=(sim.SnpSpec(maf=0.5),),
+            interactions=(),
+            penetrance=np.array([0.1, float("nan"), 0.3]),
+            target_rho=0.2,
+        )
+    for target_h2 in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            sim.calibrate_heritability(hand_model(), target_h2)
     with pytest.raises(ValidationError):
         sim.DiseaseModel(
             snps=(sim.SnpSpec(maf=0.5),),
@@ -162,8 +176,6 @@ def test_spec_validation():
         )
     with pytest.raises(ValidationError):
         sim.PopulationSpec(model=hand_model(), size=0)
-    with pytest.raises(ValidationError):
-        sim.PopulationSpec(model=hand_model(), hwe=False)
     with pytest.raises(ValidationError):
         sim.build_population(sim.PopulationSpec(model=hand_model()), realize="exact")
 
@@ -392,8 +404,6 @@ def test_harness_rejects_bad_requests():
     for bad in (
         dict(n_cases=0),
         dict(n_controls=-1),
-        dict(n_train_cases=0),
-        dict(n_train_controls=0),
         dict(n_bootstrap=0),
         dict(n_bootstrap=-1),
         dict(level=0.0),
@@ -431,6 +441,20 @@ def test_isotonic_harness_matches_row_by_row_refit(monkeypatch, indices, band):
 
     monkeypatch.setattr(sim, "pava_rows", one_by_one)
     assert batched == sim.run_bias_coverage(populations, **kwargs)
+
+
+def test_harness_matches_the_parent_replicate_draws(monkeypatch):
+    populations = [sim.preset("sim1_h005"), sim.preset("sim2_rr6")]
+    base = dict(n_replicates=10, n_cases=300, n_controls=150, seed=23, n_bootstrap=40, workers=1)
+    runs = [
+        dict(base),
+        dict(base, isotonic=True),
+        dict(base, indices=INDEX_TOKENS, band=(0.8, 1.0), isotonic=True),
+    ]
+    got = [sim.run_bias_coverage(populations, **kwargs) for kwargs in runs]
+    monkeypatch.setattr(sim, "_replicate_chunk", replicate_chunk_reference)
+    for kwargs, reports in zip(runs, got):
+        assert reports == sim.run_bias_coverage(populations, **kwargs)
 
 
 @pytest.mark.filterwarnings("ignore:dropping")
