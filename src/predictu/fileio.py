@@ -347,8 +347,8 @@ def run_provenance(config: dict, seed: int | None) -> dict:
 
     The hash covers the configuration that affects results; output
     locations and the worker count are excluded so a re-run into a
-    different directory or on another number of processes produces
-    identical bytes.
+    different directory or on another number of threads or processes
+    produces identical bytes.
     """
     from . import __version__
 

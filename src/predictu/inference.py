@@ -24,10 +24,11 @@ resampling is a fixed group of ``_GROUP`` (8) replicates: group k draws
 from its own stream ``[seed, tag, k]``, all its case rows in one call
 and then all its control rows in one call, and is evaluated at once, so
 a group's draw depends on nothing but the plan and its index.  Groups
-run on ``parallel.worker_count()`` processes and return only their
-replicate values (or permutation hits).  Memory per process is a few
-(8, G) arrays beyond the B-length results, flat in the replicate count,
-and no result depends on the worker count.
+run on ``parallel.worker_count()`` threads of the calling process (the
+draws release the interpreter lock) and return only their replicate
+values (or permutation hits), joined in group order.  Memory per thread
+is a few (8, G) arrays beyond the B-length results, flat in the
+replicate count, and no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ def bootstrap_ci(
     The order is held fixed across replicates (it encodes the trained
     model); only the counts are resampled, stratified within cases and
     controls.  Deterministic given the plan seed, whatever ``workers``
-    (process count; default PREDICTU_THREADS, else 1).
+    (thread count; default PREDICTU_THREADS, else 1).
 
     Returns
     -------
@@ -371,10 +372,10 @@ def permutation_test(
     permutation of case/control labels at fixed genotypes.  The
     comparison |U*| >= |U| runs on the int64 kernel contraction, so it
     is exact at any sample size.  The replicates are drawn in groups,
-    each from its own stream, on ``workers`` processes (default
+    each from its own stream, on ``workers`` threads (default
     PREDICTU_THREADS, else 1), and counted as they go, so memory is one
-    group's working set whatever the replicate count and the p-value is
-    the same for any worker count.
+    group's working set per thread whatever the replicate count and the
+    p-value is the same for any thread count.
 
     The ``order`` must come from outside the data being tested (a
     trained model, an external ranking, or a fixed convention).  An
@@ -389,7 +390,8 @@ def permutation_test(
     case, control = _align_counts(counts, order)
     observed = abs(int(_contract(case, control)))
     args = (case + control, counts.n_cases, observed, plan.seed, plan.n_replicates)
-    hits = parallel.map_ranges(_permutation_hits, _n_groups(plan.n_replicates), workers, *args)
+    n_groups = _n_groups(plan.n_replicates)
+    hits = parallel.map_ranges_threads(_permutation_hits, n_groups, workers, *args)
     return (1 + sum(hits)) / (1 + plan.n_replicates)
 
 
@@ -420,7 +422,7 @@ def partial_u_variance(
         If True, divide each replicate by 2 rho_pt (1 - rho_pt) with
         rho_pt the band mass integral of that replicate's curve.
     workers : int, optional
-        Process count; defaults to PREDICTU_THREADS, else 1.
+        Thread count; defaults to PREDICTU_THREADS, else 1.
     """
     return bootstrap_estimates(counts, order, plan, level, band, standardized, workers)[1]
 
@@ -437,10 +439,10 @@ def bootstrap_estimates(
     """Global and (given a band) partial bootstrap estimates from one draw.
 
     The stratified replicates are drawn once, group by group
-    (``_bootstrap_group``), on ``workers`` processes (default
+    (``_bootstrap_group``), on ``workers`` threads (default
     PREDICTU_THREADS, else 1); each group returns only its global and
     partial replicate values, so memory is a few (8, G) arrays per
-    process whatever B is.  ``bootstrap_ci`` and ``partial_u_variance``
+    thread whatever B is.  ``bootstrap_ci`` and ``partial_u_variance``
     are the two halves of the result.  Non-finite partial replicates
     are dropped at the end, in draw order.
 
@@ -460,7 +462,8 @@ def bootstrap_estimates(
     token = "upartialstd" if standardized else "upartial"
 
     args = (case, control, rho, scale, band, token, plan.seed, plan.n_replicates)
-    parts = parallel.map_ranges(_bootstrap_values, _n_groups(plan.n_replicates), workers, *args)
+    n_groups = _n_groups(plan.n_replicates)
+    parts = parallel.map_ranges_threads(_bootstrap_values, n_groups, workers, *args)
     values = np.concatenate([part[0] for part in parts])
     total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
     if band is None:

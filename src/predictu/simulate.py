@@ -313,8 +313,9 @@ class PopulationSpec:
     version: int | None = None
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValidationError("population size must be at least 1")
+        # a multinomial realisation draws the cohort in int64
+        if not 1 <= self.size < 2**63:
+            raise ValidationError(f"population size must lie in [1, 2**63), got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -619,8 +620,29 @@ def _locus_pair(pair) -> tuple[int, int]:
     return pair[0], pair[1]
 
 
+_MODEL_KEYS = ("name", "version", "target_rho", "target_h2", "population_size", "snps",
+               "interactions")
+_SNP_KEYS = ("maf", "mode", "rr")
+_INTERACTION_KEYS = ("pair", "rr")
+
+
+def _check_keys(entries, allowed: tuple[str, ...], where: str) -> None:
+    """Each of ``entries`` must be a mapping with no key outside ``allowed``."""
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where} must be a mapping, got {entry!r}")
+        unknown = [key for key in entry if key not in allowed]
+        if unknown:
+            raise ValidationError(
+                f"unknown key {unknown[0]!r} in {where}; allowed: {', '.join(allowed)}"
+            )
+
+
 def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
     try:
+        _check_keys([doc], _MODEL_KEYS, "model specification")
+        _check_keys(doc["snps"], _SNP_KEYS, "snps entry")
+        _check_keys(doc.get("interactions", []), _INTERACTION_KEYS, "interactions entry")
         snps = tuple(
             SnpSpec(maf=float(s["maf"]), mode=Mode(s.get("mode", "additive")), rr=float(s.get("rr", 1.0)))
             for s in doc["snps"]
@@ -632,13 +654,16 @@ def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
         target_rho = float(doc["target_rho"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model specification: {exc}") from exc
+    size = doc.get("population_size", 1_000_000)
+    if type(size) is not int:
+        raise ValidationError(f"population_size must be an integer, got {size!r}")
     model = penetrance_model(snps, target_rho, interactions)
     target_h2 = doc.get("target_h2")
     if target_h2 is not None:
         model = calibrate_heritability(model, float(target_h2))
     return PopulationSpec(
         model=model,
-        size=int(doc.get("population_size", 1_000_000)),
+        size=size,
         name=doc.get("name", name),
         version=doc.get("version"),
     )
@@ -649,9 +674,15 @@ def load_model_spec(path) -> PopulationSpec:
 
     Expected keys: ``snps`` (list of {maf, mode, rr}), optional
     ``interactions`` (list of {pair: [a, b], rr}), ``target_rho``,
-    optional ``target_h2``, ``population_size``, ``name``, ``version``.
-    Any unreadable, malformed or invalid file raises ``ValidationError``
+    optional ``target_h2``, ``population_size`` (an integer), ``name``,
+    ``version``; any other key, at any level, is an error.  Any
+    unreadable, malformed or invalid file raises ``ValidationError``
     naming the path.
+
+    ``population_size`` only matters to ``build_population(...,
+    realize="multinomial")``.  ``predictu simulate`` builds the
+    population from the expected genotype frequencies, whose masses do
+    not depend on the size, so this key cannot change its output.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -659,7 +690,7 @@ def load_model_spec(path) -> PopulationSpec:
         if not isinstance(doc, dict):
             raise ValidationError("does not contain a mapping")
         return _spec_from_mapping(doc, name=os.path.splitext(os.path.basename(str(path)))[0])
-    # a ValidationError is a ValueError; int() of an infinite size overflows
+    # a ValidationError is a ValueError; float() of a huge integer overflows
     except (OSError, ValueError, OverflowError, yaml.YAMLError) as exc:
         raise ValidationError(f"model file {path}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -295,7 +296,8 @@ def test_summarize_rejects_a_zero_thread_variable(counts_file, monkeypatch, tmp_
     assert not out.exists()
 
 
-def test_summarize_bytes_do_not_depend_on_workers(tmp_path):
+def test_summarize_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    monkeypatch.delenv("PREDICTU_THREADS", raising=False)  # the default: available CPUs
     path = tmp_path / "counts.csv"
     rows = [f"g{i},{3 + (7 * i) % 11},{2 + (5 * i) % 13}" for i in range(30)]
     path.write_text("genotype_id,n_case,n_control\n" + "\n".join(rows) + "\n")
@@ -312,6 +314,17 @@ def test_summarize_bytes_do_not_depend_on_workers(tmp_path):
     assert run("w2", "--workers", "2") == want
     assert run("w3", "--workers", "3") == want
     assert run("default") == want
+
+
+@pytest.mark.parametrize("extra", [[], ["--workers", "2"]], ids=["default", "two-workers"])
+def test_summarize_resamples_without_child_processes(extra, counts_file, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("summarize asked for a process context")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.delenv("PREDICTU_THREADS", raising=False)
+    assert main(["summarize", counts_file, "--rho", "0.21", "--bootstrap", "20",
+                 "--permutation", "19", "--out", str(tmp_path / "run")] + extra) == 0
 
 
 def test_r_and_r_std_keep_distinct_names(counts_file, tmp_path, capsys):
@@ -563,13 +576,39 @@ def test_simulate_from_model_yaml(tmp_path):
         ("target_rho: .nan\nsnps: [{maf: 0.3, rr: 2}]\n", "target_rho must lie in (0, 1)"),
         (
             "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\npopulation_size: .inf\n",
-            "cannot convert float infinity to integer",
+            "population_size must be an integer, got inf",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\npopulation_size: 2.9\n",
+            "population_size must be an integer, got 2.9",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\npopulation_size: true\n",
+            "population_size must be an integer, got True",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\npopulation_size: " + "9" * 400 + "\n",
+            "population size must lie in [1, 2**63)",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2}]\ntarget_H2: 0.05\n",
+            "unknown key 'target_H2' in model specification",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3, rr: 2, extra: 1}]\n",
+            "unknown key 'extra' in snps entry",
+        ),
+        (
+            "target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n"
+            "interactions: [{pair: [0, 1], rr: 2, extra: 1}]\n",
+            "unknown key 'extra' in interactions entry",
         ),
     ],
     ids=[
         "missing", "bad-yaml", "short-pair", "locus-out-of-range", "long-pair",
         "float-pair", "string-pair", "nan-rr", "inf-rr", "nan-interaction-rr",
-        "nan-h2", "inf-h2", "nan-rho", "inf-size",
+        "nan-h2", "inf-h2", "nan-rho", "inf-size", "fractional-size", "bool-size",
+        "huge-size", "misspelt-key", "unknown-snp-key", "unknown-interaction-key",
     ],
 )
 def test_simulate_rejects_bad_model_files(tmp_path, capsys, text, message):

@@ -8,12 +8,16 @@ count; their memory must neither grow with B nor exceed a fixed bound
 at large G.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import conftest
+import predictu
 from predictu import inference
 from predictu.errors import NumericError
 from predictu.inference import (
@@ -227,6 +231,9 @@ def test_resampling_memory_is_bounded_at_large_g():
     bootstrap_estimates(counts, order, ResamplePlan(2, seed=5), band=(0.9, 1.0))  # set-up
     peak = _peak(lambda: bootstrap_estimates(counts, order, plan, band=(0.9, 1.0)))
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # each thread holds one group's working set and no more
+    peak = _peak(lambda: bootstrap_estimates(counts, order, plan, band=(0.9, 1.0), workers=2))
+    assert peak < 2 * 16 * 2**20, f"peak {peak / 2**20:.1f} MiB on two threads"
 
 
 def _invariance_case():
@@ -257,3 +264,37 @@ def test_results_do_not_depend_on_the_worker_count():
     assert same(serial[0], bootstrap_estimates_reference(counts, order, plan, 0.9, (0.8, 1.0), True))
     for workers in (2, 3):
         assert repr(_results(counts, order, plan, workers)) == repr(serial)
+
+
+def test_threaded_resampling_runs_from_a_script_on_stdin():
+    # no __main__ guard and no pickling: the script is read from stdin
+    script = (
+        "import numpy as np\n"
+        "from predictu.inference import ResamplePlan, bootstrap_ci\n"
+        "from predictu.risk_model import CaseControlCounts, GenotypeId\n"
+        "rng = np.random.default_rng(29)\n"
+        "counts = CaseControlCounts(\n"
+        "    genotypes=tuple(GenotypeId(i, f'g{i}') for i in range(40)),\n"
+        "    n_case=rng.integers(0, 30, 40), n_control=rng.integers(0, 30, 40), rho=0.1)\n"
+        f"plan = ResamplePlan({4 * _GROUP + 5}, seed=8)\n"
+        "print(repr(bootstrap_ci(counts, counts.genotypes[::-1], plan, workers=2)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
+    res = subprocess.run([sys.executable, "-"], input=script, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    counts, order, plan = _invariance_case()
+    assert res.stdout.strip() == repr(bootstrap_ci(counts, order, plan, workers=1))
+
+
+def test_results_hold_under_forced_thread_switches():
+    # more threads than cores, switching as often as the interpreter allows
+    counts, order, plan = _invariance_case()
+    serial = _results(counts, order, plan, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _results(counts, order, plan, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert repr(threaded) == repr(serial)

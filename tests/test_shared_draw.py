@@ -120,7 +120,8 @@ def test_summarize_draws_once(monkeypatch, tmp_path):
                      "--band", "0.5:1", "--seed", "3", "--out", str(out)])
     assert code == 0
     # each replicate group is drawn once, for the global and the partial U
-    assert calls == [[3, 101, g] for g in range(-(-50 // _GROUP))]
+    # (groups on different threads may record their streams in any order)
+    assert sorted(calls) == [[3, 101, g] for g in range(-(-50 // _GROUP))]
     doc = read_json(out / "inference.json")
     counts, _ = parse_counts_file(path, rho=0.21)
     order = estimate_risk_table(counts).genotypes
