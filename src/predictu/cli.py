@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replicates for percentile intervals (default: asymptotic only)")
     p.add_argument("--permutation", type=_in_range(int, 0), default=0, metavar="N",
                    help="permutation replicates for a null test of U (default: off)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
                    help="resampling thread count (default: PREDICTU_THREADS, else the "
                         "available CPUs)")
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--isotonic", action="store_true")
     p.add_argument("--bootstrap", type=int, default=400, metavar="N",
                    help="bootstrap replicates per dataset for coverage intervals")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
                    help="harness process count (default: PREDICTU_THREADS, else 1)")
     p.add_argument("--out", default=".")

@@ -10,9 +10,12 @@ re-parse even with their provenance comment.  Warnings and errors name
 the file line on which the offending row starts.
 
 Both layouts are read as UTF-8 (a leading byte-order mark is dropped)
-by one reader that streams the file in chunks of a fixed number of
-rows.  A subject file is tallied chunk by chunk, so parsing holds one
-chunk of rows plus the distinct genotypes, however long the file.
+by one line reader that streams the file.  A subject file is tallied
+in chunks of a fixed number of lines, so parsing holds one chunk plus
+the distinct genotypes, however long the file.  While its chunks are
+clean (no quote, no NUL, every distinct row well formed), lines are
+counted by their text and each distinct text is parsed once; from the
+first chunk that is not clean on, the csv module reads every row.
 
 All writers embed a provenance block (tool version, configuration
 hash, seed) and produce deterministic bytes for fixed inputs: no
@@ -28,7 +31,7 @@ import re
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -37,8 +40,8 @@ from .errors import ValidationError
 from .risk_model import CaseControlCounts, GenotypeId, RiskTable
 
 _DELIMITERS = ",\t;"
-# rows held at once while a file is read (a chunk of 2**14 short rows
-# is a few MiB)
+# lines or rows held at once while a subject file is read (a chunk of
+# 2**14 short rows is a few MiB)
 _CHUNK_ROWS = 1 << 14
 _SKIP_LINE = re.compile(r"\s*(?:#|$)").match
 
@@ -76,7 +79,11 @@ def _open_text(path):
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text (byte {_bad_byte(path)})") from exc
+        raise _not_utf8(path, _bad_byte(path)) from exc
+
+
+def _not_utf8(path, at) -> ValidationError:
+    return ValidationError(f"{path}: not UTF-8 text (byte {at})")
 
 
 def _bad_byte(path) -> int | None:
@@ -94,55 +101,65 @@ def _bad_byte(path) -> int | None:
     return None
 
 
+def _input_error(path, problem: str) -> ValidationError:
+    """``problem`` in ``path`` as invalid input, unless a byte of the file
+    is not UTF-8: that is named instead, wherever it lies, since a file
+    that is not text is the graver fault, and the answer then does not
+    depend on how far the file was read."""
+    at = _bad_byte(path)
+    return ValidationError(f"{path}: {problem}") if at is None else _not_utf8(path, at)
+
+
 def _is_counts_file(path) -> bool:
     """Whether the first non-blank, non-comment line is a counts header."""
     with _open_text(path) as fh:
         return "genotype_id" in next(filterfalse(_SKIP_LINE, fh), "").lower()
 
 
-def _records(lines):
-    """A csv reader over the lines that are not blank or ``#`` comments,
-    its delimiter sniffed from the first 50 of them."""
+def _kept_lines(lines):
+    r"""The lines of ``lines`` that are not blank or ``#`` comments, and
+    the delimiter sniffed from the first 50 of them.
+
+    Lines end only at ``\n``, ``\r`` or ``\r\n``, as the csv module
+    reads them; this is the one line reader behind both the csv rows and
+    the line-text tally of a subject file.
+    """
     lines = filterfalse(_SKIP_LINE, lines)
     head = list(islice(lines, 50))
     sample = "\n".join(line.rstrip("\r\n") for line in head)[:8192]
-    return csv.reader(chain(head, lines), delimiter=_sniff_delimiter(sample))
+    return _sniff_delimiter(sample), chain(head, lines)
 
 
-def _read_chunks(path):
-    r"""Yield the stripped header, then the rows below it in lists of at
-    most ``_CHUNK_ROWS``.
+def _has_text(row) -> bool:
+    return bool("".join(row).strip())
 
-    Lines end only at ``\n``, ``\r`` or ``\r\n``, as the csv module
-    reads them.  Blank lines, ``#`` comments and rows of only blank
-    cells are dropped; the delimiter is sniffed from the first 50 kept
-    lines.  The file stays open while the caller walks the chunks, so
-    one chunk is held at a time, never the whole file.  A row the csv
-    module cannot read is invalid input, named by its file line.
+
+@contextmanager
+def _open_rows(path):
+    """Open ``path`` and yield its stripped header, its delimiter and an
+    iterator over the kept lines below the header.
+
+    The header is the first row with a non-blank cell.  The file stays
+    open inside the block, so a caller that walks the lines in chunks
+    holds one chunk at a time, never the whole file.  A row the csv
+    module cannot read, in the header or inside the block, is invalid
+    input, named by its file line.
     """
     with _open_text(path) as fh:
-        reader = _records(fh)
-        header = None
+        sep, lines = _kept_lines(fh)
         try:
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
-                if header is None and chunk:
-                    header = [cell.strip() for cell in chunk.pop(0)]
-                    yield header
-                if header is not None:
-                    yield chunk
-                # drop this chunk before the next one is read
-                del chunk
+            header = next(filter(_has_text, csv.reader(lines, delimiter=sep)), None)
+            if header is None:
+                raise ValidationError(f"{path}: file is empty")
+            yield [cell.strip() for cell in header], sep, lines
         except csv.Error as exc:
             line = deque(_row_starts(path), maxlen=1).pop()
             raise ValidationError(f"{path}: line {line}: {exc}") from exc
-    if header is None:
-        raise ValidationError(f"{path}: file is empty")
 
 
 def _row_starts(path):
-    """Yield the file line (from 1) on which each row ``_read_chunks``
-    keeps starts, the header's first; a row the csv module cannot read
+    """Yield the file line (from 1) on which each row with a non-blank
+    cell starts, the header's first; a row the csv module cannot read
     yields its start line and ends the walk.
 
     The parsers count kept rows only; this second read of the file runs
@@ -157,7 +174,8 @@ def _row_starts(path):
             yield line
 
     with _open_text(path) as fh:
-        reader = _records(numbered(fh))
+        sep, lines = _kept_lines(numbered(fh))
+        reader = csv.reader(lines, delimiter=sep)
         taken = 0
         try:
             for row in reader:
@@ -165,7 +183,7 @@ def _row_starts(path):
                 for _ in range(reader.line_num - taken):
                     kept.popleft()
                 taken = reader.line_num
-                if "".join(row).strip():
+                if _has_text(row):
                     yield start
         except csv.Error:
             yield kept[0]
@@ -183,6 +201,49 @@ def _file_lines(path, ordinals) -> dict[int, int]:
             if len(lines) == len(wanted):
                 break
     return lines
+
+
+def _tally_lines(lines, sep, id_first: bool, width: int, cols, tally: Counter):
+    """Tally the rows of ``lines`` by their text while the chunks are clean.
+
+    A chunk of ``_CHUNK_ROWS`` lines is clean when no line holds a quote
+    or a NUL or is as long as the csv field limit, so that each line is
+    one row, and when every distinct line text parses to ``width``
+    cells (the id cell first when ``id_first``) with status 0 or 1.  A
+    clean chunk is counted by the text after the id cell; each distinct
+    text is parsed once by the csv module, and its raw cells at ``cols``
+    are added to ``tally`` with its count.
+
+    Returns the number of rows tallied and the first chunk that is not
+    clean, untallied (empty when the file ended clean).
+    """
+    limit = csv.field_size_limit()
+    key = itemgetter(*(c - id_first for c in cols))
+    status = cols[0] - id_first
+    parsed: dict[str, tuple] = {}  # distinct line text -> its raw cells at cols
+    n_rows = 0
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        text = "".join(chunk)
+        if '"' in text or "\0" in text or max(map(len, chunk)) >= limit:
+            return n_rows, chunk
+        if id_first:
+            counted = Counter(map(itemgetter(2), map(str.partition, chunk, repeat(sep))))
+        else:
+            counted = Counter(chunk)
+        for line in counted.keys() - parsed.keys():
+            try:
+                cells = next(csv.reader([line], delimiter=sep))
+            except csv.Error:
+                return n_rows, chunk
+            # a status of 0 or 1 is not blank, so no row of only blank
+            # cells (which the csv path drops) is counted here
+            if len(cells) + id_first != width or cells[status].strip() not in ("0", "1"):
+                return n_rows, chunk
+            parsed[line] = key(cells)
+        for line, n in counted.items():
+            tally[parsed[line]] += n
+        n_rows += len(chunk)
+    return n_rows, []
 
 
 def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
@@ -208,41 +269,47 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         Genotypes are labelled by the ``/``-joined marker tuple and
         indexed in sorted-label order.
     """
-    chunks = _read_chunks(path)
-    header = next(chunks)
-    lowered = [h.lower() for h in header]
-    if "status" not in lowered:
-        raise ValidationError(f"{path}: missing required column 'status'")
-    status_col = lowered.index("status")
-    id_col = lowered.index("sample_id") if "sample_id" in lowered else None
-    marker_cols = [
-        i for i in range(len(header)) if i not in (status_col, id_col)
-    ]
-    if not marker_cols:
-        raise ValidationError(f"{path}: no marker columns after sample_id/status")
+    with _open_rows(path) as (header, sep, lines):
+        lowered = [h.lower() for h in header]
+        if "status" not in lowered:
+            raise _input_error(path, "missing required column 'status'")
+        status_col = lowered.index("status")
+        id_col = lowered.index("sample_id") if "sample_id" in lowered else None
+        marker_cols = [
+            i for i in range(len(header)) if i not in (status_col, id_col)
+        ]
+        if not marker_cols:
+            raise _input_error(path, "no marker columns after sample_id/status")
 
-    # tally the raw (status, *markers) cells of each chunk at C speed; walk
-    # a chunk row by row only to word its warnings; strip, check and join
-    # once per distinct key at the end
-    width = len(header)
-    key = itemgetter(status_col, *marker_cols)
-    tally: Counter = Counter()
-    bad: list[tuple[int, str]] = []  # (kept-row ordinal, the header 0; problem)
-    n_rows = 0
-    for rows in chunks:
-        ragged = bool(set(map(len, rows)) - {width})
-        good = [row for row in rows if len(row) == width] if ragged else rows
-        chunk_tally = Counter(map(key, good))
-        bad_status = {raw for raw, *_ in chunk_tally if raw.strip() not in ("0", "1")}
-        if ragged or bad_status:
-            for ordinal, row in enumerate(rows, start=n_rows + 1):
-                if len(row) != width:
-                    bad.append((ordinal, f"expected {width} columns, got {len(row)}"))
-                elif row[status_col] in bad_status:
-                    bad.append((ordinal, f"status {row[status_col].strip()!r} is not 0 or 1"))
-        tally.update(chunk_tally)
-        n_rows += len(rows)
-        del rows, good  # hold one chunk, not two, while the next is read
+        width = len(header)
+        tally: Counter = Counter()  # raw (status, *markers) cells -> rows
+        n_rows, pending = 0, []
+        if id_col in (0, None):
+            n_rows, pending = _tally_lines(
+                lines, sep, id_col == 0, width, (status_col, *marker_cols), tally
+            )
+
+        # from the first chunk that is not clean on, tally the raw cells of
+        # each chunk of csv rows at C speed; walk a chunk row by row only to
+        # word its warnings
+        key = itemgetter(status_col, *marker_cols)
+        rows = filter(_has_text, csv.reader(chain(pending, lines), delimiter=sep))
+        del pending  # the chain frees it once its lines are read
+        bad: list[tuple[int, str]] = []  # (kept-row ordinal, the header 0; problem)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            ragged = bool(set(map(len, chunk)) - {width})
+            good = [row for row in chunk if len(row) == width] if ragged else chunk
+            chunk_tally = Counter(map(key, good))
+            bad_status = {raw for raw, *_ in chunk_tally if raw.strip() not in ("0", "1")}
+            if ragged or bad_status:
+                for ordinal, row in enumerate(chunk, start=n_rows + 1):
+                    if len(row) != width:
+                        bad.append((ordinal, f"expected {width} columns, got {len(row)}"))
+                    elif row[status_col] in bad_status:
+                        bad.append((ordinal, f"status {row[status_col].strip()!r} is not 0 or 1"))
+            tally.update(chunk_tally)
+            n_rows += len(chunk)
+            del chunk, good  # hold one chunk, not two, while the next is read
     n_dropped = len(bad)
     if n_rows and n_dropped / n_rows > max_bad_rows:
         raise ValidationError(
@@ -250,6 +317,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
             f"--max-bad-rows {max_bad_rows:g}"
         )
 
+    # strip, check and join once per distinct key
     cases: dict[str, int] = {}
     controls: dict[str, int] = {}
     for (raw, *cells), n in tally.items():
@@ -284,36 +352,36 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
 
 def parse_counts_file(path, rho: float):
     """Read pre-aggregated counts: ``genotype_id, n_case, n_control``."""
-    chunks = _read_chunks(path)
-    header = next(chunks)
-    lowered = [h.lower() for h in header]
-    required = ("genotype_id", "n_case", "n_control")
-    missing = [c for c in required if c not in lowered]
-    if missing:
-        raise ValidationError(f"{path}: missing required columns {missing}")
-    cols = [lowered.index(c) for c in required]
     labels: list[str] = []
     seen: set[str] = set()
     n_case: list[int] = []
     n_control: list[int] = []
 
     def error(ordinal, problem):
-        return ValidationError(f"{path}: line {_file_lines(path, [ordinal])[ordinal]}: {problem}")
+        return _input_error(path, f"line {_file_lines(path, [ordinal])[ordinal]}: {problem}")
 
-    for ordinal, row in enumerate(chain.from_iterable(chunks), start=1):
-        if len(row) != len(header):
-            raise error(ordinal, "wrong column count")
-        label = row[cols[0]].strip()
-        if label in seen:
-            raise error(ordinal, f"duplicate genotype_id {label!r}")
-        try:
-            a, b = int(row[cols[1]]), int(row[cols[2]])
-        except ValueError as exc:
-            raise error(ordinal, "counts must be integers") from exc
-        labels.append(label)
-        seen.add(label)
-        n_case.append(a)
-        n_control.append(b)
+    with _open_rows(path) as (header, sep, lines):
+        lowered = [h.lower() for h in header]
+        required = ("genotype_id", "n_case", "n_control")
+        missing = [c for c in required if c not in lowered]
+        if missing:
+            raise _input_error(path, f"missing required columns {missing}")
+        cols = [lowered.index(c) for c in required]
+        rows = filter(_has_text, csv.reader(lines, delimiter=sep))
+        for ordinal, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise error(ordinal, "wrong column count")
+            label = row[cols[0]].strip()
+            if label in seen:
+                raise error(ordinal, f"duplicate genotype_id {label!r}")
+            try:
+                a, b = int(row[cols[1]]), int(row[cols[2]])
+            except ValueError as exc:
+                raise error(ordinal, "counts must be integers") from exc
+            labels.append(label)
+            seen.add(label)
+            n_case.append(a)
+            n_control.append(b)
     genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
     counts = CaseControlCounts(
         genotypes=genotypes,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -82,6 +81,8 @@ class ResamplePlan:
     def __post_init__(self) -> None:
         if self.n_replicates < 1:
             raise ValidationError("need at least one replicate")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,8 @@ def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
     if not np.isfinite(estimate.variance) or estimate.variance < 0:
         raise NumericError(f"cannot build an interval from variance {estimate.variance}")
+    from statistics import NormalDist
+
     # the lower tail: 1 - level is exact, 0.5 + level / 2 rounds
     half = -NormalDist().inv_cdf((1.0 - level) / 2.0) * np.sqrt(estimate.variance)
     ci = ConfidenceInterval(estimate.u_hat - half, estimate.u_hat + half, level)

@@ -16,9 +16,7 @@ holds the lock, so ``map_ranges`` runs it on spawned processes.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,8 +71,19 @@ def _map(make_pool, fn, n_items: int, workers: int | None, args: tuple) -> list:
         return [first] + [future.result() for future in futures]
 
 
-def _spawn_pool(max_workers: int) -> ProcessPoolExecutor:
+# the pool modules are imported only where a pool starts, so a run on one
+# worker never loads them
+def _spawn_pool(max_workers: int):
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn"))
+
+
+def _thread_pool(max_workers: int):
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers)
 
 
 def map_ranges(fn, n_items: int, workers: int | None, *args) -> list:
@@ -96,4 +105,4 @@ def map_ranges_threads(fn, n_items: int, workers: int | None, *args) -> list:
     a pool thread, so ``fn`` and ``args`` need not pickle; ``fn`` must
     not write to anything the ranges share.
     """
-    return _map(ThreadPoolExecutor, fn, n_items, workers, args)
+    return _map(_thread_pool, fn, n_items, workers, args)

@@ -16,6 +16,7 @@ first-class inputs to every summary index.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -344,8 +345,10 @@ def _plugin_conditionals(
 ) -> tuple[tuple[GenotypeId, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Kept genotypes, their ``seen`` mask over ``counts.genotypes``, and the
     plug-in P(g|D), P(g|not D) after removing genotypes unseen in both arms."""
-    if laplace < 0:
-        raise ValidationError("laplace smoothing constant must be nonnegative")
+    if not (math.isfinite(laplace) and laplace >= 0):
+        raise ValidationError(
+            f"laplace smoothing constant must be finite and nonnegative, got {laplace}"
+        )
     seen = (counts.n_case + counts.n_control) > 0
     kept = tuple(g for g, k in zip(counts.genotypes, seen) if k)
     if not kept:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
-import yaml
 
 from . import inference, parallel
 from .errors import NumericError, ValidationError
@@ -567,6 +566,8 @@ def run_bias_coverage(
         raise ValidationError("need at least one bootstrap replicate")
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     n_workers = parallel.worker_count(workers)
 
     reports: list[EvalReport] = []
@@ -684,6 +685,8 @@ def load_model_spec(path) -> PopulationSpec:
     population from the expected genotype frequencies, whose masses do
     not depend on the size, so this key cannot change its output.
     """
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -701,6 +704,8 @@ def _preset_dir():
 
 def preset(name: str) -> PopulationSpec:
     """Load one shipped preset population by name."""
+    import yaml
+
     ref = _preset_dir().joinpath(f"{name}.yaml")
     if not ref.is_file():
         available = ", ".join(sorted(p.name[:-5] for p in _preset_dir().iterdir()))

@@ -194,6 +194,29 @@ def test_cli_import_and_curve_leave_scipy_special_unloaded(counts_file, tmp_path
     assert res.stdout.splitlines()[-1] == "[False, False, False]"
 
 
+def test_curve_leaves_the_modules_of_other_subcommands_unloaded(counts_file, tmp_path):
+    # yaml serves simulate, the pool modules more than one worker and
+    # statistics the asymptotic interval; every layer module still loads
+    # with predictu.cli, where an in-process tracer looks them up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["curve", counts_file, "--rho", "0.21", "--out", str(tmp_path / "run")]
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "predictu.cli", *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"numpy", "predictu.fileio"} <= loaded
+    assert not loaded & {"yaml", "multiprocessing", "concurrent.futures", "statistics"}
+
+    layers = ["cli", "fileio", "risk_model", "summary_indices", "curve_links",
+              "inference", "isotonic", "simulate"]
+    code = ("import sys, predictu.cli\n"
+            f"print([m for m in {layers!r} if 'predictu.' + m not in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
 def test_every_subcommand_runs_with_scipy_blocked(subject_file, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
     out = str(tmp_path)
@@ -263,10 +286,17 @@ def test_invalid_band_is_rejected_without_partial_indices(argv, counts_file, tmp
          "--workers"),
         (["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "5", "--workers", "-2"],
          "--workers"),
+        (["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "10", "--seed", "-1"],
+         "--seed"),
+        (["summarize", "{counts}", "--rho", "0.21", "--permutation", "9", "--seed", "-1"],
+         "--seed"),
+        (["simulate", "--preset", "smoke", "--replicates", "2", "--n-cases", "50",
+          "--n-controls", "50", "--bootstrap", "5", "--seed", "-1"], "--seed"),
     ],
     ids=["bootstrap", "permutation", "workers-zero", "workers-negative",
          "max-bad-rows-negative", "max-bad-rows-above-one", "summarize-workers-zero",
-         "summarize-workers-negative"],
+         "summarize-workers-negative", "summarize-bootstrap-seed-negative",
+         "summarize-permutation-seed-negative", "simulate-seed-negative"],
 )
 def test_out_of_range_count_flags_are_rejected(argv, flag, counts_file, subject_file,
                                                tmp_path, capsys):
@@ -274,6 +304,19 @@ def test_out_of_range_count_flags_are_rejected(argv, flag, counts_file, subject_
     argv = [a.format(counts=counts_file, subjects=subject_file) for a in argv]
     assert main(argv + ["--out", str(out)]) == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["curve", "validate"])
+def test_laplace_must_be_finite_and_nonnegative(command, value, counts_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    inputs = [counts_file]
+    if command == "validate":
+        inputs = ["--train", counts_file, "--test", counts_file]
+    code = main([command, *inputs, "--rho", "0.21", "--laplace", value, "--out", str(out)])
+    assert code == 2
+    assert "laplace smoothing constant must be finite and nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 

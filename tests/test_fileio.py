@@ -169,6 +169,94 @@ def random_subject_text(rng) -> str:
     return end.join(lines) + end
 
 
+def random_line_text_subjects(rng) -> str:
+    """A subject file the line-text tally can take: no quotes, the
+    sample_id first or absent, any delimiter, LF, CRLF or bare-CR line
+    ends (mixed in some files) and a last line with or without its end.
+    In half the files, rows that end the line-text path turn up now and
+    then: a quoted cell, one spanning two lines (which may straddle a
+    chunk boundary; its break ends the cell, so the stripped label is
+    the same whether or not the break is kept), a ragged row, a bad or
+    blank status (with the id, the row is kept) or a row of only blank
+    cells."""
+    sep = str(rng.choice([",", "\t", ";"]))
+    columns = ["status"] + [f"m{k}" for k in range(int(rng.integers(1, 4)))]
+    columns = [columns[i] for i in rng.permutation(len(columns))]
+    if rng.random() < 0.6:
+        columns.insert(0, "sample_id")
+    status_col = columns.index("status")
+    odd = float(rng.choice([0.0, 0.04]))
+    lines = [sep.join(columns)]
+    for k in range(int(rng.integers(0, 40))):
+        cells = []
+        for name in columns:
+            if name == "status":
+                cells.append(str(rng.choice(["0", "1", " 1 ", "0 "])))
+            elif name == "sample_id":
+                cells.append(f"s{k}")
+            else:
+                cells.append(str(rng.choice(["0", "1", "2", " 1", "2 ", ""])))
+        if rng.random() < odd:
+            kind = int(rng.integers(0, 5))
+            if kind < 2:
+                quoted = f'"a{sep}b"' if kind == 0 else '"a\n"'
+                cells[-1 if status_col != len(cells) - 1 else len(cells) - 2] = quoted
+            elif kind == 2:
+                cells = cells[:-1] if rng.random() < 0.5 else cells + ["9"]
+            elif kind == 3:
+                cells[status_col] = str(rng.choice(["2", "x", "", " "]))
+            else:
+                cells = [""] * len(cells)
+        lines.append(sep.join(cells))
+    for _ in range(int(rng.integers(0, 4))):
+        extra = str(rng.choice(["", "   ", "# note", sep * 2]))
+        lines.insert(int(rng.integers(0, len(lines) + 1)), extra)
+    ends = ["\n", "\r\n", "\r"]
+    if rng.random() < 0.2:
+        text = "".join(line + str(rng.choice(ends)) for line in lines)
+    else:
+        end = str(rng.choice(ends))
+        text = "".join(line + end for line in lines)
+    return text.rstrip("\r\n") if rng.random() < 0.5 else text
+
+
+def _matches_reference(path, max_bad) -> str:
+    """Parse ``path`` and check it against the row-by-row reference;
+    return how the parse ended: error, warned or clean."""
+    try:
+        expected = parse_subjects_row_by_row(path, 0.1, max_bad)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as caught:
+            parse_subject_file(path, rho=0.1, max_bad_rows=max_bad)
+        assert str(caught.value) == str(exc)
+        return "error"
+    counts, report = parse_subject_file(path, rho=0.1, max_bad_rows=max_bad)
+    want, want_report = expected
+    assert [(g.index, g.label) for g in counts.genotypes] == [
+        (g.index, g.label) for g in want.genotypes
+    ]
+    for got, ref in ((counts.n_case, want.n_case), (counts.n_control, want.n_control)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert report == want_report
+    return "warned" if report.warnings else "clean"
+
+
+@pytest.fixture
+def tally_paths(monkeypatch):
+    """How each parse split its rows: by line text only, by csv rows only,
+    or by line text up to a chunk that was not clean, then csv rows."""
+    paths = []
+    real = fileio._tally_lines
+
+    def spy(*args):
+        n_rows, pending = real(*args)
+        paths.append("switched" if n_rows and pending else "csv" if pending else "lines")
+        return n_rows, pending
+
+    monkeypatch.setattr(fileio, "_tally_lines", spy)
+    return paths
+
+
 def test_tally_matches_row_by_row_reference(tmp_path, chunk_rows):
     rng = np.random.default_rng(5)
     outcomes = set()
@@ -176,24 +264,64 @@ def test_tally_matches_row_by_row_reference(tmp_path, chunk_rows):
         path = tmp_path / f"s{trial}.csv"
         path.write_bytes(random_subject_text(rng).encode("utf-8"))
         max_bad = float(rng.choice([0.01, 0.5, 1.0]))
-        try:
-            expected = parse_subjects_row_by_row(path, 0.1, max_bad)
-        except ValidationError as exc:
-            with pytest.raises(ValidationError) as caught:
-                parse_subject_file(path, rho=0.1, max_bad_rows=max_bad)
-            assert str(caught.value) == str(exc)
-            outcomes.add("error")
-            continue
-        counts, report = parse_subject_file(path, rho=0.1, max_bad_rows=max_bad)
-        want, want_report = expected
-        assert [(g.index, g.label) for g in counts.genotypes] == [
-            (g.index, g.label) for g in want.genotypes
-        ]
-        for got, ref in ((counts.n_case, want.n_case), (counts.n_control, want.n_control)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert report == want_report
-        outcomes.add("warned" if report.warnings else "clean")
+        outcomes.add(_matches_reference(path, max_bad))
     assert outcomes == {"error", "warned", "clean"}
+
+
+def test_line_text_tally_matches_row_by_row_reference(tmp_path, chunk_rows, tally_paths):
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for trial in range(300):
+        path = tmp_path / f"s{trial}.csv"
+        path.write_bytes(random_line_text_subjects(rng).encode("utf-8"))
+        max_bad = float(rng.choice([0.01, 0.5, 1.0]))
+        outcomes.add(_matches_reference(path, max_bad))
+    assert outcomes == {"error", "warned", "clean"}
+    # with a chunk smaller than a file, a row that is not clean can first
+    # turn up past the first chunk
+    paths = {"lines", "csv", "switched"} if chunk_rows < 40 else {"lines", "csv"}
+    assert set(tally_paths) == paths
+
+
+def test_lines_past_the_field_limit_take_the_csv_path(tmp_path, chunk_rows, tally_paths):
+    limit = csv.field_size_limit(64)
+    try:
+        # line 5 is longer than the limit, each of its cells shorter
+        rows = [f"s{k},{k % 2},{k % 3}" for k in range(8)]
+        rows[3] = "s" + "x" * 40 + ",1," + " " * 40 + "2"
+        path = subjects(tmp_path, "sample_id,status,m1\n" + "\n".join(rows) + "\n")
+        assert _matches_reference(path, 0.01) == "clean"
+        # a cell past the limit is invalid input naming its line, read as rows
+        rows[5] = "s5,1," + "1" * 80
+        path = subjects(tmp_path, "sample_id,status,m1\n" + "\n".join(rows) + "\n", "long.csv")
+        with pytest.raises(ValidationError) as caught:
+            parse_subject_file(path, rho=0.1)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(caught.value) == f"{path}: line 7: field larger than field limit (64)"
+    assert set(tally_paths) == ({"switched"} if chunk_rows < 4 else {"csv"})
+
+
+def test_a_nul_in_a_line_leaves_its_chunk_to_the_csv_module(tmp_path, chunk_rows, tally_paths,
+                                                           monkeypatch):
+    # the csv module rejects a NUL before Python 3.11 and keeps it since;
+    # the id cell is never parsed on the line-text path, so a NUL there
+    # must send its chunk to the csv rows to be read the same either way
+    rows = [f"s{k},{k % 2},{k % 3}" for k in range(8)]
+    rows[5] = "s\0,1,2"
+    path = subjects(tmp_path, "sample_id,status,m1\n" + "\n".join(rows) + "\n")
+
+    def parse():
+        try:
+            counts, report = parse_subject_file(path, rho=0.1)
+        except ValidationError as exc:
+            return str(exc)
+        return [str(g) for g in counts.genotypes], counts.n_case.tolist(), report
+
+    got = parse()
+    assert set(tally_paths) == ({"switched"} if chunk_rows < 6 else {"csv"})
+    monkeypatch.setattr(fileio, "_tally_lines", lambda lines, *args: (0, []))
+    assert got == parse()
 
 
 def test_header_below_more_skipped_lines_than_a_chunk(tmp_path, chunk_rows):
@@ -319,6 +447,24 @@ def test_non_utf8_error_names_the_offset_in_the_file(tmp_path, bom, parse):
     data = data[:at] + b"\xff" + data[at:]
     path = tmp_path / "bad.csv"
     path.write_bytes(data)
+    with pytest.raises(ValidationError) as caught:
+        parse(path, rho=0.2)
+    assert str(caught.value) == f"{path}: not UTF-8 text (byte {at})"
+
+
+@pytest.mark.parametrize(
+    "parse, body",
+    [(parse_subject_file, b"g0,1,1\n"), (parse_counts_file, b"g0,1\n")],
+    ids=["header", "row"],
+)
+def test_non_utf8_outranks_a_header_or_row_fault_in_any_chunk(tmp_path, chunk_rows, parse, body):
+    # a counts header lacks 'status'; a ragged counts row is at line 2; the
+    # bad byte lies past the decoder's first read buffer
+    rows = b"".join(b"g%d,1,1\n" % k for k in range(1, 3000))
+    data = b"genotype_id,n_case,n_control\n" + body + rows
+    at = len(data) - 3
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
     with pytest.raises(ValidationError) as caught:
         parse(path, rho=0.2)
     assert str(caught.value) == f"{path}: not UTF-8 text (byte {at})"

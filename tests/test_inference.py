@@ -223,6 +223,11 @@ def test_asymptotic_ci_trivials(two_genotype_counts):
         asymptotic_ci(est, level=1.0)
 
 
+def test_resample_plan_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+        ResamplePlan(10, seed=-1)
+
+
 @pytest.mark.parametrize(
     "level, quantile",
     [

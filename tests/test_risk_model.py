@@ -146,6 +146,20 @@ def test_estimate_laplace_pulls_risks_off_boundary():
     assert 0.0 < table.r[0] and table.r[-1] < 1.0
 
 
+@pytest.mark.parametrize("laplace", [float("nan"), float("inf"), -1.0])
+def test_laplace_must_be_finite_and_nonnegative(laplace):
+    counts = CaseControlCounts(
+        genotypes=tuple(GenotypeId(i) for i in range(2)),
+        n_case=np.array([5, 5]),
+        n_control=np.array([10, 0]),
+        rho=0.1,
+    )
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        estimate_risk_table(counts, laplace=laplace)
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        apply_model_to_test(counts.genotypes, counts, laplace=laplace)
+
+
 def test_curve_points_single_entry():
     table = build_risk_table([1.0], [1.0], rho=0.3)
     curve = curve_points(table)

@@ -411,6 +411,7 @@ def test_harness_rejects_bad_requests():
         dict(level=float("nan")),
         dict(workers=0),
         dict(workers=-2),
+        dict(seed=-1),
     ):
         with pytest.raises(ValidationError):
             sim.run_bias_coverage([spec], n_replicates=2, **bad)
