@@ -40,7 +40,7 @@ import numpy as np
 
 from . import parallel
 from .errors import NumericError, ValidationError
-from .risk_model import CaseControlCounts, _plugin_rows
+from .risk_model import CaseControlCounts, _plugin_rows, _positions
 from .summary_indices import _check_band, _index_rows
 
 __all__ = [
@@ -125,23 +125,14 @@ class UEstimate:
 
 
 def _align_counts(counts: CaseControlCounts, order) -> tuple[np.ndarray, np.ndarray]:
-    """Case and control counts (int64) along the given genotype order.
-
-    Every genotype with a nonzero count must appear in the order;
-    ordered genotypes absent from the counts get zero counts.
-    """
-    keys = [g.key for g in order]
-    slot = {k: i for i, k in enumerate(keys)}
-    if len(slot) != len(keys):
-        raise ValidationError("order must not repeat genotypes")
-    pos = np.full(len(keys), -1, dtype=np.intp)
-    for j, (g, nc, nn) in enumerate(zip(counts.genotypes, counts.n_case, counts.n_control)):
-        i = slot.get(g.key)
-        if i is not None:
-            pos[i] = j
-        elif nc > 0 or nn > 0:
-            raise ValidationError(f"genotype {g} has counts but no order position")
+    """Case and control counts (int64) along ``order``; every counted
+    genotype must have a position in it."""
+    pos = _positions(order, counts.genotypes)
     seen = pos >= 0
+    stray = (counts.n_case > 0) | (counts.n_control > 0)
+    stray[pos[seen]] = False
+    if stray.any():
+        raise ValidationError(f"genotype {counts.genotypes[stray.argmax()]} has counts but no order position")
     return np.where(seen, counts.n_case[pos], 0), np.where(seen, counts.n_control[pos], 0)
 
 

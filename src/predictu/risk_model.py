@@ -403,6 +403,24 @@ def curve_points(table: RiskTable) -> CurvePoints:
     )
 
 
+def _positions(order, genotypes) -> np.ndarray:
+    """Index in ``genotypes`` of each genotype of ``order``, matched by key; -1 where absent."""
+    keys = [g.key for g in order]
+    if len(set(keys)) != len(keys):
+        raise ValidationError("order must not repeat genotypes")
+    index = {g.key: j for j, g in enumerate(genotypes)}
+    return np.array([index.get(k, -1) for k in keys], dtype=np.intp)
+
+
+def _trained_order(first, r) -> np.ndarray:
+    """The indices ``first``, then every other index of ``r`` by ascending ``r``
+    (a stable sort, so ties keep index order)."""
+    rest = np.ones(r.size, dtype=bool)
+    rest[first] = False
+    rest = np.flatnonzero(rest)
+    return np.concatenate([first, rest[np.argsort(r[rest], kind="stable")]])
+
+
 def apply_model_to_test(
     train_order, test_counts: CaseControlCounts, laplace: float = 0.0
 ) -> CurvePoints:
@@ -411,42 +429,22 @@ def apply_model_to_test(
     Risks and masses are re-estimated from ``test_counts`` but arranged
     in the order learned elsewhere, so the resulting curve may be
     non-monotone; that non-monotonicity is data, not an error.  Test
-    genotypes absent from the training order are appended after it,
-    sorted by their own estimated risk, and reported in ``unseen``.
-    Trained genotypes unseen in the test data carry no mass and drop
-    out.
-
-    Parameters
-    ----------
-    train_order : sequence of GenotypeId
-        Genotype ordering from the training data, lowest risk first.
-    test_counts : CaseControlCounts
-    laplace : float
-        Smoothing constant passed to the plug-in estimates.
-
-    Returns
-    -------
-    CurvePoints
+    genotypes absent from ``train_order`` (lowest risk first) follow it
+    by their own risk and are reported in ``unseen``; trained genotypes
+    the test data lacks drop out.
     """
-    train_keys = [g.key for g in train_order]
-    trained = set(train_keys)
-    if len(trained) != len(train_keys):
-        raise ValidationError("training order must not repeat genotypes")
     kept, _, a, b = _plugin_conditionals(test_counts, laplace)
     rho = test_counts.rho
     p, r = _bayes(a, b, rho)
-    by_key = {g.key: i for i, g in enumerate(kept)}
-
-    matched = [by_key[k] for k in train_keys if k in by_key]
-    if not matched:
+    pos = _positions(train_order, kept)
+    matched = pos[pos >= 0]
+    if not matched.size:
         raise ValidationError("training order shares no genotype with the test data")
-    extra = np.array([i for i, g in enumerate(kept) if g.key not in trained], dtype=int)
-    extra = extra[np.argsort(r[extra], kind="stable")]
-    idx = np.concatenate([np.array(matched, dtype=int), extra])
+    idx = _trained_order(matched, r)
     return CurvePoints(
         q=np.cumsum(p[idx]),
         r=r[idx],
         rho=rho,
         genotypes=tuple(kept[i] for i in idx),
-        unseen=tuple(kept[i] for i in extra),
+        unseen=tuple(kept[i] for i in idx[matched.size:]),
     )

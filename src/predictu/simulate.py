@@ -38,6 +38,7 @@ from .risk_model import (
     GenotypeId,
     RiskTable,
     _plugin_rows,
+    _trained_order,
     build_risk_table,
 )
 from .summary_indices import INDICES, _check_request, _index_rows
@@ -243,12 +244,15 @@ def penetrance_model(
     )
 
 
+def _h2(probs: np.ndarray, pen: np.ndarray) -> float:
+    """Var(pen) / (rho (1 - rho)), rho the mean of ``pen`` under ``probs``."""
+    rho = float(probs @ pen)
+    return float(probs @ (pen - rho) ** 2) / (rho * (1.0 - rho))
+
+
 def heritability(model: DiseaseModel) -> float:
     """Var(penetrance) / (rho (1 - rho)) over the genotype distribution."""
-    probs = genotype_probabilities(model.snps)
-    rho = float(probs @ model.penetrance)
-    var = float(probs @ (model.penetrance - rho) ** 2)
-    return var / (rho * (1.0 - rho))
+    return _h2(genotype_probabilities(model.snps), model.penetrance)
 
 
 def _recentred(pen0: np.ndarray, probs: np.ndarray, rho: float, s: float) -> np.ndarray:
@@ -285,9 +289,7 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
         raise NumericError("flat penetrance cannot reach a positive heritability")
 
     def h2_at(s: float) -> float:
-        pen = _recentred(pen0, probs, rho, s)
-        mean = float(probs @ pen)
-        return float(probs @ (pen - mean) ** 2) / (mean * (1.0 - mean))
+        return _h2(probs, _recentred(pen0, probs, rho, s))
 
     hi = 1.0
     while h2_at(hi) < target_h2:
@@ -480,19 +482,11 @@ def _replicate_chunk(
         case_s = rng_test.multinomial(n_cases, population.cond_case)
         ctrl_s = rng_test.multinomial(n_controls, population.cond_control)
 
-        # trained order: train-observed genotypes by estimated train risk,
-        # then the rest by estimated test risk (ties keep table position)
+        # train-observed genotypes by train risk, then the rest by test risk
         _, r_train = _plugin_rows(case_t, ctrl_t, rho)
-        _, r_test_all = _plugin_rows(case_s, ctrl_s, rho)
-        seen = (case_t + ctrl_t) > 0
-        seen_idx = np.flatnonzero(seen)
-        unseen_idx = np.flatnonzero(~seen)
-        order = np.concatenate(
-            [
-                seen_idx[np.argsort(r_train[seen_idx], kind="stable")],
-                unseen_idx[np.argsort(r_test_all[unseen_idx], kind="stable")],
-            ]
-        ).astype(np.int64)
+        _, r_test = _plugin_rows(case_s, ctrl_s, rho)
+        seen = np.flatnonzero(case_t + ctrl_t)
+        order = _trained_order(seen[np.argsort(r_train[seen], kind="stable")], r_test)
 
         case_e = case_s[order]
         ctrl_e = ctrl_s[order]

@@ -313,17 +313,20 @@ def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
     The former ``parse_subject_file`` with its row reader: the reference
     the Counter tally must reproduce exactly, warnings included.  Warnings
     name the file line a row starts on, counting blank and comment lines.
+    Lines keep their ends, so a quoted cell that spans lines keeps its
+    break.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         numbered = [
             (lineno, line)
-            for lineno, line in enumerate(fh.read().splitlines(), start=1)
+            for lineno, line in enumerate(fh, start=1)
             if line.strip() and not line.lstrip().startswith("#")
         ]
     lines = [line for _, line in numbered]
     if not lines:
         raise ValidationError(f"{path}: file is empty")
-    reader = csv.reader(lines, delimiter=_sniff_delimiter("\n".join(lines[:50])[:8192]))
+    sample = "\n".join(line.rstrip("\r\n") for line in lines[:50])[:8192]
+    reader = csv.reader(lines, delimiter=_sniff_delimiter(sample))
     rows = []  # (file line the row starts on, cells)
     taken = 0
     for row in reader:

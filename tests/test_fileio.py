@@ -174,11 +174,10 @@ def random_line_text_subjects(rng) -> str:
     sample_id first or absent, any delimiter, LF, CRLF or bare-CR line
     ends (mixed in some files) and a last line with or without its end.
     In half the files, rows that end the line-text path turn up now and
-    then: a quoted cell, one spanning two lines (which may straddle a
-    chunk boundary; its break ends the cell, so the stripped label is
-    the same whether or not the break is kept), a ragged row, a bad or
-    blank status (with the id, the row is kept) or a row of only blank
-    cells."""
+    then: a quoted cell, one spanning two lines with text on both sides
+    of the break (which may straddle a chunk boundary, and which the
+    label keeps), a ragged row, a bad or blank status (with the id, the
+    row is kept) or a row of only blank cells."""
     sep = str(rng.choice([",", "\t", ";"]))
     columns = ["status"] + [f"m{k}" for k in range(int(rng.integers(1, 4)))]
     columns = [columns[i] for i in rng.permutation(len(columns))]
@@ -199,7 +198,7 @@ def random_line_text_subjects(rng) -> str:
         if rng.random() < odd:
             kind = int(rng.integers(0, 5))
             if kind < 2:
-                quoted = f'"a{sep}b"' if kind == 0 else '"a\n"'
+                quoted = f'"a{sep}b"' if kind == 0 else '"a\nb"'
                 cells[-1 if status_col != len(cells) - 1 else len(cells) - 2] = quoted
             elif kind == 2:
                 cells = cells[:-1] if rng.random() < 0.5 else cells + ["9"]

@@ -247,6 +247,18 @@ def test_apply_model_disjoint_genotypes_rejected():
         apply_model_to_test(train, counts)
 
 
+def test_apply_model_rejects_a_repeated_order():
+    counts = CaseControlCounts(
+        genotypes=(GenotypeId(0, "a"), GenotypeId(1, "b")),
+        n_case=np.array([2, 5]),
+        n_control=np.array([8, 5]),
+        rho=0.2,
+    )
+    # equal keys repeat a genotype whatever their indices
+    with pytest.raises(ValidationError, match="order must not repeat genotypes"):
+        apply_model_to_test((GenotypeId(0, "a"), GenotypeId(7, "a")), counts)
+
+
 def test_counts_validation():
     ids = tuple(GenotypeId(i) for i in range(2))
     with pytest.raises(ValidationError):

@@ -371,20 +371,24 @@ def test_harness_deterministic_replay():
 
 
 def test_harness_worker_independence(monkeypatch):
-    # replicate streams keyed by (seed, population, replicate), not worker
+    # replicate streams keyed by (seed, population, replicate), not worker;
+    # the second input takes every index, the band and the refit
     spec = sim.PopulationSpec(model=hand_model(), name="hand")
-    kwargs = dict(
-        indices=("ustd",),
-        n_replicates=30,
-        n_cases=200,
-        n_controls=200,
-        seed=9,
-        n_bootstrap=50,
-    )
-    for isotonic in (False, True):
-        serial = sim.run_bias_coverage([spec], workers=1, isotonic=isotonic, **kwargs)
-        pooled = sim.run_bias_coverage([spec], workers=3, isotonic=isotonic, **kwargs)
-        assert serial == pooled
+    inputs = [(("ustd",), None, (False, True), 3), (INDEX_TOKENS, (0.8, 1.0), (True,), 2)]
+    for indices, band, isotonics, pooled in inputs:
+        kwargs = dict(
+            indices=indices,
+            band=band,
+            n_replicates=30,
+            n_cases=200,
+            n_controls=200,
+            seed=9,
+            n_bootstrap=50,
+        )
+        for isotonic in isotonics:
+            serial = sim.run_bias_coverage([spec], workers=1, isotonic=isotonic, **kwargs)
+            many = sim.run_bias_coverage([spec], workers=pooled, isotonic=isotonic, **kwargs)
+            assert repr(serial) == repr(many)  # NaN bias (a zero truth) compares equal
 
     monkeypatch.setenv("PREDICTU_THREADS", "4")
     assert parallel.worker_count() == 4
