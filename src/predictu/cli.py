@@ -41,7 +41,7 @@ from .inference import (
     two_sample_u,
 )
 from .isotonic import pava
-from .parallel import available_cpus, worker_count
+from .parallel import available_cpus
 from .risk_model import CurvePoints, apply_model_to_test, curve_points, estimate_risk_table
 from .simulate import build_population, load_model_spec, preset, run_bias_coverage
 from .summary_indices import INDEX_TOKENS, _check_band, _index_results
@@ -117,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permutation replicates for a null test of U (default: off)")
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
-                   help="resampling thread count (default: PREDICTU_THREADS, else the "
-                        "available CPUs)")
+                   help="resampling thread count (default: the available CPUs)")
 
     p = sub.add_parser("links", help="ROC and Lorenz views of the same risk table")
     p.add_argument("input")
@@ -147,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replicates per dataset for coverage intervals")
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
-                   help="harness process count (default: PREDICTU_THREADS, else 1)")
+                   help="harness process count (default: 1)")
     p.add_argument("--out", default=".")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -222,7 +221,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    workers = worker_count(args.workers, default=available_cpus())
+    workers = available_cpus() if args.workers is None else args.workers
     counts, report = _load_counts(args.input, args.rho, args.max_bad_rows)
     table = estimate_risk_table(counts, laplace=args.laplace)
     curve = curve_points(table)

@@ -24,7 +24,7 @@ resampling is a fixed group of ``_GROUP`` (8) replicates: group k draws
 from its own stream ``[seed, tag, k]``, all its case rows in one call
 and then all its control rows in one call, and is evaluated at once, so
 a group's draw depends on nothing but the plan and its index.  Groups
-run on ``parallel.worker_count()`` threads of the calling process (the
+run on ``workers`` threads of the calling process (default 1; the
 draws release the interpreter lock) and return only their replicate
 values (or permutation hits), joined in group order.  Memory per thread
 is a few (8, G) arrays beyond the B-length results, flat in the
@@ -344,7 +344,7 @@ def bootstrap_ci(
     The order is held fixed across replicates (it encodes the trained
     model); only the counts are resampled, stratified within cases and
     controls.  Deterministic given the plan seed, whatever ``workers``
-    (thread count; default PREDICTU_THREADS, else 1).
+    (thread count; default 1).
 
     Returns
     -------
@@ -366,10 +366,10 @@ def permutation_test(
     permutation of case/control labels at fixed genotypes.  The
     comparison |U*| >= |U| runs on the int64 kernel contraction, so it
     is exact at any sample size.  The replicates are drawn in groups,
-    each from its own stream, on ``workers`` threads (default
-    PREDICTU_THREADS, else 1), and counted as they go, so memory is one
-    group's working set per thread whatever the replicate count and the
-    p-value is the same for any thread count.
+    each from its own stream, on ``workers`` threads (default 1), and
+    counted as they go, so memory is one group's working set per thread
+    whatever the replicate count and the p-value is the same for any
+    thread count.
 
     The ``order`` must come from outside the data being tested (a
     trained model, an external ranking, or a fixed convention).  An
@@ -416,7 +416,7 @@ def partial_u_variance(
         If True, divide each replicate by 2 rho_pt (1 - rho_pt) with
         rho_pt the band mass integral of that replicate's curve.
     workers : int, optional
-        Thread count; defaults to PREDICTU_THREADS, else 1.
+        Thread count; defaults to 1.
     """
     return bootstrap_estimates(counts, order, plan, level, band, standardized, workers)[1]
 
@@ -433,10 +433,9 @@ def bootstrap_estimates(
     """Global and (given a band) partial bootstrap estimates from one draw.
 
     The stratified replicates are drawn once, group by group
-    (``_bootstrap_group``), on ``workers`` threads (default
-    PREDICTU_THREADS, else 1); each group returns only its global and
-    partial replicate values, so memory is a few (8, G) arrays per
-    thread whatever B is.  ``bootstrap_ci`` and ``partial_u_variance``
+    (``_bootstrap_group``), on ``workers`` threads (default 1); each
+    group returns only its global and partial replicate values, so
+    memory is a few (8, G) arrays per thread whatever B is.  ``bootstrap_ci`` and ``partial_u_variance``
     are the two halves of the result.  Non-finite partial replicates
     are dropped at the end, in draw order.
 

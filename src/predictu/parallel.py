@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["worker_count", "available_cpus", "map_ranges", "map_ranges_threads"]
+__all__ = ["available_cpus", "map_ranges", "map_ranges_threads"]
 
 
 def available_cpus() -> int:
@@ -33,34 +33,19 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count(requested: int | None = None, default: int = 1) -> int:
-    """Workers to use: argument, else PREDICTU_THREADS, else ``default``.
-
-    A count below 1 from either source is invalid input, not 1 worker.
-    """
-    source = "workers"
-    if requested is None:
-        env = os.environ.get("PREDICTU_THREADS", "").strip()
-        if not env:
-            return default
-        try:
-            requested = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"PREDICTU_THREADS must be an integer, got {env!r}") from exc
-        source = "PREDICTU_THREADS"
-    if int(requested) < 1:
-        raise ValidationError(f"{source} must be at least 1, got {requested}")
-    return int(requested)
-
-
 def _map(make_pool, fn, n_items: int, workers: int | None, args: tuple) -> list:
     """``fn(*args, lo, hi)`` over contiguous ranges that cover ``range(n_items)``.
 
-    There is one range per worker (at most ``n_items``).  The calling
-    thread runs the first range while a pool from ``make_pool(n)`` runs
-    the n others, and the results come back in range order.
+    There is one range per worker (at most ``n_items``), ``workers``
+    being 1 when None; a count below 1 is invalid input, not 1 worker.
+    The calling thread runs the first range while a pool from
+    ``make_pool(n)`` runs the n others, and the results come back in
+    range order.
     """
-    n_jobs = min(worker_count(workers), n_items)
+    workers = 1 if workers is None else int(workers)
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
+    n_jobs = min(workers, n_items)
     bounds = np.linspace(0, n_items, n_jobs + 1).astype(int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(ranges) <= 1:

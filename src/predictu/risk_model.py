@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,16 +144,6 @@ class RiskTable:
         return self.p.size
 
     @property
-    def mean_risk(self) -> float:
-        """Mass-weighted mean risk; equals rho for consistent tables."""
-        return float(self.p @ self.r)
-
-    @property
-    def quantiles(self) -> np.ndarray:
-        """Upper quantile boundary q_i of each genotype's step."""
-        return np.cumsum(self.p)
-
-    @property
     def boundary_risks(self) -> np.ndarray:
         """Boolean mask of rows with risk exactly 0 or 1."""
         return (self.r == 0.0) | (self.r == 1.0)
@@ -195,10 +185,6 @@ class CurvePoints:
     @property
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.r) >= 0))
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.q.tolist(), self.r.tolist()))
 
 
 @dataclass(frozen=True)
@@ -300,15 +286,17 @@ def build_risk_table(
             + ", ".join(str(g) for g in dropped),
             stacklevel=2,
         )
-    p = p[keep]
-    r = r[keep]
     kept = tuple(g for g, k in zip(genotypes, keep) if k)
-    if p.size == 0:
+    if not kept:
         raise ValidationError("all genotypes carry zero mass")
+    return _sorted_table(kept, p[keep], r[keep], rho, dropped)
 
+
+def _sorted_table(genotypes, p, r, rho: float, dropped) -> RiskTable:
+    """The rows sorted by risk, ties keeping input order (a stable sort)."""
     order = np.argsort(r, kind="stable")
     return RiskTable(
-        genotypes=tuple(kept[i] for i in order),
+        genotypes=tuple(genotypes[i] for i in order),
         p=p[order],
         r=r[order],
         rho=rho,
@@ -386,11 +374,9 @@ def estimate_risk_table(counts: CaseControlCounts, laplace: float = 0.0) -> Risk
             + ", ".join(str(g) for g in dropped),
             stacklevel=2,
         )
-    with warnings.catch_warnings():
-        # zero-mass drops cannot occur after the seen-filter above
-        warnings.simplefilter("ignore")
-        table = build_risk_table(a, b, counts.rho, genotypes=kept)
-    return replace(table, dropped=dropped)
+    # every kept genotype was seen in an arm, so its mass is positive
+    p, r = _bayes(a, b, counts.rho)
+    return _sorted_table(kept, p, r, counts.rho, dropped)
 
 
 def curve_points(table: RiskTable) -> CurvePoints:

@@ -306,32 +306,23 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """A disease model, a cohort size, and the genotype-frequency law."""
+    """A disease model with the name and version it was loaded under."""
 
     model: DiseaseModel
-    size: int = 1_000_000
     name: str | None = None
     version: int | None = None
-
-    def __post_init__(self) -> None:
-        # a multinomial realisation draws the cohort in int64
-        if not 1 <= self.size < 2**63:
-            raise ValidationError(f"population size must lie in [1, 2**63), got {self.size}")
 
 
 @dataclass(frozen=True)
 class Population:
-    """A realised population with its true risk table and sampling laws.
+    """A population with its true risk table and sampling laws.
 
-    ``counts`` are per-genotype cohort counts in table order: exact
-    expected counts (fractional) by default, or one multinomial draw.
     ``cond_case`` and ``cond_control`` are P(g | D) and P(g | not D) in
     table order, the laws case-control sampling draws from.
     """
 
     spec: PopulationSpec
     table: RiskTable
-    counts: np.ndarray
     cond_case: np.ndarray
     cond_control: np.ndarray
 
@@ -344,56 +335,27 @@ class Population:
         return self.spec.name or "population"
 
 
-def build_population(
-    spec: PopulationSpec, realize: str = "expected", seed: int | None = None
-) -> Population:
-    """Realise a population and its true (sorted) risk table.
+def build_population(spec: PopulationSpec) -> Population:
+    """The exact genotype law of ``spec`` and its true (sorted) risk table.
 
-    Parameters
-    ----------
-    spec : PopulationSpec
-    realize : {"expected", "multinomial"}
-        "expected" uses exact expected genotype counts (deterministic;
-        masses equal the HWE probabilities).  "multinomial" draws one
-        cohort of ``spec.size`` subjects with the given seed.
-    seed : int, optional
-        Only used for the multinomial realisation.
-
-    Returns
-    -------
-    Population
+    The masses are the HWE genotype probabilities and the risks the
+    model's penetrances, so the table is deterministic.
     """
     model = spec.model
-    probs = genotype_probabilities(model.snps)
-    labels = model.genotype_labels
-    if realize == "expected":
-        counts = probs * spec.size
-    elif realize == "multinomial":
-        rng = np.random.default_rng(seed)
-        counts = rng.multinomial(spec.size, probs).astype(float)
-    else:
-        raise ValidationError(f"realize must be 'expected' or 'multinomial', got {realize!r}")
-    masses = counts / spec.size
-    keep = masses > 0
-    masses = masses[keep]
-    pen = model.penetrance[keep]
-    genotypes = tuple(
-        GenotypeId(i, labels[i]) for i in range(model.n_genotypes) if keep[i]
-    )
+    masses = genotype_probabilities(model.snps)
+    pen = model.penetrance
     rho = float(masses @ pen)
     if not 0.0 < rho < 1.0:
-        raise NumericError(f"realised prevalence {rho} is degenerate")
+        raise NumericError(f"population prevalence {rho} is degenerate")
     table = build_risk_table(
         masses * pen / rho,
         masses * (1.0 - pen) / (1.0 - rho),
         rho,
-        genotypes=genotypes,
+        genotypes=tuple(GenotypeId(i, label) for i, label in enumerate(model.genotype_labels)),
     )
-    order = list(table.ordering)
     return Population(
         spec=spec,
         table=table,
-        counts=counts[keep][order],
         cond_case=table.p * table.r / rho,
         cond_control=table.p * (1.0 - table.r) / (1.0 - rho),
     )
@@ -544,7 +506,7 @@ def run_bias_coverage(
         upartialstd, r, rstd, tg, ae.
     band : (float, float), required with partial tokens
     workers : int, optional
-        Process count; defaults to PREDICTU_THREADS, else 1.
+        Process count; defaults to 1.
 
     Returns
     -------
@@ -562,7 +524,6 @@ def run_bias_coverage(
         raise ValidationError(f"level must lie in (0, 1), got {level}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    n_workers = parallel.worker_count(workers)
 
     reports: list[EvalReport] = []
     for model_idx, pop in enumerate(populations):
@@ -571,7 +532,7 @@ def run_bias_coverage(
         parts = parallel.map_ranges(
             _replicate_chunk,
             n_replicates,
-            n_workers,
+            workers,
             population,
             tokens,
             band,
@@ -615,8 +576,7 @@ def _locus_pair(pair) -> tuple[int, int]:
     return pair[0], pair[1]
 
 
-_MODEL_KEYS = ("name", "version", "target_rho", "target_h2", "population_size", "snps",
-               "interactions")
+_MODEL_KEYS = ("name", "version", "target_rho", "target_h2", "snps", "interactions")
 _SNP_KEYS = ("maf", "mode", "rr")
 _INTERACTION_KEYS = ("pair", "rr")
 
@@ -649,16 +609,12 @@ def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
         target_rho = float(doc["target_rho"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model specification: {exc}") from exc
-    size = doc.get("population_size", 1_000_000)
-    if type(size) is not int:
-        raise ValidationError(f"population_size must be an integer, got {size!r}")
     model = penetrance_model(snps, target_rho, interactions)
     target_h2 = doc.get("target_h2")
     if target_h2 is not None:
         model = calibrate_heritability(model, float(target_h2))
     return PopulationSpec(
         model=model,
-        size=size,
         name=doc.get("name", name),
         version=doc.get("version"),
     )
@@ -669,15 +625,9 @@ def load_model_spec(path) -> PopulationSpec:
 
     Expected keys: ``snps`` (list of {maf, mode, rr}), optional
     ``interactions`` (list of {pair: [a, b], rr}), ``target_rho``,
-    optional ``target_h2``, ``population_size`` (an integer), ``name``,
-    ``version``; any other key, at any level, is an error.  Any
-    unreadable, malformed or invalid file raises ``ValidationError``
-    naming the path.
-
-    ``population_size`` only matters to ``build_population(...,
-    realize="multinomial")``.  ``predictu simulate`` builds the
-    population from the expected genotype frequencies, whose masses do
-    not depend on the size, so this key cannot change its output.
+    optional ``target_h2``, ``name``, ``version``; any other key, at any
+    level, is an error.  Any unreadable, malformed or invalid file
+    raises ``ValidationError`` naming the path.
     """
     import yaml
 

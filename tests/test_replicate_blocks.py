@@ -19,7 +19,7 @@ import pytest
 import conftest
 import predictu
 from predictu import inference
-from predictu.errors import NumericError
+from predictu.errors import NumericError, ValidationError
 from predictu.inference import (
     _GROUP,
     _TAG_BOOTSTRAP,
@@ -264,6 +264,14 @@ def test_results_do_not_depend_on_the_worker_count():
     assert same(serial[0], bootstrap_estimates_reference(counts, order, plan, 0.9, (0.8, 1.0), True))
     for workers in (2, 3):
         assert repr(_results(counts, order, plan, workers)) == repr(serial)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("entry", [bootstrap_estimates, permutation_test])
+def test_a_worker_count_below_one_is_rejected(entry, workers):
+    counts, order, plan = _invariance_case()
+    with pytest.raises(ValidationError, match=f"workers must be at least 1, got {workers}"):
+        entry(counts, order, plan, workers=workers)
 
 
 def test_threaded_resampling_runs_from_a_script_on_stdin():

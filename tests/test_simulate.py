@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from predictu import NumericError, ValidationError
-from predictu import parallel
 from predictu import simulate as sim
-from predictu.risk_model import apply_model_to_test, estimate_risk_table
+from predictu.risk_model import (
+    GenotypeId,
+    apply_model_to_test,
+    build_risk_table,
+    estimate_risk_table,
+)
 from predictu.summary_indices import (
     INDEX_TOKENS,
     average_entropy,
@@ -63,6 +67,31 @@ def test_hand_population_table():
     # sampling laws follow from Bayes
     assert np.allclose(pop.cond_case, [0.125, 0.5, 0.375])
     assert np.allclose(pop.cond_control, [0.28125, 0.5, 0.21875])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sim1_h002", "sim1_h005", "sim1_h010", "sim1_h020", "sim2_rr3", "sim2_rr6", "sim2_rr10",
+     "smoke"],
+)
+def test_preset_population_is_the_exact_genotype_law(name):
+    # the masses are the HWE probabilities themselves
+    model = sim.preset(name).model
+    masses = sim.genotype_probabilities(model.snps)
+    pen = model.penetrance
+    rho = float(masses @ pen)
+    want = build_risk_table(
+        masses * pen / rho,
+        masses * (1.0 - pen) / (1.0 - rho),
+        rho,
+        genotypes=tuple(GenotypeId(i, g) for i, g in enumerate(model.genotype_labels)),
+    )
+    got = sim.build_population(sim.preset(name)).table
+    assert got.rho == want.rho
+    assert got.p.tobytes() == want.p.tobytes()
+    assert got.r.tobytes() == want.r.tobytes()
+    assert [str(g) for g in got.genotypes] == [str(g) for g in want.genotypes]
+    assert got.ordering == want.ordering
 
 
 def test_flat_penetrance_is_uninformative():
@@ -174,18 +203,6 @@ def test_spec_validation():
             penetrance=np.array([0.1, 0.2]),  # wrong grid length
             target_rho=0.2,
         )
-    with pytest.raises(ValidationError):
-        sim.PopulationSpec(model=hand_model(), size=0)
-    with pytest.raises(ValidationError):
-        sim.build_population(sim.PopulationSpec(model=hand_model()), realize="exact")
-
-
-def test_multinomial_realisation_is_seeded():
-    spec = sim.PopulationSpec(model=hand_model(), size=10_000)
-    one = sim.build_population(spec, realize="multinomial", seed=3)
-    two = sim.build_population(spec, realize="multinomial", seed=3)
-    assert np.array_equal(one.counts, two.counts)
-    assert one.counts.sum() == 10_000
 
 
 def test_sampling_rejects_empty_arm():
@@ -370,7 +387,7 @@ def test_harness_deterministic_replay():
     assert any(a.mean != c.mean for a, c in zip(one, other))
 
 
-def test_harness_worker_independence(monkeypatch):
+def test_harness_worker_independence():
     # replicate streams keyed by (seed, population, replicate), not worker;
     # the second input takes every index, the band and the refit
     spec = sim.PopulationSpec(model=hand_model(), name="hand")
@@ -389,12 +406,6 @@ def test_harness_worker_independence(monkeypatch):
             serial = sim.run_bias_coverage([spec], workers=1, isotonic=isotonic, **kwargs)
             many = sim.run_bias_coverage([spec], workers=pooled, isotonic=isotonic, **kwargs)
             assert repr(serial) == repr(many)  # NaN bias (a zero truth) compares equal
-
-    monkeypatch.setenv("PREDICTU_THREADS", "4")
-    assert parallel.worker_count() == 4
-    assert parallel.worker_count(2) == 2
-    monkeypatch.delenv("PREDICTU_THREADS")
-    assert parallel.worker_count() == 1
 
 
 def test_harness_rejects_bad_requests():
