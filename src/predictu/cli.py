@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_counts(path, rho, max_bad_rows):
     """Auto-detect subject versus pre-aggregated layout by header (the
-    first non-blank, non-comment line).
+    first row with a non-blank cell, as the parsers read it).
 
     Parse warnings go to stderr, prefixed with the file they came from.
     """
@@ -225,12 +225,7 @@ def cmd_summarize(args) -> int:
     counts, report = _load_counts(args.input, args.rho, args.max_bad_rows)
     table = estimate_risk_table(counts, laplace=args.laplace)
     curve = curve_points(table)
-    out = _outdir(args)
-    prov = _provenance(args, seed=args.seed)
-
     blocks = [res.to_dict() for res in _index_results(table, args.indices, args.band)]
-    write_xy_csv(os.path.join(out, "curve.csv"), "q", curve.q, "r", curve.r, prov)
-    write_json(os.path.join(out, "indices.json"), {"indices": blocks}, prov)
 
     order = table.genotypes
     partial = None
@@ -248,6 +243,12 @@ def cmd_summarize(args) -> int:
     if args.permutation > 0:
         plan = ResamplePlan(n_replicates=args.permutation, seed=args.seed)
         inference["permutation_p"] = permutation_test(counts, order, plan, workers)
+
+    # every result is computed before the first write, so a failed run writes nothing
+    out = _outdir(args)
+    prov = _provenance(args, seed=args.seed)
+    write_xy_csv(os.path.join(out, "curve.csv"), "q", curve.q, "r", curve.r, prov)
+    write_json(os.path.join(out, "indices.json"), {"indices": blocks}, prov)
     write_json(os.path.join(out, "inference.json"), inference, prov)
 
     for block in blocks:
@@ -319,8 +320,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = preset(args.preset) if args.preset else load_model_spec(args.model)
-    population = build_population(spec)
+    model = preset(args.preset) if args.preset else load_model_spec(args.model)
+    population = build_population(model)
     reports = run_bias_coverage(
         [population],
         indices=args.indices,

@@ -111,9 +111,9 @@ def _input_error(path, problem: str) -> ValidationError:
 
 
 def _is_counts_file(path) -> bool:
-    """Whether the first non-blank, non-comment line is a counts header."""
-    with _open_text(path) as fh:
-        return "genotype_id" in next(filterfalse(_SKIP_LINE, fh), "").lower()
+    """Whether the header the parsers read has a ``genotype_id`` cell."""
+    with _open_rows(path) as (header, _, _):
+        return "genotype_id" in (cell.lower() for cell in header)
 
 
 def _kept_lines(lines):

@@ -98,9 +98,6 @@ class RiskTable:
         consistently built table equals rho; a mismatch beyond tolerance
         raises a warning, not an error, so hand-built tables remain
         usable.
-    ordering : tuple of int
-        For each sorted row, the position it held in the construction
-        input.  Ties in risk preserve input order (stable sort).
     dropped : tuple of GenotypeId
         Genotypes removed because they carried zero mass.
     """
@@ -109,7 +106,6 @@ class RiskTable:
     p: np.ndarray
     r: np.ndarray
     rho: float
-    ordering: tuple[int, ...]
     dropped: tuple[GenotypeId, ...] = ()
 
     def __post_init__(self) -> None:
@@ -120,8 +116,8 @@ class RiskTable:
         object.__setattr__(self, "rho", _check_rho(self.rho))
         if p.ndim != 1 or r.shape != p.shape:
             raise ValidationError("p and r must be one-dimensional and equal length")
-        if len(self.genotypes) != p.size or len(self.ordering) != p.size:
-            raise ValidationError("genotypes, ordering, p and r must align")
+        if len(self.genotypes) != p.size:
+            raise ValidationError("genotypes, p and r must align")
         if p.size == 0:
             raise ValidationError("risk table must contain at least one genotype")
         if np.any(p < 0):
@@ -300,7 +296,6 @@ def _sorted_table(genotypes, p, r, rho: float, dropped) -> RiskTable:
         p=p[order],
         r=r[order],
         rho=rho,
-        ordering=tuple(int(i) for i in order),
         dropped=dropped,
     )
 

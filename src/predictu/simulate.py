@@ -48,7 +48,6 @@ __all__ = [
     "SnpSpec",
     "Interaction",
     "DiseaseModel",
-    "PopulationSpec",
     "Population",
     "EvalReport",
     "genotype_matrix",
@@ -108,7 +107,8 @@ class DiseaseModel:
     """Penetrance over the full multi-locus genotype grid.
 
     ``penetrance[g]`` is P(D | g) for genotype g in canonical order
-    (itertools.product over loci, last locus fastest).
+    (itertools.product over loci, last locus fastest).  ``name`` labels
+    the model in evaluation reports.
     """
 
     snps: tuple[SnpSpec, ...]
@@ -116,6 +116,7 @@ class DiseaseModel:
     penetrance: np.ndarray
     target_rho: float
     target_h2: float | None = None
+    name: str | None = None
 
     def __post_init__(self) -> None:
         pen = np.array(self.penetrance, dtype=float)
@@ -305,15 +306,6 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
 
 
 @dataclass(frozen=True)
-class PopulationSpec:
-    """A disease model with the name and version it was loaded under."""
-
-    model: DiseaseModel
-    name: str | None = None
-    version: int | None = None
-
-
-@dataclass(frozen=True)
 class Population:
     """A population with its true risk table and sampling laws.
 
@@ -321,7 +313,7 @@ class Population:
     table order, the laws case-control sampling draws from.
     """
 
-    spec: PopulationSpec
+    model: DiseaseModel
     table: RiskTable
     cond_case: np.ndarray
     cond_control: np.ndarray
@@ -332,16 +324,15 @@ class Population:
 
     @property
     def name(self) -> str:
-        return self.spec.name or "population"
+        return self.model.name or "population"
 
 
-def build_population(spec: PopulationSpec) -> Population:
-    """The exact genotype law of ``spec`` and its true (sorted) risk table.
+def build_population(model: DiseaseModel) -> Population:
+    """The exact genotype law of ``model`` and its true (sorted) risk table.
 
     The masses are the HWE genotype probabilities and the risks the
     model's penetrances, so the table is deterministic.
     """
-    model = spec.model
     masses = genotype_probabilities(model.snps)
     pen = model.penetrance
     rho = float(masses @ pen)
@@ -354,7 +345,7 @@ def build_population(spec: PopulationSpec) -> Population:
         genotypes=tuple(GenotypeId(i, label) for i, label in enumerate(model.genotype_labels)),
     )
     return Population(
-        spec=spec,
+        model=model,
         table=table,
         cond_case=table.p * table.r / rho,
         cond_control=table.p * (1.0 - table.r) / (1.0 - rho),
@@ -500,7 +491,7 @@ def run_bias_coverage(
 
     Parameters
     ----------
-    populations : sequence of Population or PopulationSpec
+    populations : sequence of Population or DiseaseModel
     indices : sequence of str
         Tokens of ``summary_indices.INDICES``: u, ustd, upartial,
         upartialstd, r, rstd, tg, ae.
@@ -527,7 +518,7 @@ def run_bias_coverage(
 
     reports: list[EvalReport] = []
     for model_idx, pop in enumerate(populations):
-        population = build_population(pop) if isinstance(pop, PopulationSpec) else pop
+        population = build_population(pop) if isinstance(pop, DiseaseModel) else pop
         truth = _true_values(population, tokens, band)
         parts = parallel.map_ranges(
             _replicate_chunk,
@@ -593,7 +584,7 @@ def _check_keys(entries, allowed: tuple[str, ...], where: str) -> None:
             )
 
 
-def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
+def _model_from_mapping(doc: dict, name: str) -> DiseaseModel:
     try:
         _check_keys([doc], _MODEL_KEYS, "model specification")
         _check_keys(doc["snps"], _SNP_KEYS, "snps entry")
@@ -613,19 +604,16 @@ def _spec_from_mapping(doc: dict, name: str | None = None) -> PopulationSpec:
     target_h2 = doc.get("target_h2")
     if target_h2 is not None:
         model = calibrate_heritability(model, float(target_h2))
-    return PopulationSpec(
-        model=model,
-        name=doc.get("name", name),
-        version=doc.get("version"),
-    )
+    return replace(model, name=doc.get("name", name))
 
 
-def load_model_spec(path) -> PopulationSpec:
-    """Read a population specification from a YAML model file.
+def load_model_spec(path) -> DiseaseModel:
+    """Read a disease model from a YAML model file.
 
     Expected keys: ``snps`` (list of {maf, mode, rr}), optional
     ``interactions`` (list of {pair: [a, b], rr}), ``target_rho``,
-    optional ``target_h2``, ``name``, ``version``; any other key, at any
+    optional ``target_h2`` and ``name`` (default: the file stem).  A
+    ``version`` key is accepted and not stored; any other key, at any
     level, is an error.  Any unreadable, malformed or invalid file
     raises ``ValidationError`` naming the path.
     """
@@ -636,7 +624,7 @@ def load_model_spec(path) -> PopulationSpec:
             doc = yaml.safe_load(fh)
         if not isinstance(doc, dict):
             raise ValidationError("does not contain a mapping")
-        return _spec_from_mapping(doc, name=os.path.splitext(os.path.basename(str(path)))[0])
+        return _model_from_mapping(doc, name=os.path.splitext(os.path.basename(str(path)))[0])
     # a ValidationError is a ValueError; float() of a huge integer overflows
     except (OSError, ValueError, OverflowError, yaml.YAMLError) as exc:
         raise ValidationError(f"model file {path}: {exc}") from exc
@@ -646,19 +634,16 @@ def _preset_dir():
     return resources.files("predictu").joinpath("presets")
 
 
-def preset(name: str) -> PopulationSpec:
-    """Load one shipped preset population by name."""
-    import yaml
-
+def preset(name: str) -> DiseaseModel:
+    """Load one shipped preset model by name."""
     ref = _preset_dir().joinpath(f"{name}.yaml")
     if not ref.is_file():
         available = ", ".join(sorted(p.name[:-5] for p in _preset_dir().iterdir()))
         raise ValidationError(f"unknown preset {name!r}; available: {available}")
-    doc = yaml.safe_load(ref.read_text(encoding="utf-8"))
-    return _spec_from_mapping(doc, name=name)
+    return load_model_spec(ref)
 
 
-def simulation_presets() -> list[PopulationSpec]:
-    """All shipped preset populations, sorted by name."""
+def simulation_presets() -> list[DiseaseModel]:
+    """All shipped preset models, sorted by name."""
     names = sorted(p.name[:-5] for p in _preset_dir().iterdir() if p.name.endswith(".yaml"))
     return [preset(name) for name in names]

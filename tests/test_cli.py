@@ -138,6 +138,22 @@ def test_counts_file_with_provenance_comment_is_detected(subject_file, tmp_path)
     assert rows[0] == rows[1] and len(rows[0]) == 1 + 3
 
 
+@pytest.mark.parametrize(
+    "plain, text",
+    [(COUNTS, ",,\n" + COUNTS), (SUBJECTS, SUBJECTS.replace("snp1", "genotype_id_rs1", 1))],
+    ids=["counts-after-blank-cells", "subjects-with-genotype-id-marker"],
+)
+def test_layout_is_read_from_the_header_the_parsers_read(plain, text, tmp_path):
+    curves = []
+    for name, content in (("plain", plain), ("header", text)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(content)
+        out = tmp_path / name
+        assert main(["curve", str(path), "--rho", "0.21", "--out", str(out)]) == 0
+        curves.append((out / "curve.csv").read_text().splitlines()[1:])
+    assert curves[0] == curves[1] and len(curves[0]) == 1 + 3
+
+
 @pytest.mark.parametrize("text", [SUBJECTS, COUNTS], ids=["subjects", "counts"])
 def test_byte_order_mark_reads_like_plain_text(text, tmp_path, capsys):
     curves = []
@@ -446,6 +462,15 @@ def test_summarize_partial_requires_band(counts_file, tmp_path, capsys):
                  "--indices", "upartial", "--out", str(tmp_path)])
     assert code == 2
     assert "--band" in capsys.readouterr().err
+
+
+def test_failed_summarize_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "pair.csv"
+    path.write_text("genotype_id,n_case,n_control\ng0,1,0\ng1,0,1\n")
+    out = tmp_path / "run"
+    assert main(["summarize", str(path), "--rho", "0.21", "--out", str(out)]) == 3
+    assert "numeric error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_degenerate_rho_is_a_numeric_error(counts_file, tmp_path, capsys):

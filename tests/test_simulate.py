@@ -31,13 +31,14 @@ from conftest import (
 )
 
 
-def hand_model():
+def hand_model(name=None):
     """One locus at maf 0.5 with penetrances (0.1, 0.2, 0.3)."""
     return sim.DiseaseModel(
         snps=(sim.SnpSpec(maf=0.5),),
         interactions=(),
         penetrance=np.array([0.1, 0.2, 0.3]),
         target_rho=0.2,
+        name=name,
     )
 
 
@@ -60,7 +61,7 @@ def test_hwe_probabilities_factorize_over_loci():
 
 
 def test_hand_population_table():
-    pop = sim.build_population(sim.PopulationSpec(model=hand_model()))
+    pop = sim.build_population(hand_model())
     assert pop.rho == pytest.approx(0.2, abs=1e-12)
     assert np.allclose(pop.table.p, [0.25, 0.5, 0.25])
     assert np.allclose(pop.table.r, [0.1, 0.2, 0.3])
@@ -76,7 +77,7 @@ def test_hand_population_table():
 )
 def test_preset_population_is_the_exact_genotype_law(name):
     # the masses are the HWE probabilities themselves
-    model = sim.preset(name).model
+    model = sim.preset(name)
     masses = sim.genotype_probabilities(model.snps)
     pen = model.penetrance
     rho = float(masses @ pen)
@@ -91,7 +92,6 @@ def test_preset_population_is_the_exact_genotype_law(name):
     assert got.p.tobytes() == want.p.tobytes()
     assert got.r.tobytes() == want.r.tobytes()
     assert [str(g) for g in got.genotypes] == [str(g) for g in want.genotypes]
-    assert got.ordering == want.ordering
 
 
 def test_flat_penetrance_is_uninformative():
@@ -101,7 +101,7 @@ def test_flat_penetrance_is_uninformative():
         penetrance=np.full(3, 0.1),
         target_rho=0.1,
     )
-    pop = sim.build_population(sim.PopulationSpec(model=model))
+    pop = sim.build_population(model)
     assert u_statistic(pop.table.p, pop.table.r) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -206,7 +206,7 @@ def test_spec_validation():
 
 
 def test_sampling_rejects_empty_arm():
-    pop = sim.build_population(sim.PopulationSpec(model=hand_model()))
+    pop = sim.build_population(hand_model())
     with pytest.raises(ValidationError):
         sim.sample_case_control(pop, 0, 10, seed=1)
     with pytest.raises(ValidationError):
@@ -214,7 +214,7 @@ def test_sampling_rejects_empty_arm():
 
 
 def test_sampling_determinism():
-    pop = sim.build_population(sim.PopulationSpec(model=hand_model()))
+    pop = sim.build_population(hand_model())
     one = sim.sample_case_control(pop, 500, 500, seed=11)
     two = sim.sample_case_control(pop, 500, 500, seed=11)
     assert np.array_equal(one.n_case, two.n_case)
@@ -224,15 +224,15 @@ def test_sampling_determinism():
 
 def test_sampling_matches_conditional_laws():
     # law of large numbers: empirical arm frequencies near P(g | D), P(g | not D)
-    pop = sim.build_population(sim.PopulationSpec(model=hand_model()))
+    pop = sim.build_population(hand_model())
     counts = sim.sample_case_control(pop, 100_000, 100_000, seed=7)
     assert np.max(np.abs(counts.n_case / 100_000 - pop.cond_case)) < 0.02
     assert np.max(np.abs(counts.n_control / 100_000 - pop.cond_control)) < 0.02
 
 
 def test_presets_load_and_hit_targets():
-    specs = sim.simulation_presets()
-    names = [s.name for s in specs]
+    models = sim.simulation_presets()
+    names = [s.name for s in models]
     for required in (
         "sim1_h002",
         "sim1_h005",
@@ -245,25 +245,24 @@ def test_presets_load_and_hit_targets():
     ):
         assert required in names
     targets = {"sim1_h002": 0.02, "sim1_h005": 0.05, "sim1_h010": 0.1, "sim1_h020": 0.2}
-    for spec in specs:
-        probs = sim.genotype_probabilities(spec.model.snps)
-        rho = float(probs @ spec.model.penetrance)
-        assert rho == pytest.approx(spec.model.target_rho, abs=1e-9)
-        if spec.name in targets:
-            assert sim.heritability(spec.model) == pytest.approx(targets[spec.name], abs=1e-6)
-        if spec.name.startswith("sim"):
-            assert spec.model.target_rho == pytest.approx(0.016, abs=1e-12)
-            assert spec.model.n_genotypes == 81
+    for model in models:
+        probs = sim.genotype_probabilities(model.snps)
+        rho = float(probs @ model.penetrance)
+        assert rho == pytest.approx(model.target_rho, abs=1e-9)
+        if model.name in targets:
+            assert sim.heritability(model) == pytest.approx(targets[model.name], abs=1e-6)
+        if model.name.startswith("sim"):
+            assert model.target_rho == pytest.approx(0.016, abs=1e-12)
+            assert model.n_genotypes == 81
 
 
 def test_presets_match_the_200_step_bisections():
-    for spec in sim.simulation_presets():
-        model = spec.model
+    for model in sim.simulation_presets():
         want = penetrance_model_reference(model.snps, model.target_rho, model.interactions)
         want = want.penetrance if model.target_h2 is None else (
             calibrated_penetrance_reference(want, model.target_h2)
         )
-        assert model.penetrance.tobytes() == want.tobytes(), spec.name
+        assert model.penetrance.tobytes() == want.tobytes(), model.name
 
 
 def test_bisections_match_the_200_step_versions_on_random_models():
@@ -317,13 +316,35 @@ def test_bisections_match_the_200_step_versions_on_random_models():
     assert calibrated >= 8
 
 
+def test_a_preset_is_a_named_disease_model():
+    model = sim.preset("sim1_h005")
+    assert isinstance(model, sim.DiseaseModel) and model.name == "sim1_h005"
+    assert sim.heritability(model) == pytest.approx(0.05, abs=1e-6)
+    assert sim.build_population(model).name == "sim1_h005"
+    assert sim.build_population(hand_model()).name == "population"
+
+
+def test_model_file_with_a_version_key_loads(tmp_path):
+    path = tmp_path / "two_locus.yaml"
+    path.write_text(
+        "version: 1\ntarget_rho: 0.05\nsnps:\n"
+        "  - {maf: 0.20, mode: additive, rr: 1.6}\n"
+        "  - {maf: 0.25, mode: dominant, rr: 1.8}\n"
+    )
+    model = sim.load_model_spec(path)
+    assert model.name == "two_locus" and not hasattr(model, "version")
+    smoke = sim.preset("smoke")
+    assert model.snps == smoke.snps
+    assert model.penetrance.tobytes() == smoke.penetrance.tobytes()
+
+
 def test_unknown_preset_lists_available():
     with pytest.raises(ValidationError, match="smoke"):
         sim.preset("nope")
 
 
 def test_truth_matches_direct_indices():
-    pop = sim.build_population(sim.PopulationSpec(model=hand_model(), name="hand"))
+    pop = sim.build_population(hand_model(name="hand"))
     band = (0.3, 0.9)
     reports = sim.run_bias_coverage(
         [pop],
@@ -371,7 +392,7 @@ def test_bias_shrinks_with_sample_size():
 
 
 def test_harness_deterministic_replay():
-    spec = sim.PopulationSpec(model=hand_model(), name="hand")
+    model = hand_model(name="hand")
     kwargs = dict(
         indices=("ustd", "r"),
         n_replicates=40,
@@ -379,9 +400,9 @@ def test_harness_deterministic_replay():
         n_controls=300,
         n_bootstrap=50,
     )
-    one = sim.run_bias_coverage([spec], seed=5, **kwargs)
-    two = sim.run_bias_coverage([spec], seed=5, **kwargs)
-    other = sim.run_bias_coverage([spec], seed=6, **kwargs)
+    one = sim.run_bias_coverage([model], seed=5, **kwargs)
+    two = sim.run_bias_coverage([model], seed=5, **kwargs)
+    other = sim.run_bias_coverage([model], seed=6, **kwargs)
     for a, b in zip(one, two):
         assert a == b
     assert any(a.mean != c.mean for a, c in zip(one, other))
@@ -390,7 +411,7 @@ def test_harness_deterministic_replay():
 def test_harness_worker_independence():
     # replicate streams keyed by (seed, population, replicate), not worker;
     # the second input takes every index, the band and the refit
-    spec = sim.PopulationSpec(model=hand_model(), name="hand")
+    model = hand_model(name="hand")
     inputs = [(("ustd",), None, (False, True), 3), (INDEX_TOKENS, (0.8, 1.0), (True,), 2)]
     for indices, band, isotonics, pooled in inputs:
         kwargs = dict(
@@ -403,19 +424,19 @@ def test_harness_worker_independence():
             n_bootstrap=50,
         )
         for isotonic in isotonics:
-            serial = sim.run_bias_coverage([spec], workers=1, isotonic=isotonic, **kwargs)
-            many = sim.run_bias_coverage([spec], workers=pooled, isotonic=isotonic, **kwargs)
+            serial = sim.run_bias_coverage([model], workers=1, isotonic=isotonic, **kwargs)
+            many = sim.run_bias_coverage([model], workers=pooled, isotonic=isotonic, **kwargs)
             assert repr(serial) == repr(many)  # NaN bias (a zero truth) compares equal
 
 
 def test_harness_rejects_bad_requests():
-    spec = sim.PopulationSpec(model=hand_model())
+    model = hand_model()
     with pytest.raises(ValidationError):
-        sim.run_bias_coverage([spec], indices=("nope",), n_replicates=2)
+        sim.run_bias_coverage([model], indices=("nope",), n_replicates=2)
     with pytest.raises(ValidationError):
-        sim.run_bias_coverage([spec], indices=("upartial",), n_replicates=2)
+        sim.run_bias_coverage([model], indices=("upartial",), n_replicates=2)
     with pytest.raises(ValidationError):
-        sim.run_bias_coverage([spec], n_replicates=0)
+        sim.run_bias_coverage([model], n_replicates=0)
     for bad in (
         dict(n_cases=0),
         dict(n_controls=-1),
@@ -429,7 +450,7 @@ def test_harness_rejects_bad_requests():
         dict(seed=-1),
     ):
         with pytest.raises(ValidationError):
-            sim.run_bias_coverage([spec], n_replicates=2, **bad)
+            sim.run_bias_coverage([model], n_replicates=2, **bad)
 
 
 @pytest.mark.parametrize(
