@@ -5,144 +5,23 @@ counts, summarise them with U and competitor indices, convert exactly
 to ROC and Lorenz views, attach uncertainty by asymptotics, bootstrap
 or permutation, refit non-monotone curves isotonically, and evaluate
 estimator quality on simulated multi-locus populations.
+
+The package exports every name in its modules' ``__all__``.
 """
 
-from .curve_links import (
-    IdentityCheck,
-    LorenzCurve,
-    RocCurve,
-    check_lorenz_identity,
-    check_roc_identity,
-    implied_conditionals,
-    lorenz_from_table,
-    roc_from_table,
+from . import (
+    curve_links, errors, fileio, inference, isotonic, risk_model, simulate, summary_indices,
 )
-from .errors import NumericError, ValidationError
-from .fileio import (
-    ParseReport,
-    parse_counts_file,
-    parse_subject_file,
-    run_provenance,
-    write_counts_csv,
-)
-from .inference import (
-    ConfidenceInterval,
-    Method,
-    ResamplePlan,
-    UEstimate,
-    asymptotic_ci,
-    asymptotic_variance_u,
-    bootstrap_ci,
-    bootstrap_estimates,
-    partial_u_variance,
-    permutation_test,
-    two_sample_u,
-)
-from .isotonic import Block, IsotonicFit, pava
-from .risk_model import (
-    CaseControlCounts,
-    CurvePoints,
-    GenotypeId,
-    RiskTable,
-    apply_model_to_test,
-    build_risk_table,
-    curve_points,
-    estimate_risk_table,
-)
-from .simulate import (
-    DiseaseModel,
-    EvalReport,
-    Interaction,
-    Mode,
-    Population,
-    SnpSpec,
-    build_population,
-    calibrate_heritability,
-    genotype_probabilities,
-    heritability,
-    load_model_spec,
-    penetrance_model,
-    preset,
-    run_bias_coverage,
-    sample_case_control,
-    simulation_presets,
-)
-from .summary_indices import (
-    IndexResult,
-    average_entropy,
-    binary_entropy,
-    partial_u,
-    predictiveness_u,
-    predictiveness_u_std,
-    r_square,
-    total_gain,
-    u_statistic,
-)
+from .curve_links import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fileio import *  # noqa: F403
+from .inference import *  # noqa: F403
+from .isotonic import *  # noqa: F403
+from .risk_model import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .summary_indices import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ValidationError",
-    "NumericError",
-    "GenotypeId",
-    "RiskTable",
-    "CurvePoints",
-    "CaseControlCounts",
-    "build_risk_table",
-    "estimate_risk_table",
-    "curve_points",
-    "apply_model_to_test",
-    "IndexResult",
-    "predictiveness_u",
-    "predictiveness_u_std",
-    "partial_u",
-    "r_square",
-    "total_gain",
-    "average_entropy",
-    "u_statistic",
-    "binary_entropy",
-    "RocCurve",
-    "LorenzCurve",
-    "IdentityCheck",
-    "implied_conditionals",
-    "roc_from_table",
-    "lorenz_from_table",
-    "check_roc_identity",
-    "check_lorenz_identity",
-    "Method",
-    "ResamplePlan",
-    "ConfidenceInterval",
-    "UEstimate",
-    "two_sample_u",
-    "asymptotic_variance_u",
-    "asymptotic_ci",
-    "bootstrap_ci",
-    "bootstrap_estimates",
-    "permutation_test",
-    "partial_u_variance",
-    "Block",
-    "IsotonicFit",
-    "pava",
-    "Mode",
-    "SnpSpec",
-    "Interaction",
-    "DiseaseModel",
-    "Population",
-    "EvalReport",
-    "genotype_probabilities",
-    "penetrance_model",
-    "heritability",
-    "calibrate_heritability",
-    "build_population",
-    "sample_case_control",
-    "run_bias_coverage",
-    "load_model_spec",
-    "preset",
-    "simulation_presets",
-    "ParseReport",
-    "parse_subject_file",
-    "parse_counts_file",
-    "write_counts_csv",
-    "run_provenance",
-]
+_MODULES = (errors, risk_model, summary_indices, curve_links, inference, isotonic, simulate, fileio)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

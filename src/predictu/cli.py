@@ -13,7 +13,6 @@ failure.  All outputs are deterministic given inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -23,12 +22,12 @@ from .curve_links import check_lorenz_identity, check_roc_identity, lorenz_from_
 from .errors import NumericError, ValidationError
 from .fileio import (
     _is_counts_file,
-    _write_provenance_comment,
     curve_metadata,
     parse_counts_file,
     parse_subject_file,
     read_json,
     run_provenance,
+    write_csv,
     write_eval_csv,
     write_json,
     write_xy_csv,
@@ -110,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     add_io(p)
     p.add_argument("--indices", type=_tokens, default=_tokens("u,ustd,r,tg,ae"))
-    p.add_argument("--band", type=_band, default=None, help="partial-U band as q0:q1")
+    p.add_argument("--band", type=_band, default=None,
+                   help="partial-U band as q0:q1; with --bootstrap, inference.json also gets an "
+                        "interval for the raw partial U, whatever --indices asks for")
     p.add_argument("--bootstrap", type=_in_range(int, 0), default=0, metavar="N",
                    help="bootstrap replicates for percentile intervals (default: asymptotic only)")
     p.add_argument("--permutation", type=_in_range(int, 0), default=0, metavar="N",
@@ -381,11 +382,8 @@ def cmd_report(args) -> int:
         write_json(os.path.join(out, "report.json"), {"rows": rows}, prov)
         print(f"report: {len(rows)} rows -> {out}/report.json")
     else:
-        with open(os.path.join(out, "report.csv"), "w", encoding="utf-8", newline="") as fh:
-            _write_provenance_comment(fh, prov)
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        values = (row.values() for row in rows)
+        write_csv(os.path.join(out, "report.csv"), rows[0].keys(), values, prov)
         print(f"report: {len(rows)} rows -> {out}/report.csv")
     return 0
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .risk_model import CurvePoints, RiskTable
+from .risk_model import CurvePoints, RiskTable, _fields_equal
 from .summary_indices import _EDGE, _masses_risks, u_statistic
 
 __all__ = [
@@ -56,6 +56,8 @@ class RocCurve:
     f: np.ndarray
     auc: float
 
+    __eq__ = _fields_equal
+
 
 @dataclass(frozen=True)
 class LorenzCurve:
@@ -64,6 +66,8 @@ class LorenzCurve:
     q: np.ndarray
     h: np.ndarray
     auc: float
+
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ The command line tool maps ValidationError to exit code 2 and
 NumericError to exit code 3.
 """
 
+__all__ = ["ValidationError", "NumericError"]
+
 
 class ValidationError(ValueError):
     """An input violates a documented precondition."""

@@ -39,6 +39,10 @@ import numpy as np
 from .errors import ValidationError
 from .risk_model import CaseControlCounts, GenotypeId, RiskTable
 
+__all__ = [
+    "ParseReport", "parse_subject_file", "parse_counts_file", "write_counts_csv", "run_provenance",
+]
+
 _DELIMITERS = ",\t;"
 # lines or rows held at once while a subject file is read (a chunk of
 # 2**14 short rows is a few MiB)
@@ -398,12 +402,9 @@ def parse_counts_file(path, rho: float):
 def write_counts_csv(path, counts: CaseControlCounts, provenance: dict | None = None) -> None:
     """Emit counts in the pre-aggregated format (round-trips with
     :func:`parse_counts_file`)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_provenance_comment(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(["genotype_id", "n_case", "n_control"])
-        for g, a, b in zip(counts.genotypes, counts.n_case, counts.n_control):
-            writer.writerow([str(g), int(a), int(b)])
+    columns = zip(counts.genotypes, counts.n_case, counts.n_control)
+    rows = ((str(g), int(a), int(b)) for g, a, b in columns)
+    write_csv(path, ("genotype_id", "n_case", "n_control"), rows, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +437,6 @@ def run_provenance(config: dict, seed: int | None) -> dict:
     }
 
 
-def _write_provenance_comment(fh, provenance: dict | None) -> None:
-    if provenance:
-        fh.write(
-            "# predictu %s config=%s seed=%s\n"
-            % (provenance["version"], provenance["config_sha256"], provenance["seed"])
-        )
-
-
 def write_json(path, payload: dict, provenance: dict | None = None) -> None:
     """Serialize one result document with deterministic bytes."""
     doc = dict(payload)
@@ -468,38 +461,37 @@ def curve_metadata(table: RiskTable) -> dict:
     }
 
 
+def write_csv(path, header, rows, provenance: dict | None = None) -> None:
+    """One CSV artifact: the provenance comment, the header, the rows.
+
+    UTF-8; the comment line ends in ``\\n``, the csv rows in ``\\r\\n``,
+    and a float cell is its ``repr``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if provenance:
+            fh.write(
+                "# predictu %s config=%s seed=%s\n"
+                % (provenance["version"], provenance["config_sha256"], provenance["seed"])
+            )
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_xy_csv(path, xname, x, yname, y, provenance: dict | None = None) -> None:
     """Two-column plot-ready CSV (curve, ROC, Lorenz)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_provenance_comment(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow([xname, yname])
-        for xi, yi in zip(np.asarray(x), np.asarray(y)):
-            writer.writerow([repr(float(xi)), repr(float(yi))])
+    rows = ((float(xi), float(yi)) for xi, yi in zip(np.asarray(x), np.asarray(y)))
+    write_csv(path, (xname, yname), rows, provenance)
+
+
+_EVAL_HEADER = (
+    "model", "index", "true_value", "mean", "sd", "pct_bias", "pct_coverage", "n_replicates",
+)
 
 
 def write_eval_csv(path, reports, provenance: dict | None = None) -> None:
-    """EvalReport rows, one per model and index."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_provenance_comment(fh, provenance)
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "index", "true_value", "mean", "sd", "pct_bias", "pct_coverage", "n_replicates"]
-        )
-        for rep in reports:
-            d = rep.to_dict()
-            writer.writerow(
-                [
-                    d["model"],
-                    d["index"],
-                    repr(d["true_value"]),
-                    repr(d["mean"]),
-                    repr(d["sd"]),
-                    repr(d["pct_bias"]),
-                    repr(d["pct_coverage"]),
-                    d["n_replicates"],
-                ]
-            )
+    """EvalReport rows, one per model and index, in ``to_dict`` order."""
+    write_csv(path, _EVAL_HEADER, (rep.to_dict().values() for rep in reports), provenance)
 
 
 def read_json(path) -> dict:

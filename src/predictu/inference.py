@@ -437,7 +437,10 @@ def bootstrap_estimates(
     group returns only its global and partial replicate values, so
     memory is a few (8, G) arrays per thread whatever B is.  ``bootstrap_ci`` and ``partial_u_variance``
     are the two halves of the result.  Non-finite partial replicates
-    are dropped at the end, in draw order.
+    are dropped at the end, in draw order.  ``summarize --band`` calls
+    it with ``standardized=False``, so the ``partial`` block of its
+    ``inference.json`` is the raw partial U whatever ``--indices`` asks
+    for, ``upartialstd`` and no partial token at all included.
 
     Returns
     -------

@@ -7,12 +7,12 @@ nondecreasing cone under weighted least squares, with the genotype
 masses as weights; pooling therefore preserves the mass-weighted mean
 risk, so a refit curve keeps its prevalence.
 
-Two entry points share one algorithm.  ``pava`` fits a single curve and
-returns its blocks; ``validate --isotonic`` uses it.  ``pava_rows``
-refits a (B, G) stack of curves at once, cell for cell equal to
-``pava`` on each row's positive-weight cells; the simulation harness
-uses it for each replicate's point and bootstrap curves.  On one curve
-``pava`` is the faster of the two.
+Two entry points share one algorithm.  ``pava`` fits a single curve;
+``validate --isotonic`` uses it.  ``pava_rows`` refits a (B, G) stack
+of curves at once, cell for cell equal to ``pava`` on each row's
+positive-weight cells; the simulation harness uses it for each
+replicate's point and bootstrap curves.  On one curve ``pava`` is the
+faster of the two.
 """
 
 from __future__ import annotations
@@ -22,18 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .risk_model import _fields_equal
 
-__all__ = ["Block", "IsotonicFit", "pava", "pava_rows"]
-
-
-@dataclass(frozen=True)
-class Block:
-    """One pooled run of positions [start, end) sharing a fitted value."""
-
-    start: int
-    end: int
-    value: float
-    weight: float
+__all__ = ["IsotonicFit", "pava", "pava_rows"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,8 @@ class IsotonicFit:
     """Result of a PAVA projection."""
 
     fitted: np.ndarray
-    blocks: tuple[Block, ...]
+
+    __eq__ = _fields_equal
 
 
 def pava(risks, weights) -> IsotonicFit:
@@ -63,8 +55,8 @@ def pava(risks, weights) -> IsotonicFit:
     -------
     IsotonicFit
         ``fitted`` is nondecreasing with the same weighted mean as the
-        input; ``blocks`` give each pooled run with its value (the
-        weighted mean of its members) and total weight.  Block values
+        input.  Each run of equal fitted values is one pooled block,
+        valued at the weighted mean of its members; block values
         increase strictly.
     """
     r = np.asarray(risks, dtype=float)
@@ -89,14 +81,10 @@ def pava(risks, weights) -> IsotonicFit:
             stack[-1][2] += top[2]
 
     fitted = np.empty_like(r)
-    blocks = []
-    bounds = [int(row[0]) for row in stack] + [r.size]
-    for (start_, wsum, wtot), end_ in zip(stack, bounds[1:]):
-        value = float(wsum / wtot)
-        start = int(start_)
-        fitted[start:end_] = value
-        blocks.append(Block(start=start, end=int(end_), value=value, weight=float(wtot)))
-    return IsotonicFit(fitted=fitted, blocks=tuple(blocks))
+    ends = [row[0] for row in stack[1:]] + [r.size]
+    for (start, wsum, wtot), end in zip(stack, ends):
+        fitted[start:end] = wsum / wtot
+    return IsotonicFit(fitted=fitted)
 
 
 def pava_rows(risks: np.ndarray, weights) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,6 +74,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _fields_equal(self, other) -> bool:
+    """Value equality for a frozen dataclass with array fields.
+
+    Set as the class's ``__eq__``: array fields compare by
+    ``np.array_equal``, the others by ``==``; another type gives
+    ``NotImplemented``.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 def _check_rho(rho: float) -> float:
     rho = float(rho)
     if not 0.0 < rho < 1.0:
@@ -107,6 +120,8 @@ class RiskTable:
     r: np.ndarray
     rho: float
     dropped: tuple[GenotypeId, ...] = ()
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         p = _frozen_array(self.p)
@@ -159,6 +174,8 @@ class CurvePoints:
     genotypes: tuple[GenotypeId, ...] | None = None
     unseen: tuple[GenotypeId, ...] = ()
 
+    __eq__ = _fields_equal
+
     def __post_init__(self) -> None:
         q = _frozen_array(self.q)
         r = _frozen_array(self.r)
@@ -195,6 +212,8 @@ class CaseControlCounts:
     n_case: np.ndarray
     n_control: np.ndarray
     rho: float
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         n_case = _frozen_array(self.n_case, dtype=np.int64)

@@ -37,6 +37,7 @@ from .risk_model import (
     CaseControlCounts,
     GenotypeId,
     RiskTable,
+    _fields_equal,
     _plugin_rows,
     _trained_order,
     build_risk_table,
@@ -117,6 +118,8 @@ class DiseaseModel:
     target_rho: float
     target_h2: float | None = None
     name: str | None = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         pen = np.array(self.penetrance, dtype=float)
@@ -317,6 +320,8 @@ class Population:
     table: RiskTable
     cond_case: np.ndarray
     cond_control: np.ndarray
+
+    __eq__ = _fields_equal
 
     @property
     def rho(self) -> float:

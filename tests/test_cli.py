@@ -11,7 +11,9 @@ import pytest
 import predictu
 from predictu import cli
 from predictu.cli import main
-from predictu.fileio import parse_subject_file, read_json, run_provenance, write_counts_csv
+from predictu.fileio import (
+    parse_subject_file, read_json, run_provenance, write_counts_csv, write_json,
+)
 
 COUNTS = "genotype_id,n_case,n_control\ng0,5,45\ng1,6,24\ng2,10,10\n"
 SUBJECTS = (
@@ -702,6 +704,24 @@ def test_report_merges_and_reruns_identically(counts_file, tmp_path):
     out3 = tmp_path / "r3"
     assert main(["report", *inputs, "--format", "json", "--out", str(out3)]) == 0
     assert len(read_json(out3 / "report.json")["rows"]) == 6
+
+
+def test_report_csv_bytes(tmp_path, monkeypatch):
+    # relative input paths keep the configuration hash fixed
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "indices.json", {"indices": [{"name": "U", "value": 0.1 + 0.2}]})
+    write_json(tmp_path / "eval.json", {"reports": [{
+        "model": "smoke", "index": "U_std", "true_value": 0.0, "mean": 1e-05,
+        "pct_bias": float("nan"), "pct_coverage": 93.33333333333333,
+    }]})
+    assert main(["report", "indices.json", "eval.json", "--out", "out"]) == 0
+    assert (tmp_path / "out" / "report.csv").read_bytes() == (
+        b"# predictu 0.1.0 config=a918ef6bbc5bcd15c2ef46ee39f92d53643cf00af2cf387c21f645189b70efc4"
+        b" seed=None\n"
+        b"source,model,index,value,true_value,pct_bias,pct_coverage\r\n"
+        b"indices.json,,U,0.30000000000000004,,,\r\n"
+        b"eval.json,smoke,U_std,1e-05,0.0,nan,93.33333333333333\r\n"
+    )
 
 
 def test_report_without_inputs(tmp_path, capsys):

@@ -21,7 +21,7 @@ from predictu.fileio import (
     write_json,
     write_xy_csv,
 )
-from predictu.risk_model import build_risk_table
+from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
 from predictu.simulate import EvalReport
 
 from conftest import parse_subjects_row_by_row
@@ -649,6 +649,55 @@ def test_write_eval_csv_layout(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "m" and cells[1] == "U"
     assert np.isnan(float(cells[5]))
+
+
+# The CSV writers' exact bytes, line ends included: the provenance
+# comment ends in "\n", every csv row in "\r\n", a float cell is its repr.
+PROVENANCE = {"tool": "predictu", "version": "0.1.0", "config_sha256": "ab12", "seed": 7}
+
+
+def test_xy_csv_bytes(tmp_path):
+    path = tmp_path / "curve.csv"
+    q = np.array([0.1 + 0.2, 1.0])
+    write_xy_csv(path, "q", q, "r", np.array([1.0 / 3.0, 0.5]), PROVENANCE)
+    assert path.read_bytes() == (
+        b"# predictu 0.1.0 config=ab12 seed=7\n"
+        b"q,r\r\n"
+        b"0.30000000000000004,0.3333333333333333\r\n"
+        b"1.0,0.5\r\n"
+    )
+
+
+def test_eval_csv_bytes(tmp_path):
+    path = tmp_path / "eval.csv"
+    header = b"model,index,true_value,mean,sd,pct_bias,pct_coverage,n_replicates\r\n"
+    report = EvalReport(
+        model="smoke", index_name="U_std", true_value=0.0, mean=1e-05, sd=0.25,
+        pct_bias=float("nan"), pct_coverage=93.33333333333333, n_replicates=30,
+    )
+    write_eval_csv(path, [report], PROVENANCE)
+    assert path.read_bytes() == (
+        b"# predictu 0.1.0 config=ab12 seed=7\n"
+        + header
+        + b"smoke,U_std,0.0,1e-05,0.25,nan,93.33333333333333,30\r\n"
+    )
+    write_eval_csv(path, [])
+    assert path.read_bytes() == header
+
+
+def test_counts_csv_bytes(tmp_path):
+    counts = CaseControlCounts(
+        genotypes=(GenotypeId(0, "0/1"), GenotypeId(1, "2/2")),
+        n_case=np.array([5, 0]), n_control=np.array([45, 12]), rho=0.2,
+    )
+    path = tmp_path / "counts.csv"
+    write_counts_csv(path, counts)
+    assert path.read_bytes() == b"genotype_id,n_case,n_control\r\n0/1,5,45\r\n2/2,0,12\r\n"
+    write_counts_csv(path, counts, PROVENANCE)
+    assert path.read_bytes() == (
+        b"# predictu 0.1.0 config=ab12 seed=7\n"
+        b"genotype_id,n_case,n_control\r\n0/1,5,45\r\n2/2,0,12\r\n"
+    )
 
 
 def test_curve_metadata_reports_boundary_and_drops():

@@ -35,6 +35,12 @@ def brute_force_isotonic(y, w):
     return best
 
 
+def runs(fitted):
+    """The runs of equal values in ``fitted``, as slices: PAVA's pooled blocks."""
+    starts = [0, *(np.flatnonzero(np.diff(fitted) != 0) + 1), fitted.size]
+    return [slice(int(a), int(b)) for a, b in zip(starts, starts[1:])]
+
+
 def test_monotone_input_returned_unchanged():
     y = np.array([0.1, 0.2, 0.2, 0.7])
     w = np.array([1.0, 2.0, 1.0, 0.5])
@@ -42,10 +48,11 @@ def test_monotone_input_returned_unchanged():
 
 
 def test_symmetric_pair_pools_to_mean():
-    fit = pava(np.array([3.0, 1.0]), np.array([1.0, 1.0]))
+    w = np.array([1.0, 1.0])
+    fit = pava(np.array([3.0, 1.0]), w)
     np.testing.assert_allclose(fit.fitted, [2.0, 2.0], atol=1e-15)
-    assert len(fit.blocks) == 1
-    assert fit.blocks[0].weight == pytest.approx(2.0)
+    (run,) = runs(fit.fitted)
+    assert w[run].sum() == pytest.approx(2.0)
 
 
 def test_four_point_hand_example():
@@ -85,16 +92,15 @@ def test_block_characterization():
         y = rng.uniform(0, 1, n)
         w = rng.uniform(0.1, 2.0, n)
         fit = pava(y, w)
-        values = [b.value for b in fit.blocks]
+        values = [fit.fitted[run.start] for run in runs(fit.fitted)]
         assert all(b > a for a, b in zip(values, values[1:]))
-        for block in fit.blocks:
-            mean = np.average(y[block.start:block.end], weights=w[block.start:block.end])
-            assert block.value == pytest.approx(mean, abs=1e-12)
-            np.testing.assert_allclose(fit.fitted[block.start:block.end], block.value)
+        for run, value in zip(runs(fit.fitted), values):
+            mean = np.average(y[run], weights=w[run])
+            assert value == pytest.approx(mean, abs=1e-12)
 
 
 def test_refit_u_equals_merged_table_u():
-    # pooling genotypes by block and recomputing U must agree with
+    # pooling genotypes by run and recomputing U must agree with
     # evaluating U on the refit risks at the original resolution
     rng = np.random.default_rng(404)
     for _ in range(50):
@@ -105,8 +111,8 @@ def test_refit_u_equals_merged_table_u():
         noisy = np.clip(table.r + rng.normal(0, 0.1, g), 0, 1)
         fit = pava(noisy, table.p)
         u_refit = float(u_statistic(table.p, fit.fitted))
-        merged_p = np.array([b.weight for b in fit.blocks])
-        merged_r = np.array([b.value for b in fit.blocks])
+        merged_p = np.array([table.p[run].sum() for run in runs(fit.fitted)])
+        merged_r = np.array([fit.fitted[run.start] for run in runs(fit.fitted)])
         u_merged = float(u_statistic(merged_p, merged_r))
         assert u_refit == pytest.approx(u_merged, abs=1e-12)
 
