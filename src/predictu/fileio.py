@@ -47,6 +47,8 @@ _DELIMITERS = ",\t;"
 # lines or rows held at once while a subject file is read (a chunk of
 # 2**14 short rows is a few MiB)
 _CHUNK_ROWS = 1 << 14
+# the largest count cell or arm total a counts file may hold: counts are int64
+_COUNT_LIMIT = 2**63 - 1
 _SKIP_LINE = re.compile(r"\s*(?:#|$)").match
 
 
@@ -360,6 +362,7 @@ def parse_counts_file(path, rho: float):
     seen: set[str] = set()
     n_case: list[int] = []
     n_control: list[int] = []
+    totals = (0, 0)  # case and control totals so far, as Python ints
 
     def error(ordinal, problem):
         return _input_error(path, f"line {_file_lines(path, [ordinal])[ordinal]}: {problem}")
@@ -382,6 +385,11 @@ def parse_counts_file(path, rho: float):
                 a, b = int(row[cols[1]]), int(row[cols[2]])
             except ValueError as exc:
                 raise error(ordinal, "counts must be integers") from exc
+            if max(abs(a), abs(b)) > _COUNT_LIMIT:
+                raise error(ordinal, f"a count exceeds the limit 2**63 - 1 = {_COUNT_LIMIT}")
+            totals = (totals[0] + a, totals[1] + b)
+            if max(totals) > _COUNT_LIMIT:
+                raise error(ordinal, f"an arm total exceeds the limit 2**63 - 1 = {_COUNT_LIMIT}")
             labels.append(label)
             seen.add(label)
             n_case.append(a)

@@ -109,17 +109,49 @@ def brute_force_u(p, r):
     return 2.0 * total
 
 
-def refit_rows_one_by_one(p, r):
+def pava_stack(risks, weights) -> np.ndarray:
+    """Weighted isotonic fit by the sequential block stack (the former
+    ``pava``): the oracle the merge rounds of ``pava_rows`` must match.
+
+    Scans left to right keeping a stack of blocks; whenever the newest
+    block fails to exceed its predecessor the two merge into their
+    weighted mean, cascading back as far as needed.
+    """
+    r = np.asarray(risks, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    # stack rows: [start index, weighted sum, weight]
+    stack: list[list[float]] = []
+    for i in range(r.size):
+        stack.append([i, r[i] * w[i], w[i]])
+        while len(stack) > 1 and (
+            stack[-2][1] * stack[-1][2] >= stack[-1][1] * stack[-2][2]
+        ):
+            # previous mean >= current mean, compared cross-multiplied
+            top = stack.pop()
+            stack[-1][1] += top[1]
+            stack[-1][2] += top[2]
+
+    fitted = np.empty_like(r)
+    ends = [row[0] for row in stack[1:]] + [r.size]
+    for (start, wsum, wtot), end in zip(stack, ends):
+        fitted[start:end] = wsum / wtot
+    return fitted
+
+
+def refit_rows_one_by_one(p, r, fit=lambda risks, weights: pava(risks, weights).fitted):
     """Isotonic refit of each row's positive-mass risks, masses as weights.
 
-    The simulation harness's former per-row loop over ``pava``: the
-    reference the batched ``pava_rows`` must equal bit for bit.
+    The simulation harness's former per-row loop over ``pava``.  Since
+    ``pava`` is the one-row view of ``pava_rows``, the batched fit equals
+    it bit for bit exactly when a row's fit depends only on that row's
+    own positive-weight cells.  ``fit`` swaps in another one-curve fit,
+    such as the ``pava_stack`` oracle.
     """
     out = np.array(r, dtype=float, copy=True)
     for i in range(p.shape[0]):
         mask = p[i] > 0
         if mask.sum() > 1:
-            out[i, mask] = pava(r[i, mask], p[i, mask]).fitted
+            out[i, mask] = fit(r[i, mask], p[i, mask])
     return out
 
 

@@ -475,6 +475,26 @@ def test_failed_summarize_writes_nothing(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("g1,9223372036854775808,3\n", "line 3: a count exceeds the limit 2**63 - 1"),
+        ("g1,5000000000000000000,3\ng2,5000000000000000000,4\n",
+         "line 4: an arm total exceeds the limit 2**63 - 1"),
+    ],
+    ids=["cell", "arm-total"],
+)
+def test_counts_past_int64_are_invalid_input(tmp_path, capsys, rows, message):
+    path = tmp_path / "big.csv"
+    path.write_text("genotype_id,n_case,n_control\ng0,1,5\n" + rows)
+    out = tmp_path / "run"
+    assert main(["curve", str(path), "--rho", "0.21", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {message} = 9223372036854775807" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_degenerate_rho_is_a_numeric_error(counts_file, tmp_path, capsys):
     code = main(["summarize", counts_file, "--rho", "5e-13", "--out", str(tmp_path)])
     assert code == 3

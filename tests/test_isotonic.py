@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from predictu import isotonic
 from predictu.errors import ValidationError
 from predictu.isotonic import pava, pava_rows
 from predictu.risk_model import build_risk_table
 from predictu.summary_indices import u_statistic
 
-from conftest import refit_rows_one_by_one
+from conftest import pava_stack, refit_rows_one_by_one
 
 
 def brute_force_isotonic(y, w):
@@ -145,6 +146,55 @@ def random_stack(rng):
         elif kind == 3:
             risks[i] = risks[i, 0]
     return risks, weights
+
+
+def adversarial_stack(rng):
+    """Rows ``[0, 1, ..., n - 2, low]``, which merge one block per round,
+    with n past ``_ROUNDS``, mixed with the ordinary rows of ``random_stack``.
+    ``low`` is -1e9, which pools the whole row, or a drop that pools a tail."""
+    risks, weights = random_stack(rng)
+    n_cols = isotonic._ROUNDS + int(rng.integers(2, 40))
+    risks = np.pad(risks, ((0, 0), (0, n_cols - risks.shape[1])), mode="wrap")
+    weights = np.pad(weights, ((0, 0), (0, n_cols - weights.shape[1])), mode="wrap")
+    for i in rng.choice(risks.shape[0], int(rng.integers(1, risks.shape[0] + 1)), replace=False):
+        low = -1e9 if rng.random() < 0.5 else -rng.uniform(0, 0.25) * n_cols**2
+        risks[i] = np.r_[np.arange(n_cols - 1.0), low]
+        weights[i] = 1.0 if rng.random() < 0.5 else rng.uniform(0.01, 2.0, n_cols)
+    return risks, weights
+
+
+def stacks(seed, n):
+    """``n`` ordinary and ``n`` adversarial stacks, interleaved."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield random_stack(rng)
+        yield adversarial_stack(rng)
+
+
+def test_row_fit_matches_the_stack_oracle():
+    # random, tied, zero-weight, all-zero, single-cell, sorted and
+    # constant rows, and adversarial rows that the stack finisher ends
+    for risks, weights in stacks(408, 300):
+        expected = refit_rows_one_by_one(weights, risks, fit=pava_stack)
+        np.testing.assert_allclose(pava_rows(risks, weights), expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("rounds", ["above G", 1])
+def test_round_limit_leaves_the_fit(monkeypatch, rounds):
+    # rounds alone, or the stack finisher on nearly every row, fit as the
+    # default mix of the two does
+    for risks, weights in stacks(409, 100):
+        expected = pava_rows(risks.copy(), weights)
+        monkeypatch.setattr(isotonic, "_ROUNDS", risks.shape[1] + 1 if rounds == "above G" else rounds)
+        fitted = pava_rows(risks.copy(), weights)
+        monkeypatch.undo()
+        np.testing.assert_allclose(fitted, expected, rtol=1e-14)
+        for f, r, w in zip(fitted, risks, weights):
+            mask = w > 0
+            if mask.any():
+                assert np.all(np.diff(f[mask]) >= 0)
+                mean = np.average(r[mask], weights=w[mask])
+                assert np.average(f[mask], weights=w[mask]) == pytest.approx(mean, rel=1e-12, abs=1e-12)
 
 
 def test_row_fit_equals_pava_row_by_row():
