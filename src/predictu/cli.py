@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replicates per dataset for coverage intervals")
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
-                   help="harness process count (default: 1)")
+                   help="harness thread count (default: 1)")
     p.add_argument("--out", default=".")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

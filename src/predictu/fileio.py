@@ -37,7 +37,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ValidationError
-from .risk_model import CaseControlCounts, GenotypeId, RiskTable
+from .risk_model import _COUNT_LIMIT, CaseControlCounts, GenotypeId, RiskTable
 
 __all__ = [
     "ParseReport", "parse_subject_file", "parse_counts_file", "write_counts_csv", "run_provenance",
@@ -47,8 +47,6 @@ _DELIMITERS = ",\t;"
 # lines or rows held at once while a subject file is read (a chunk of
 # 2**14 short rows is a few MiB)
 _CHUNK_ROWS = 1 << 14
-# the largest count cell or arm total a counts file may hold: counts are int64
-_COUNT_LIMIT = 2**63 - 1
 _SKIP_LINE = re.compile(r"\s*(?:#|$)").match
 
 
@@ -424,8 +422,8 @@ def run_provenance(config: dict, seed: int | None) -> dict:
 
     The hash covers the configuration that affects results; output
     locations and the worker count are excluded so a re-run into a
-    different directory or on another number of threads or processes
-    produces identical bytes.
+    different directory or on another number of threads produces
+    identical bytes.
     """
     from . import __version__
 

@@ -14,8 +14,9 @@ pairs, and along the order the kernel reduces to a prefix sum,
 with C_{<i} and C_{>i} the controls ordered below and above position i
 (the DeLong placement values).  One int64 cumulative sum serves the
 point estimate, the asymptotic variance and every resampling replicate
-in O(G) per row, exactly; the dense ``pair_kernel`` and the per-subject
-form exist only as test references.
+in O(G) per row, exactly while n_D n_Dbar and 2 max(n_D, n_Dbar) fit in
+int64 (larger arm totals raise ``ValidationError``); the dense
+``pair_kernel`` and the per-subject form exist only as test references.
 
 Resampling is stratified within arms (bootstrap) or redraws the case
 counts from the pooled genotype totals by multivariate hypergeometric
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import parallel
 from .errors import NumericError, ValidationError
-from .risk_model import CaseControlCounts, _plugin_rows, _positions
+from .risk_model import _COUNT_LIMIT, CaseControlCounts, _plugin_rows, _positions
 from .summary_indices import _check_band, _index_rows
 
 __all__ = [
@@ -126,7 +127,14 @@ class UEstimate:
 
 def _align_counts(counts: CaseControlCounts, order) -> tuple[np.ndarray, np.ndarray]:
     """Case and control counts (int64) along ``order``; every counted
-    genotype must have a position in it."""
+    genotype must have a position in it, and n_D n_Dbar (``_contract``'s
+    sum) and 2 max(n_D, n_Dbar) (``_placements``) must fit in int64."""
+    n_d, n_dbar = counts.n_cases, counts.n_controls
+    if n_d * n_dbar > _COUNT_LIMIT or 2 * max(n_d, n_dbar) > _COUNT_LIMIT:
+        raise ValidationError(
+            f"{n_d} cases and {n_dbar} controls: n_cases * n_controls and 2 * max(n_cases, "
+            f"n_controls) must not exceed the limit 2**63 - 1 = {_COUNT_LIMIT}"
+        )
     pos = _positions(order, counts.genotypes)
     seen = pos >= 0
     stray = (counts.n_case > 0) | (counts.n_control > 0)
@@ -369,7 +377,8 @@ def permutation_test(
     each from its own stream, on ``workers`` threads (default 1), and
     counted as they go, so memory is one group's working set per thread
     whatever the replicate count and the p-value is the same for any
-    thread count.
+    thread count.  numpy draws them only for fewer than 10**9 subjects
+    in total; a larger pooled total raises ``ValidationError``.
 
     The ``order`` must come from outside the data being tested (a
     trained model, an external ranking, or a fixed convention).  An
@@ -381,11 +390,17 @@ def permutation_test(
     float
         p = (1 + #{|U*| >= |U|}) / (1 + n_replicates).
     """
+    pooled = counts.n_cases + counts.n_controls
+    if pooled >= 10**9:  # numpy's multivariate hypergeometric draw takes no more
+        raise ValidationError(
+            f"the permutation test needs fewer cases and controls in total than the limit "
+            f"10**9 = 1000000000, got {pooled}"
+        )
     case, control = _align_counts(counts, order)
     observed = abs(int(_contract(case, control)))
     args = (case + control, counts.n_cases, observed, plan.seed, plan.n_replicates)
     n_groups = _n_groups(plan.n_replicates)
-    hits = parallel.map_ranges_threads(_permutation_hits, n_groups, workers, *args)
+    hits = parallel.map_ranges(_permutation_hits, n_groups, workers, *args)
     return (1 + sum(hits)) / (1 + plan.n_replicates)
 
 
@@ -459,7 +474,7 @@ def bootstrap_estimates(
 
     args = (case, control, rho, scale, band, token, plan.seed, plan.n_replicates)
     n_groups = _n_groups(plan.n_replicates)
-    parts = parallel.map_ranges_threads(_bootstrap_values, n_groups, workers, *args)
+    parts = parallel.map_ranges(_bootstrap_values, n_groups, workers, *args)
     values = np.concatenate([part[0] for part in parts])
     total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
     if band is None:

@@ -37,6 +37,8 @@ __all__ = [
 
 # Tolerance for "sums to one" style mass checks.
 MASS_TOL = 1e-9
+# counts are int64: the largest count, arm total or exact product of them
+_COUNT_LIMIT = 2**63 - 1
 
 
 @dataclass(frozen=True)

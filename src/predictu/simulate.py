@@ -17,7 +17,8 @@ case-control sample (which fixes the genotype ordering), then an
 independent test sample evaluated in that order.  This is what makes
 the competitor indices interesting: the test curve is non-monotone, a
 plug-in R or AE inflates under noise, while the pairwise structure of U
-absorbs most of it.
+absorbs most of it.  Replicates run on threads (``parallel.map_ranges``)
+and work only on the genotypes their test sample observed, not all 3^L.
 """
 
 from __future__ import annotations
@@ -446,8 +447,12 @@ def _replicate_chunk(
         seen = np.flatnonzero(case_t + ctrl_t)
         order = _trained_order(seen[np.argsort(r_train[seen], kind="stable")], r_test)
 
-        case_e = case_s[order]
-        ctrl_e = ctrl_s[order]
+        # only positions with test mass carry mass in any row; a zero-mass
+        # category draws nothing unless it is last, so every draw is kept
+        keep = (case_s + ctrl_s)[order] > 0
+        keep[-1] = True
+        cols = order[keep]
+        case_e, ctrl_e = case_s[cols], ctrl_s[cols]
         # row 0 is the test curve, rows 1.. its bootstrap replicates
         case_b, ctrl_b = inference._bootstrap_group(
             case_e, ctrl_e, [seed, model_idx, k, 2], n_bootstrap
@@ -502,7 +507,7 @@ def run_bias_coverage(
         upartialstd, r, rstd, tg, ae.
     band : (float, float), required with partial tokens
     workers : int, optional
-        Process count; defaults to 1.
+        Thread count; defaults to 1.
 
     Returns
     -------

@@ -491,6 +491,51 @@ def calibrated_penetrance_reference(model, target_h2):
     return recentred_reference(pen0, probs, rho, 0.5 * (lo + hi))
 
 
+def replicate_rows_reference(
+    population, n_cases, n_controls, isotonic, n_bootstrap, seed, model_idx, k
+):
+    """One replicate of the former ``simulate._replicate_chunk`` over the
+    whole genotype grid: the count stacks (row 0 the test sample in the
+    trained order, rows 1.. its stratified bootstrap from ``rng_boot``),
+    the plug-in masses and risks, and the isotonic fit (None without
+    ``isotonic``)."""
+    rho = population.rho
+    rng_train = np.random.default_rng([seed, model_idx, k, 0])
+    rng_test = np.random.default_rng([seed, model_idx, k, 1])
+    rng_boot = np.random.default_rng([seed, model_idx, k, 2])
+
+    case_t = rng_train.multinomial(n_cases, population.cond_case)
+    ctrl_t = rng_train.multinomial(n_controls, population.cond_control)
+    case_s = rng_test.multinomial(n_cases, population.cond_case)
+    ctrl_s = rng_test.multinomial(n_controls, population.cond_control)
+
+    # trained order: train-observed genotypes by estimated train risk,
+    # then the rest by estimated test risk (ties keep table position)
+    _, r_train = _plugin_rows(case_t, ctrl_t, rho)
+    _, r_test_all = _plugin_rows(case_s, ctrl_s, rho)
+    seen = (case_t + ctrl_t) > 0
+    seen_idx = np.flatnonzero(seen)
+    unseen_idx = np.flatnonzero(~seen)
+    order = np.concatenate(
+        [
+            seen_idx[np.argsort(r_train[seen_idx], kind="stable")],
+            unseen_idx[np.argsort(r_test_all[unseen_idx], kind="stable")],
+        ]
+    ).astype(np.int64)
+
+    case_e = case_s[order]
+    ctrl_e = ctrl_s[order]
+    case_b = np.vstack(
+        [case_e, rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)]
+    )
+    ctrl_b = np.vstack(
+        [ctrl_e, rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)]
+    )
+    p, r = _plugin_rows(case_b, ctrl_b, rho)
+    fit = pava_rows(r.copy(), p) if isotonic else None
+    return case_b, ctrl_b, p, r, fit
+
+
 def replicate_chunk_reference(
     population,
     tokens,
@@ -507,52 +552,19 @@ def replicate_chunk_reference(
     rep_hi,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Former ``simulate._replicate_chunk``, which drew its own stratified
-    bootstrap rows from ``rng_boot``: the reference the harness must equal
-    bit for bit now that it calls ``inference._bootstrap_group``."""
+    bootstrap rows from ``rng_boot`` and evaluated every column of the
+    grid: the reference whose coverage the harness must equal and whose
+    means it must match to rounding."""
     rho = population.rho
     n_tokens = len(tokens)
     values = np.empty((rep_hi - rep_lo, n_tokens))
     covered = np.zeros((rep_hi - rep_lo, n_tokens), dtype=bool)
 
     for row, k in enumerate(range(rep_lo, rep_hi)):
-        rng_train = np.random.default_rng([seed, model_idx, k, 0])
-        rng_test = np.random.default_rng([seed, model_idx, k, 1])
-        rng_boot = np.random.default_rng([seed, model_idx, k, 2])
-
-        case_t = rng_train.multinomial(n_cases, population.cond_case)
-        ctrl_t = rng_train.multinomial(n_controls, population.cond_control)
-        case_s = rng_test.multinomial(n_cases, population.cond_case)
-        ctrl_s = rng_test.multinomial(n_controls, population.cond_control)
-
-        # trained order: train-observed genotypes by estimated train risk,
-        # then the rest by estimated test risk (ties keep table position)
-        _, r_train = _plugin_rows(case_t, ctrl_t, rho)
-        _, r_test_all = _plugin_rows(case_s, ctrl_s, rho)
-        seen = (case_t + ctrl_t) > 0
-        seen_idx = np.flatnonzero(seen)
-        unseen_idx = np.flatnonzero(~seen)
-        order = np.concatenate(
-            [
-                seen_idx[np.argsort(r_train[seen_idx], kind="stable")],
-                unseen_idx[np.argsort(r_test_all[unseen_idx], kind="stable")],
-            ]
-        ).astype(np.int64)
-
-        case_e = case_s[order]
-        ctrl_e = ctrl_s[order]
-        # row 0 is the test curve, rows 1.. its bootstrap replicates
-        case_b = np.vstack(
-            [case_e, rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)]
+        _, _, p, r, fit = replicate_rows_reference(
+            population, n_cases, n_controls, isotonic, n_bootstrap, seed, model_idx, k
         )
-        ctrl_b = np.vstack(
-            [ctrl_e, rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)]
-        )
-        p, r = _plugin_rows(case_b, ctrl_b, rho)
-        del case_b, ctrl_b
-        if isotonic:
-            pava_rows(r, p)
-
-        stack = _index_rows(p, r, rho, tokens, band)
+        stack = _index_rows(p, r if fit is None else fit, rho, tokens, band)
         for t, token in enumerate(tokens):
             values[row, t] = stack[token][0]
             reps = stack[token][1:]

@@ -376,14 +376,24 @@ def test_summarize_bytes_do_not_depend_on_workers(tmp_path):
     assert run("default") == want
 
 
-@pytest.mark.parametrize("extra", [[], ["--workers", "2"]], ids=["default", "two-workers"])
-def test_summarize_resamples_without_child_processes(extra, counts_file, monkeypatch, tmp_path):
+_SUMMARIZE = ["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "20", "--permutation", "19"]
+_SIMULATE = ["simulate", "--preset", "smoke", "--replicates", "6", "--n-cases", "60",
+             "--n-controls", "60", "--bootstrap", "20", "--isotonic", "--workers", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_SUMMARIZE, _SUMMARIZE + ["--workers", "2"], _SIMULATE],
+    ids=["default", "two-workers", "simulate-two-workers"],
+)
+def test_summarize_resamples_without_child_processes(argv, counts_file, monkeypatch, tmp_path):
+    # summarize's resampling and the simulate harness share one thread pool
     def refuse(*args, **kwargs):
-        raise AssertionError("summarize asked for a process context")
+        raise AssertionError(f"{argv[0]} asked for a process context")
 
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
-    assert main(["summarize", counts_file, "--rho", "0.21", "--bootstrap", "20",
-                 "--permutation", "19", "--out", str(tmp_path / "run")] + extra) == 0
+    argv = [arg.format(counts=counts_file) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
 
 
 def test_r_and_r_std_keep_distinct_names(counts_file, tmp_path, capsys):
@@ -493,6 +503,27 @@ def test_counts_past_int64_are_invalid_input(tmp_path, capsys, rows, message):
     assert f"{path}: {message} = 9223372036854775807" in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "rows, extra, message",
+    [
+        ("g0,1000000000,3000000000\ng1,2000000000,2000000000\ng2,3000000000,1000000000\n", [],
+         "must not exceed the limit 2**63 - 1 = 9223372036854775807"),
+        ("g0,100000000,300000000\ng1,200000000,200000000\ng2,100000000,100000000\n",
+         ["--permutation", "9"], "than the limit 10**9 = 1000000000"),
+    ],
+    ids=["contraction", "permutation"],
+)
+def test_totals_past_the_exact_arithmetic_are_invalid_input(tmp_path, capsys, rows, extra, message):
+    path = tmp_path / "big.csv"
+    path.write_text("genotype_id,n_case,n_control\n" + rows)
+    out = tmp_path / "run"
+    assert main(["summarize", str(path), "--rho", "0.05", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_degenerate_rho_is_a_numeric_error(counts_file, tmp_path, capsys):

@@ -139,3 +139,51 @@ def test_align_rejects_repeats_and_unordered_counts(repeat):
     order = (GenotypeId(0, "a"), GenotypeId(0, "a")) if repeat else (GenotypeId(0, "a"),)
     with pytest.raises(ValidationError, match="repeat" if repeat else "no order position"):
         two_sample_u(counts, order)
+
+
+def _contract_in_python_ints(case, control):
+    return sum(c * (sum(control[:i]) - sum(control[i + 1:])) for i, c in enumerate(case))
+
+
+# n_cases * n_controls bounds the contraction's sum, 2 * max(n_cases,
+# n_controls) the doubled prefix sum; each case sits one step from a limit
+@pytest.mark.parametrize(
+    "case, control, exact",
+    [
+        ([10**9, 10**9, 1_037_000_500], [1_037_000_499, 10**9, 10**9], True),
+        ([10**9, 10**9, 1_037_000_500], [1_037_000_500, 10**9, 10**9], False),
+        ([2**61, 2**61 - 1], [0, 1], True),
+        ([2**61, 2**61], [0, 1], False),
+    ],
+    ids=["product-below", "product-past", "prefix-below", "prefix-past"],
+)
+def test_the_exact_contraction_has_a_stated_limit(case, control, exact):
+    counts = CaseControlCounts(
+        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(len(case))),
+        n_case=np.array(case),
+        n_control=np.array(control),
+        rho=0.05,
+    )
+    order = counts.genotypes[::-1]
+    if not exact:
+        for entry in (two_sample_u, lambda c, o: bootstrap_ci(c, o, ResamplePlan(1, seed=1))):
+            with pytest.raises(ValidationError, match=r"the limit 2\*\*63 - 1 = 9223372036854775807"):
+                entry(counts, order)
+        return
+    total = _contract_in_python_ints(case[::-1], control[::-1])
+    assert int(_contract(*_align_counts(counts, order))) == total
+    n_d, n_dbar = sum(case), sum(control)
+    assert two_sample_u(counts, order).u_hat == 2.0 * 0.05 * 0.95 * total / (n_d * n_dbar)
+
+
+def test_the_permutation_test_has_a_stated_limit():
+    counts = CaseControlCounts(
+        genotypes=(GenotypeId(0, "a"), GenotypeId(1, "b")),
+        n_case=np.array([3 * 10**8, 2 * 10**8]),
+        n_control=np.array([10**8, 4 * 10**8 - 1]),
+        rho=0.05,
+    )
+    assert 0 <= permutation_test(counts, counts.genotypes, ResamplePlan(1, seed=1)) <= 1
+    bigger = CaseControlCounts(counts.genotypes, counts.n_case, counts.n_control + [0, 1], 0.05)
+    with pytest.raises(ValidationError, match=r"than the limit 10\*\*9 = 1000000000, got 1000000000"):
+        permutation_test(bigger, bigger.genotypes, ResamplePlan(1, seed=1))

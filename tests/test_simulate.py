@@ -1,9 +1,15 @@
 """Tests for population models, sampling, and the bias/coverage harness."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from predictu import NumericError, ValidationError
+from predictu import inference
 from predictu import simulate as sim
 from predictu.risk_model import (
     GenotypeId,
@@ -28,6 +34,7 @@ from conftest import (
     recentred_reference,
     refit_rows_one_by_one,
     replicate_chunk_reference,
+    replicate_rows_reference,
 )
 
 
@@ -408,12 +415,14 @@ def test_harness_deterministic_replay():
     assert any(a.mean != c.mean for a, c in zip(one, other))
 
 
-def test_harness_worker_independence():
-    # replicate streams keyed by (seed, population, replicate), not worker;
-    # the second input takes every index, the band and the refit
+# (indices, band, isotonic settings, worker count); the second input takes
+# every index, the band and the refit
+_WORKER_INPUTS = [(("ustd",), None, (False, True), 3), (INDEX_TOKENS, (0.8, 1.0), (True,), 2)]
+
+
+def _check_worker_independence(workers=None):
     model = hand_model(name="hand")
-    inputs = [(("ustd",), None, (False, True), 3), (INDEX_TOKENS, (0.8, 1.0), (True,), 2)]
-    for indices, band, isotonics, pooled in inputs:
+    for indices, band, isotonics, pooled in _WORKER_INPUTS:
         kwargs = dict(
             indices=indices,
             band=band,
@@ -425,8 +434,47 @@ def test_harness_worker_independence():
         )
         for isotonic in isotonics:
             serial = sim.run_bias_coverage([model], workers=1, isotonic=isotonic, **kwargs)
-            many = sim.run_bias_coverage([model], workers=pooled, isotonic=isotonic, **kwargs)
+            many = sim.run_bias_coverage([model], workers=workers or pooled, isotonic=isotonic, **kwargs)
             assert repr(serial) == repr(many)  # NaN bias (a zero truth) compares equal
+
+
+def test_harness_worker_independence():
+    # replicate streams keyed by (seed, population, replicate), not worker
+    _check_worker_independence()
+
+
+def test_harness_holds_on_eight_threads_under_forced_switches(monkeypatch):
+    # more threads than cores, switching as often as the interpreter
+    # allows, and no process pool to fall back on
+    def refuse(*args, **kwargs):
+        raise AssertionError("the harness asked for a process context")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_worker_independence(workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_harness_runs_from_a_script_on_stdin():
+    # no __main__ guard and no pickling: the script is read from stdin
+    script = (
+        "from predictu import simulate as sim\n"
+        "reports = sim.run_bias_coverage([sim.preset('smoke')], indices=('u', 'ustd', 'r'),\n"
+        "    n_replicates=7, n_cases=80, n_controls=80, isotonic=True, seed=4, n_bootstrap=30,\n"
+        "    workers=2)\n"
+        "print(repr(reports))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    res = subprocess.run([sys.executable, "-"], input=script, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    serial = sim.run_bias_coverage([sim.preset("smoke")], indices=("u", "ustd", "r"), n_replicates=7,
+                                   n_cases=80, n_controls=80, isotonic=True, seed=4, n_bootstrap=30,
+                                   workers=1)
+    assert res.stdout.strip() == repr(serial)
 
 
 def test_harness_rejects_bad_requests():
@@ -480,7 +528,39 @@ def test_isotonic_harness_matches_row_by_row_refit(monkeypatch, indices, band):
     assert batched == sim.run_bias_coverage(populations, **kwargs)
 
 
+def _recorded_replicates(monkeypatch, populations, kwargs):
+    """Reports of one harness run and, per replicate, the bootstrap rows,
+    plug-in curves and refit it worked on."""
+    group, plugin, refit = inference._bootstrap_group, sim._plugin_rows, sim.pava_rows
+    rows = []
+
+    def record_group(*args):
+        out = group(*args)
+        rows.append({"boot": out})
+        return out
+
+    def record_plugin(case, control, rho):
+        p, r = plugin(case, control, rho)
+        if np.ndim(case) == 2:
+            rows[-1].update(p=p.copy(), r=r.copy())
+        return p, r
+
+    def record_refit(risks, weights):
+        rows[-1]["fit"] = refit(risks, weights).copy()
+        return risks
+
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "_bootstrap_group", record_group)
+        patch.setattr(sim, "_plugin_rows", record_plugin)
+        patch.setattr(sim, "pava_rows", record_refit)
+        reports = sim.run_bias_coverage(populations, **kwargs)
+    return reports, rows
+
+
 def test_harness_matches_the_parent_replicate_draws(monkeypatch):
+    # a replicate keeps the order positions its test sample observed and
+    # the last one; the reference keeps the whole grid, whose dropped
+    # columns are 0 in every row, so only the index sums regroup
     populations = [sim.preset("sim1_h005"), sim.preset("sim2_rr6")]
     base = dict(n_replicates=10, n_cases=300, n_controls=150, seed=23, n_bootstrap=40, workers=1)
     runs = [
@@ -488,10 +568,59 @@ def test_harness_matches_the_parent_replicate_draws(monkeypatch):
         dict(base, isotonic=True),
         dict(base, indices=INDEX_TOKENS, band=(0.8, 1.0), isotonic=True),
     ]
-    got = [sim.run_bias_coverage(populations, **kwargs) for kwargs in runs]
-    monkeypatch.setattr(sim, "_replicate_chunk", replicate_chunk_reference)
-    for kwargs, reports in zip(runs, got):
-        assert reports == sim.run_bias_coverage(populations, **kwargs)
+    for kwargs in runs:
+        reports, rows = _recorded_replicates(monkeypatch, populations, kwargs)
+        refs = [
+            replicate_rows_reference(
+                sim.build_population(pop), 300, 150, kwargs.get("isotonic", False), 40, 23, m, k
+            )
+            for m, pop in enumerate(populations)
+            for k in range(10)
+        ]
+        assert len(rows) == len(refs)
+        for got, (case_b, ctrl_b, p, r, fit) in zip(rows, refs):
+            keep = case_b[0] + ctrl_b[0] > 0
+            keep[-1] = True
+            assert keep.sum() < keep.size
+            for drawn, full in zip(got["boot"], (case_b[1:], ctrl_b[1:])):
+                assert np.array_equal(drawn, full[:, keep])
+                assert not full[:, ~keep].any()
+            for name, full in (("p", p), ("r", r), ("fit", fit)):
+                if full is None:
+                    assert name not in got
+                    continue
+                assert np.array_equal(got[name], full[:, keep])
+                assert not full[:, ~keep].any()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_replicate_chunk", replicate_chunk_reference)
+            want = sim.run_bias_coverage(populations, **kwargs)
+        for a, b in zip(reports, want, strict=True):
+            assert (a.model, a.index_name, a.true_value, a.pct_coverage, a.n_replicates) == (
+                b.model, b.index_name, b.true_value, b.pct_coverage, b.n_replicates
+            )
+            np.testing.assert_allclose([a.mean, a.sd, a.pct_bias], [b.mean, b.sd, b.pct_bias], rtol=1e-12)
+
+
+def test_zero_categories_before_the_last_consume_no_multinomial_draw():
+    # the harness drops zero-mass order positions before drawing its
+    # bootstrap rows and keeps the last position, zero or not
+    gen = np.random.default_rng(2026)
+    for case in range(300):
+        n_cats = int(gen.integers(2, 30))
+        counts = gen.integers(0, 6, n_cats) * (gen.random(n_cats) < 0.5)
+        counts[n_cats - int(gen.integers(0, 4)):] = 0
+        counts[int(gen.integers(0, n_cats))] += 1
+        keep = counts > 0
+        keep[-1] = True
+        kept = counts[keep]
+        full_rng = np.random.default_rng([case, 2])
+        kept_rng = np.random.default_rng([case, 2])
+        full = full_rng.multinomial(counts.sum(), counts / counts.sum(), size=5)
+        drawn = kept_rng.multinomial(kept.sum(), kept / kept.sum(), size=5)
+        assert np.array_equal(drawn, full[:, keep])
+        assert not full[:, ~keep].any()
+        assert kept_rng.bit_generator.state == full_rng.bit_generator.state
 
 
 @pytest.mark.filterwarnings("ignore:dropping")
