@@ -15,7 +15,7 @@ to the two within-arm genotype distributions.
 
 import numpy as np
 
-from predictu import build_risk_table, curve_points, estimate_risk_table
+from predictu import build_risk_table, estimate_risk_table
 from predictu.risk_model import CaseControlCounts, GenotypeId
 
 # A three-genotype study: 21 cases and 79 controls, prevalence 21%.
@@ -32,10 +32,10 @@ for g, p, r in zip(table.genotypes, table.p, table.r):
     print(f"{str(g):>8s}  {p:8.3f}  {r:8.3f}")
 print(f"prevalence check: sum p_g r_g = {float(table.p @ table.r):.3f} (rho = {table.rho})")
 
-# The curve pairs each genotype with the right endpoint of its mass span.
-curve = curve_points(table)
+# The curve pairs each genotype with the right endpoint of its mass
+# span, the cumulative mass q.
 print("\nstep curve (right endpoints):")
-for q, r in zip(curve.q, curve.r):
+for q, r in zip(table.q, table.r):
     print(f"  R({q:.2f}) = {r:.3f}")
 
 # The same table can be built directly from the two conditional

@@ -13,12 +13,13 @@ genotypes back together.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from predictu import simulate as sim
 from predictu.isotonic import pava
-from predictu.risk_model import CurvePoints, apply_model_to_test, estimate_risk_table
+from predictu.risk_model import apply_model_to_test, estimate_risk_table
 from predictu.summary_indices import u_statistic
 
 pop = sim.build_population(sim.preset("smoke"))
@@ -33,7 +34,7 @@ with warnings.catch_warnings():
     curve = apply_model_to_test(table.genotypes, test)
 
 train_u = float(u_statistic(table.p, table.r))
-test_u = float(u_statistic(curve.masses, curve.r))
+test_u = float(u_statistic(curve.p, curve.r))
 print(f"true U      = {true_u:.4f}")
 print(f"train U     = {train_u:.4f}   (optimistic)")
 print(f"test U      = {test_u:.4f}   (honest, trained order)")
@@ -45,15 +46,13 @@ for g, r in zip(curve.genotypes, curve.r):
 
 # the refit projects the test risks onto the nearest nondecreasing
 # sequence, weighting by genotype mass
-fit = pava(curve.r, curve.masses)
-refit = CurvePoints(q=curve.q, r=fit.fitted, rho=curve.rho,
-                    genotypes=curve.genotypes, unseen=curve.unseen)
-refit_u = float(u_statistic(refit.masses, refit.r))
+refit = replace(curve, r=pava(curve.r, curve.p).fitted)
+refit_u = float(u_statistic(refit.p, refit.r))
 print(f"\nisotonic refit U = {refit_u:.4f}")
 print("refitted risks (ties are merged blocks):")
 for g, r in zip(refit.genotypes, refit.r):
     print(f"  {str(g):>6s}  {r:.4f}")
 
 # mass-weighted mean risk is preserved by the projection
-assert abs(float(curve.masses @ curve.r) - float(refit.masses @ refit.r)) < 1e-12
+assert abs(float(curve.p @ curve.r) - float(refit.p @ refit.r)) < 1e-12
 print("\nthe refit preserves the mass-weighted mean risk exactly")

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .curve_links import check_lorenz_identity, check_roc_identity, lorenz_from_table, roc_from_table
@@ -41,9 +42,9 @@ from .inference import (
 )
 from .isotonic import pava
 from .parallel import available_cpus
-from .risk_model import CurvePoints, apply_model_to_test, curve_points, estimate_risk_table
+from .risk_model import apply_model_to_test, estimate_risk_table
 from .simulate import build_population, load_model_spec, preset, run_bias_coverage
-from .summary_indices import INDEX_TOKENS, _check_band, _index_results
+from .summary_indices import _DEFAULT_TOKENS, INDEX_TOKENS, _check_band, _index_results
 
 
 def _band(text: str) -> tuple[float, float]:
@@ -73,7 +74,8 @@ def _in_range(kind, lo, hi=math.inf):
 
 
 def _tokens(text: str) -> tuple[str, ...]:
-    tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
+    """Lowercased index tokens, each once, in order of first mention."""
+    tokens = tuple(dict.fromkeys(t.strip().lower() for t in text.split(",") if t.strip()))
     unknown = [t for t in tokens if t not in INDEX_TOKENS]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="summary indices with variance and intervals")
     p.add_argument("input")
     add_io(p)
-    p.add_argument("--indices", type=_tokens, default=_tokens("u,ustd,r,tg,ae"))
+    p.add_argument("--indices", type=_tokens, default=_DEFAULT_TOKENS)
     p.add_argument("--band", type=_band, default=None,
                    help="partial-U band as q0:q1; with --bootstrap, inference.json also gets an "
                         "interval for the raw partial U, whatever --indices asks for")
@@ -118,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permutation replicates for a null test of U (default: off)")
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
-                   help="resampling thread count (default: the available CPUs)")
+                   help="resampling thread count, at most the available CPUs (default: all of them)")
 
     p = sub.add_parser("links", help="ROC and Lorenz views of the same risk table")
     p.add_argument("input")
@@ -128,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     add_io(p)
-    p.add_argument("--indices", type=_tokens, default=_tokens("u,ustd,r,tg,ae"))
+    p.add_argument("--indices", type=_tokens, default=_DEFAULT_TOKENS)
     p.add_argument("--band", type=_band, default=None)
     p.add_argument("--isotonic", action="store_true",
                    help="also report indices after a monotone refit of the test curve")
@@ -140,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=300)
     p.add_argument("--n-cases", type=int, default=1000)
     p.add_argument("--n-controls", type=int, default=1000)
-    p.add_argument("--indices", type=_tokens, default=_tokens("u,ustd,r,tg,ae"))
+    p.add_argument("--indices", type=_tokens, default=_DEFAULT_TOKENS)
     p.add_argument("--band", type=_band, default=None)
     p.add_argument("--isotonic", action="store_true")
     p.add_argument("--bootstrap", type=int, default=400, metavar="N",
                    help="bootstrap replicates per dataset for coverage intervals")
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
-                   help="harness thread count (default: 1)")
+                   help="harness thread count, at most the available CPUs (default: 1)")
     p.add_argument("--out", default=".")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -183,16 +185,13 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _workers(requested: int | None, default: int) -> int:
+    """The thread count: ``requested`` (``default`` when None), at most the available CPUs."""
+    return min(default if requested is None else requested, available_cpus())
+
+
 def _provenance(args, seed=None) -> dict:
     return run_provenance(vars(args), seed)
-
-
-def _isotonic_curve(curve: CurvePoints) -> CurvePoints:
-    fit = pava(curve.r, curve.masses)
-    return CurvePoints(
-        q=curve.q, r=fit.fitted, rho=curve.rho,
-        genotypes=curve.genotypes, unseen=curve.unseen,
-    )
 
 
 def _report_line(report) -> str:
@@ -209,10 +208,9 @@ def _report_line(report) -> str:
 def cmd_curve(args) -> int:
     counts, report = _load_counts(args.input, args.rho, args.max_bad_rows)
     table = estimate_risk_table(counts, laplace=args.laplace)
-    curve = curve_points(table)
     out = _outdir(args)
     prov = _provenance(args)
-    write_xy_csv(os.path.join(out, "curve.csv"), "q", curve.q, "r", curve.r, prov)
+    write_xy_csv(os.path.join(out, "curve.csv"), "q", table.q, "r", table.r, prov)
     meta = curve_metadata(table)
     meta["parse"] = {"rows": report.n_rows, "dropped": report.n_dropped,
                      "warnings": list(report.warnings)}
@@ -222,10 +220,9 @@ def cmd_curve(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    workers = available_cpus() if args.workers is None else args.workers
+    workers = _workers(args.workers, available_cpus())
     counts, report = _load_counts(args.input, args.rho, args.max_bad_rows)
     table = estimate_risk_table(counts, laplace=args.laplace)
-    curve = curve_points(table)
     blocks = [res.to_dict() for res in _index_results(table, args.indices, args.band)]
 
     order = table.genotypes
@@ -248,7 +245,7 @@ def cmd_summarize(args) -> int:
     # every result is computed before the first write, so a failed run writes nothing
     out = _outdir(args)
     prov = _provenance(args, seed=args.seed)
-    write_xy_csv(os.path.join(out, "curve.csv"), "q", curve.q, "r", curve.r, prov)
+    write_xy_csv(os.path.join(out, "curve.csv"), "q", table.q, "r", table.r, prov)
     write_json(os.path.join(out, "indices.json"), {"indices": blocks}, prov)
     write_json(os.path.join(out, "inference.json"), inference, prov)
 
@@ -301,7 +298,7 @@ def cmd_validate(args) -> int:
         },
     }
     if args.isotonic:
-        refit = _isotonic_curve(test_curve)
+        refit = replace(test_curve, r=pava(test_curve.r, test_curve.p).fitted)
         doc["refit"] = {"indices": [r.to_dict() for r in _index_results(refit, args.indices, args.band)]}
     out = _outdir(args)
     prov = _provenance(args)
@@ -333,7 +330,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         band=args.band,
         n_bootstrap=args.bootstrap,
-        workers=args.workers,
+        workers=_workers(args.workers, 1),
     )
     out = _outdir(args)
     prov = _provenance(args, seed=args.seed)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .risk_model import CurvePoints, RiskTable, _fields_equal
+from .risk_model import _fields_equal
 from .summary_indices import _EDGE, _masses_risks, u_statistic
 
 __all__ = [
@@ -72,7 +72,7 @@ class LorenzCurve:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Residual of one U-to-area link evaluated on a table or curve."""
+    """Residual of one U-to-area link evaluated on a risk table."""
 
     residual: float
     u: float
@@ -84,7 +84,7 @@ def _trapezoid(x: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * np.sum(np.diff(x) * (y[1:] + y[:-1])))
 
 
-def implied_conditionals(table_or_curve) -> tuple[np.ndarray, np.ndarray, float]:
+def implied_conditionals(table) -> tuple[np.ndarray, np.ndarray, float]:
     """Recover P(g|D), P(g|not D) and rho from masses and risks.
 
     Inverts the Bayes construction: P(g_i|D) = p_i r_i / rho and
@@ -92,14 +92,14 @@ def implied_conditionals(table_or_curve) -> tuple[np.ndarray, np.ndarray, float]
     mean risk of the evaluated curve.  Degenerate rho raises
     NumericError.
     """
-    p, r = _masses_risks(table_or_curve)
+    p, r = _masses_risks(table)
     rho = float(p @ r)
     if rho < _EDGE or rho > 1.0 - _EDGE:
         raise NumericError(f"conditionals undefined at rho={rho}")
     return p * r / rho, p * (1.0 - r) / (1.0 - rho), rho
 
 
-def roc_from_table(table_or_curve) -> RocCurve:
+def roc_from_table(table) -> RocCurve:
     """ROC curve of the rule "call disease when the genotype ranks above g".
 
     One point per threshold position, swept from the top of the stored
@@ -107,7 +107,7 @@ def roc_from_table(table_or_curve) -> RocCurve:
     trapezoid AUC equals the tie-corrected rank statistic
     sum_{i>j} a_i b_j + 0.5 sum_i a_i b_i on the implied conditionals.
     """
-    a, b, _ = implied_conditionals(table_or_curve)
+    a, b, _ = implied_conditionals(table)
     t = np.concatenate([(1.0 - np.cumsum(b))[::-1], [1.0]])
     f = np.concatenate([(1.0 - np.cumsum(a))[::-1], [1.0]])
     # the full cumulative sums equal 1 up to rounding; pin the (0,0) corner
@@ -116,9 +116,9 @@ def roc_from_table(table_or_curve) -> RocCurve:
     return RocCurve(t=t, f=f, auc=_trapezoid(t, f))
 
 
-def lorenz_from_table(table_or_curve) -> LorenzCurve:
+def lorenz_from_table(table) -> LorenzCurve:
     """Lorenz curve h(q) = (1/rho) * integral of r over quantiles up to q."""
-    p, r = _masses_risks(table_or_curve)
+    p, r = _masses_risks(table)
     rho = float(p @ r)
     if rho < _EDGE or rho > 1.0 - _EDGE:
         raise NumericError(f"Lorenz curve undefined at rho={rho}")
@@ -129,14 +129,9 @@ def lorenz_from_table(table_or_curve) -> LorenzCurve:
     return LorenzCurve(q=q, h=h, auc=_trapezoid(q, h))
 
 
-def _monotone(table_or_curve) -> bool:
-    _, r = _masses_risks(table_or_curve)
-    return bool(np.all(np.diff(r) >= 0))
-
-
-def _identity(table_or_curve, linked_u) -> IdentityCheck:
+def _identity(table, linked_u) -> IdentityCheck:
     """Residual of U against ``linked_u(rho)``, the U an area implies."""
-    p, r = _masses_risks(table_or_curve)
+    p, r = _masses_risks(table)
     rho = float(p @ r)
     u = u_statistic(p, r)
     linked = linked_u(rho)
@@ -144,26 +139,26 @@ def _identity(table_or_curve, linked_u) -> IdentityCheck:
         residual=abs(u - linked),
         u=u,
         u_from_curve=linked,
-        monotone=_monotone(table_or_curve),
+        monotone=table.monotone,
     )
 
 
-def check_roc_identity(table_or_curve) -> IdentityCheck:
+def check_roc_identity(table) -> IdentityCheck:
     """Residual of U = 2 rho (1 - rho) (2 AUC_R - 1).
 
     Exact (to rounding) on risk-sorted tables.  On non-monotone curves
     the ROC built from the stored order need not honour the link; the
     residual is still reported, with ``monotone`` False.
     """
-    auc = roc_from_table(table_or_curve).auc
-    return _identity(table_or_curve, lambda rho: 2.0 * rho * (1.0 - rho) * (2.0 * auc - 1.0))
+    auc = roc_from_table(table).auc
+    return _identity(table, lambda rho: 2.0 * rho * (1.0 - rho) * (2.0 * auc - 1.0))
 
 
-def check_lorenz_identity(table_or_curve) -> IdentityCheck:
+def check_lorenz_identity(table) -> IdentityCheck:
     """Residual of U = 4 rho (0.5 - AUC_L).
 
     See the module docstring for why the factor is 4.  Exact on
     risk-sorted tables; reported with ``monotone`` False otherwise.
     """
-    auc = lorenz_from_table(table_or_curve).auc
-    return _identity(table_or_curve, lambda rho: 4.0 * rho * (0.5 - auc))
+    auc = lorenz_from_table(table).auc
+    return _identity(table, lambda rho: 4.0 * rho * (0.5 - auc))

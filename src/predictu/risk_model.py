@@ -8,10 +8,11 @@ q_i = sum_{j<=i} p_j.  The curve is intrinsically discrete; no
 interpolation or smoothing is applied anywhere.
 
 Tables built here satisfy two exact identities: masses sum to one and
-the mass-weighted mean risk equals the disease prevalence rho.  Curves
-produced by carrying a trained genotype ordering onto an independent
-dataset may be non-monotone; they are represented as CurvePoints and are
-first-class inputs to every summary index.
+the mass-weighted mean risk equals the disease prevalence rho.  A table
+holds its rows in any order: ``build_risk_table`` and
+``estimate_risk_table`` sort them by risk, while carrying a trained
+genotype ordering onto an independent dataset keeps that order, so the
+curve may be non-monotone.  Every summary index reads the stored order.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from .errors import ValidationError
 __all__ = [
     "GenotypeId",
     "RiskTable",
-    "CurvePoints",
     "CaseControlCounts",
     "build_risk_table",
     "estimate_risk_table",
-    "curve_points",
     "apply_model_to_test",
 ]
 
@@ -98,16 +97,19 @@ def _check_rho(rho: float) -> float:
 
 @dataclass(frozen=True)
 class RiskTable:
-    """Risk model rows sorted by predicted risk, ascending.
+    """A predictiveness curve: risk model rows in evaluation order.
+
+    Genotype i occupies the quantile step (q_{i-1}, q_i].  The rows may
+    come in any order; ``monotone`` says whether the risks ascend.
 
     Parameters
     ----------
     genotypes : tuple of GenotypeId
-        One id per row, in sorted (risk-ascending) order.
+        One id per row, in evaluation order.
     p : ndarray
         Population mass per genotype.  Nonnegative, sums to one.
     r : ndarray
-        Predicted risk per genotype, nondecreasing, in [0, 1].
+        Predicted risk per genotype, in [0, 1].
     rho : float
         Disease prevalence in (0, 1).  The mass-weighted mean risk of a
         consistently built table equals rho; a mismatch beyond tolerance
@@ -115,6 +117,8 @@ class RiskTable:
         usable.
     dropped : tuple of GenotypeId
         Genotypes removed because they carried zero mass.
+    unseen : tuple of GenotypeId
+        Rows placed after a trained order they were absent from.
     """
 
     genotypes: tuple[GenotypeId, ...]
@@ -122,6 +126,7 @@ class RiskTable:
     r: np.ndarray
     rho: float
     dropped: tuple[GenotypeId, ...] = ()
+    unseen: tuple[GenotypeId, ...] = ()
 
     __eq__ = _fields_equal
 
@@ -143,8 +148,6 @@ class RiskTable:
             raise ValidationError(f"genotype masses must sum to 1, got {p.sum()!r}")
         if np.any(r < -MASS_TOL) or np.any(r > 1 + MASS_TOL):
             raise ValidationError("risks must lie in [0, 1]")
-        if np.any(np.diff(r) < 0):
-            raise ValidationError("risks must be nondecreasing; sort before constructing")
         if abs(float(p @ r) - self.rho) > MASS_TOL:
             warnings.warn(
                 f"mass-weighted mean risk {float(p @ r):.6g} differs from rho "
@@ -157,49 +160,18 @@ class RiskTable:
         return self.p.size
 
     @property
-    def boundary_risks(self) -> np.ndarray:
-        """Boolean mask of rows with risk exactly 0 or 1."""
-        return (self.r == 0.0) | (self.r == 1.0)
-
-
-@dataclass(frozen=True)
-class CurvePoints:
-    """A predictiveness curve in evaluation order, possibly non-monotone.
-
-    ``q`` holds the strictly increasing upper quantile boundaries (the
-    last equals 1); ``r`` holds the risk on each step (q_{i-1}, q_i].
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    rho: float
-    genotypes: tuple[GenotypeId, ...] | None = None
-    unseen: tuple[GenotypeId, ...] = ()
-
-    __eq__ = _fields_equal
-
-    def __post_init__(self) -> None:
-        q = _frozen_array(self.q)
-        r = _frozen_array(self.r)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "rho", _check_rho(self.rho))
-        if q.ndim != 1 or r.shape != q.shape or q.size == 0:
-            raise ValidationError("q and r must be one-dimensional, equal length, nonempty")
-        if np.any(np.diff(q) <= 0) or q[0] <= 0:
-            raise ValidationError("quantile boundaries must be strictly increasing")
-        if abs(q[-1] - 1.0) > MASS_TOL:
-            raise ValidationError("final quantile boundary must equal 1")
-        if np.any(r < -MASS_TOL) or np.any(r > 1 + MASS_TOL):
-            raise ValidationError("risks must lie in [0, 1]")
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.diff(self.q, prepend=0.0)
+    def q(self) -> np.ndarray:
+        """Upper quantile boundary of each step, the cumulative mass."""
+        return np.cumsum(self.p)
 
     @property
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.r) >= 0))
+
+    @property
+    def boundary_risks(self) -> np.ndarray:
+        """Boolean mask of rows with risk exactly 0 or 1."""
+        return (self.r == 0.0) | (self.r == 1.0)
 
 
 @dataclass(frozen=True)
@@ -365,6 +337,7 @@ def _plugin_conditionals(
 def estimate_risk_table(counts: CaseControlCounts, laplace: float = 0.0) -> RiskTable:
     """Estimate a risk table from case-control counts by plug-in frequencies.
 
+    Rows are sorted by risk, ascending, ties keeping input order.
     Genotypes with zero count in both arms are removed (they carry no
     empirical mass).  Genotypes observed in only one arm produce
     boundary risks of exactly 0 or 1; these are kept unshrunk and can be
@@ -395,16 +368,6 @@ def estimate_risk_table(counts: CaseControlCounts, laplace: float = 0.0) -> Risk
     return _sorted_table(kept, p, r, counts.rho, dropped)
 
 
-def curve_points(table: RiskTable) -> CurvePoints:
-    """Predictiveness curve of a risk table as explicit step points."""
-    return CurvePoints(
-        q=np.cumsum(table.p),
-        r=table.r,
-        rho=table.rho,
-        genotypes=table.genotypes,
-    )
-
-
 def _positions(order, genotypes) -> np.ndarray:
     """Index in ``genotypes`` of each genotype of ``order``, matched by key; -1 where absent."""
     keys = [g.key for g in order]
@@ -425,11 +388,11 @@ def _trained_order(first, r) -> np.ndarray:
 
 def apply_model_to_test(
     train_order, test_counts: CaseControlCounts, laplace: float = 0.0
-) -> CurvePoints:
+) -> RiskTable:
     """Evaluate a trained genotype ordering on an independent dataset.
 
     Risks and masses are re-estimated from ``test_counts`` but arranged
-    in the order learned elsewhere, so the resulting curve may be
+    in the order learned elsewhere, so the resulting table may be
     non-monotone; that non-monotonicity is data, not an error.  Test
     genotypes absent from ``train_order`` (lowest risk first) follow it
     by their own risk and are reported in ``unseen``; trained genotypes
@@ -443,10 +406,10 @@ def apply_model_to_test(
     if not matched.size:
         raise ValidationError("training order shares no genotype with the test data")
     idx = _trained_order(matched, r)
-    return CurvePoints(
-        q=np.cumsum(p[idx]),
+    return RiskTable(
+        genotypes=tuple(kept[i] for i in idx),
+        p=p[idx],
         r=r[idx],
         rho=rho,
-        genotypes=tuple(kept[i] for i in idx),
         unseen=tuple(kept[i] for i in idx[matched.size:]),
     )

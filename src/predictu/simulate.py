@@ -43,7 +43,7 @@ from .risk_model import (
     _trained_order,
     build_risk_table,
 )
-from .summary_indices import INDICES, _check_request, _index_rows
+from .summary_indices import _DEFAULT_TOKENS, INDICES, _check_request, _index_rows
 
 __all__ = [
     "Mode",
@@ -477,7 +477,7 @@ def _replicate_chunk(
 
 def run_bias_coverage(
     populations,
-    indices=("ustd", "r", "tg", "ae"),
+    indices=_DEFAULT_TOKENS,
     n_replicates: int = 300,
     n_cases: int = 1000,
     n_controls: int = 1000,
@@ -504,7 +504,7 @@ def run_bias_coverage(
     populations : sequence of Population or DiseaseModel
     indices : sequence of str
         Tokens of ``summary_indices.INDICES``: u, ustd, upartial,
-        upartialstd, r, rstd, tg, ae.
+        upartialstd, r, rstd, tg, ae.  Defaults to u, ustd, r, tg, ae.
     band : (float, float), required with partial tokens
     workers : int, optional
         Thread count; defaults to 1.

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .risk_model import CurvePoints, RiskTable
+from .risk_model import RiskTable
 
 __all__ = [
     "IndexResult",
@@ -88,15 +88,11 @@ class IndexResult:
         }
 
 
-def _masses_risks(table_or_curve) -> tuple[np.ndarray, np.ndarray]:
-    """Masses and risks of a table or curve, in stored order."""
-    if isinstance(table_or_curve, RiskTable):
-        return table_or_curve.p, table_or_curve.r
-    if isinstance(table_or_curve, CurvePoints):
-        return table_or_curve.masses, table_or_curve.r
-    raise ValidationError(
-        f"expected RiskTable or CurvePoints, got {type(table_or_curve).__name__}"
-    )
+def _masses_risks(table) -> tuple[np.ndarray, np.ndarray]:
+    """Masses and risks of a risk table, in stored order."""
+    if not isinstance(table, RiskTable):
+        raise ValidationError(f"expected a RiskTable, got {type(table).__name__}")
+    return table.p, table.r
 
 
 def _check_band(q0: float, q1: float) -> None:
@@ -235,6 +231,8 @@ INDICES = {
     "ae": IndexSpec("AE", average_entropy_statistic),
 }
 INDEX_TOKENS = tuple(INDICES)
+# the indices a run reports when none are named: U first, as in the paper
+_DEFAULT_TOKENS = ("u", "ustd", "r", "tg", "ae")
 
 
 def _check_request(tokens, band) -> None:
@@ -278,10 +276,10 @@ def _index_rows(p, r, rho: float, tokens, band=None) -> dict[str, np.ndarray]:
     return out
 
 
-def _index_results(table_or_curve, tokens, band=None) -> list[IndexResult]:
-    """The requested indices of a table or curve, in token order.
+def _index_results(table, tokens, band=None) -> list[IndexResult]:
+    """The requested indices of a risk table, in token order.
 
-    The values are one ``_index_rows`` call on the curve as a one-row
+    The values are one ``_index_rows`` call on the table as a one-row
     stack, with rho = p . r.  Checked first, in token order: a band
     index needs curve mass in the band, and a standardised index raises
     NumericError where its rho (rho_pt = m . r for a band index) is
@@ -290,7 +288,7 @@ def _index_results(table_or_curve, tokens, band=None) -> list[IndexResult]:
     rounding) and, in ``notes``, the mean band risk rho_pt / sum_i m_i.
     """
     _check_request(tokens, band)
-    p, r = _masses_risks(table_or_curve)
+    p, r = _masses_risks(table)
     rho = float(p @ r)
     in_band: dict = {}
     for token in tokens:
@@ -319,8 +317,8 @@ def _index_results(table_or_curve, tokens, band=None) -> list[IndexResult]:
     return results
 
 
-def predictiveness_u(table_or_curve) -> IndexResult:
-    """Predictiveness U of a table or curve, over its stored order.
+def predictiveness_u(table) -> IndexResult:
+    """Predictiveness U of a risk table, over its stored order.
 
     Returns
     -------
@@ -328,19 +326,19 @@ def predictiveness_u(table_or_curve) -> IndexResult:
         ``value`` in [-2 rho (1-rho), 2 rho (1-rho)]; negative values
         can only arise from non-monotone curves.
     """
-    return _index_results(table_or_curve, ("u",))[0]
+    return _index_results(table, ("u",))[0]
 
 
-def predictiveness_u_std(table_or_curve) -> IndexResult:
+def predictiveness_u_std(table) -> IndexResult:
     """U standardised by its maximum 2 rho (1 - rho).
 
     rho is the mass-weighted mean risk of the evaluated curve.  Raises
     NumericError when rho is 0 or 1, where the maximum degenerates.
     """
-    return _index_results(table_or_curve, ("ustd",))[0]
+    return _index_results(table, ("ustd",))[0]
 
 
-def partial_u(table_or_curve, q0: float, q1: float, standardized: bool = False) -> IndexResult:
+def partial_u(table, q0: float, q1: float, standardized: bool = False) -> IndexResult:
     """Partial predictiveness U over the quantile band (q0, q1].
 
     The raw value restricts the pairwise sum to clipped in-band masses;
@@ -353,7 +351,7 @@ def partial_u(table_or_curve, q0: float, q1: float, standardized: bool = False) 
 
     Parameters
     ----------
-    table_or_curve : RiskTable or CurvePoints
+    table : RiskTable
     q0, q1 : float
         Band edges with 0 <= q0 < q1 <= 1.
     standardized : bool
@@ -363,19 +361,19 @@ def partial_u(table_or_curve, q0: float, q1: float, standardized: bool = False) 
     IndexResult
     """
     token = "upartialstd" if standardized else "upartial"
-    return _index_results(table_or_curve, (token,), (q0, q1))[0]
+    return _index_results(table, (token,), (q0, q1))[0]
 
 
-def r_square(table_or_curve, standardized: bool = False) -> IndexResult:
+def r_square(table, standardized: bool = False) -> IndexResult:
     """Variance of predicted risk around its mean, optionally / rho(1-rho)."""
-    return _index_results(table_or_curve, ("rstd" if standardized else "r",))[0]
+    return _index_results(table, ("rstd" if standardized else "r",))[0]
 
 
-def total_gain(table_or_curve) -> IndexResult:
+def total_gain(table) -> IndexResult:
     """Mean absolute deviation of risk from its mean."""
-    return _index_results(table_or_curve, ("tg",))[0]
+    return _index_results(table, ("tg",))[0]
 
 
-def average_entropy(table_or_curve) -> IndexResult:
+def average_entropy(table) -> IndexResult:
     """Entropy reduction H(rho) - sum p H(r), natural log."""
-    return _index_results(table_or_curve, ("ae",))[0]
+    return _index_results(table, ("ae",))[0]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import predictu
@@ -14,6 +15,7 @@ from predictu.cli import main
 from predictu.fileio import (
     parse_subject_file, read_json, run_provenance, write_counts_csv, write_json,
 )
+from predictu.risk_model import CaseControlCounts, GenotypeId
 
 COUNTS = "genotype_id,n_case,n_control\ng0,5,45\ng1,6,24\ng2,10,10\n"
 SUBJECTS = (
@@ -53,6 +55,29 @@ def test_missing_rho_names_the_flag(counts_file, capsys):
 def test_unknown_index_token_rejected(counts_file, capsys):
     assert main(["summarize", counts_file, "--rho", "0.21", "--indices", "zzz"]) == 2
     assert "unknown indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name, paths",
+    [
+        (["summarize", "{counts}", "--rho", "0.21"], "indices.json", [("indices",)]),
+        (["validate", "--train", "{counts}", "--test", "{counts}", "--rho", "0.21", "--isotonic"],
+         "validate.json", [("train", "indices"), ("test", "indices"), ("refit", "indices")]),
+        (["simulate", "--preset", "smoke", "--replicates", "2", "--n-cases", "50",
+          "--n-controls", "50", "--bootstrap", "5", "--format", "json"], "eval.json", [("reports",)]),
+    ],
+    ids=["summarize", "validate", "simulate"],
+)
+def test_repeated_index_tokens_are_written_once(argv, name, paths, counts_file, tmp_path):
+    out = tmp_path / "run"
+    argv = [a.format(counts=counts_file) for a in argv]
+    assert main(argv + ["--indices", "u,U,ustd,u", "--out", str(out)]) == 0
+    doc = read_json(out / name)
+    for keys in paths:
+        blocks = doc
+        for key in keys:
+            blocks = blocks[key]
+        assert [b.get("name") or b["index"] for b in blocks] == ["U", "U_std"], keys
 
 
 def test_curve_outputs(counts_file, tmp_path, capsys):
@@ -357,7 +382,7 @@ def test_thread_variable_is_ignored(argv, name, counts_file, monkeypatch, tmp_pa
     assert (tmp_path / "zero" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-def test_summarize_bytes_do_not_depend_on_workers(tmp_path):
+def test_summarize_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     path = tmp_path / "counts.csv"
     rows = [f"g{i},{3 + (7 * i) % 11},{2 + (5 * i) % 13}" for i in range(30)]
     path.write_text("genotype_id,n_case,n_control\n" + "\n".join(rows) + "\n")
@@ -370,10 +395,21 @@ def test_summarize_bytes_do_not_depend_on_workers(tmp_path):
         assert main(args + list(extra) + ["--out", str(out)]) == 0
         return [(out / name).read_bytes() for name in names]
 
+    # --workers is capped at the available CPUs; allow three on any host
+    monkeypatch.setattr(cli, "available_cpus", lambda: 3)
     want = run("w1", "--workers", "1")
     assert run("w2", "--workers", "2") == want
     assert run("w3", "--workers", "3") == want
     assert run("default") == want
+
+
+def test_workers_are_capped_at_the_available_cpus(monkeypatch):
+    # only the resolved count: no pool is started
+    monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+    assert cli._workers(100_000, 1) == 2
+    assert cli._workers(None, 1) == 1
+    assert cli._workers(None, cli.available_cpus()) == 2
+    assert cli._workers(1, 2) == 1
 
 
 _SUMMARIZE = ["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "20", "--permutation", "19"]
@@ -560,6 +596,43 @@ def test_links_identities_hold(counts_file, tmp_path, capsys):
     assert (out / "roc.csv").read_text().splitlines()[1] == "fpr,tpr"
     assert (out / "lorenz.csv").read_text().splitlines()[1] == "q,h"
     assert "AUC" in capsys.readouterr().out
+
+
+# a step of mass 1e-17 at --rho 1e-11: adding it leaves the cumulative mass at 1
+TINY_MASS = "genotype_id,n_case,n_control\ng0,500000,500000\ng1,499999,500000\ng2,1,0\n"
+
+
+@pytest.mark.parametrize("command", ["curve", "summarize", "validate", "links"])
+def test_a_step_too_small_to_move_q_is_valid(command, tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY_MASS)
+    inputs = ["--train", str(path), "--test", str(path)] if command == "validate" else [str(path)]
+    assert main([command, *inputs, "--rho", "1e-11", "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:dropping")
+def test_validate_test_rho_is_the_given_rho(tmp_path):
+    # the test masses come straight from Bayes' rule, not from differences of q
+    rng = np.random.default_rng(23)
+    g = 5000
+    control = rng.gamma(0.5, size=g)
+    case = control * np.exp(rng.normal(0.0, 0.3, g))
+    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(g))
+    paths = []
+    for name in ("train", "test"):
+        counts = CaseControlCounts(
+            genotypes,
+            rng.multinomial(100_000, case / case.sum()),
+            rng.multinomial(100_000, control / control.sum()),
+            0.05,
+        )
+        paths.append(tmp_path / f"{name}.csv")
+        write_counts_csv(paths[-1], counts)
+    out = tmp_path / "run"
+    assert main(["validate", "--train", str(paths[0]), "--test", str(paths[1]),
+                 "--rho", "0.05", "--out", str(out)]) == 0
+    for block in read_json(out / "validate.json")["test"]["indices"]:
+        assert abs(block["rho"] - 0.05) <= 1e-15
 
 
 def test_validate_against_itself_reproduces_training(counts_file, tmp_path):

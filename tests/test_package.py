@@ -9,15 +9,17 @@ import predictu
 from predictu import simulate as sim
 from predictu.curve_links import lorenz_from_table, roc_from_table
 from predictu.isotonic import pava
-from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table, curve_points
+from predictu.risk_model import (
+    CaseControlCounts, GenotypeId, apply_model_to_test, build_risk_table,
+)
 
 EXPORTS = {
     "__version__",
     # errors
     "ValidationError", "NumericError",
     # risk_model
-    "GenotypeId", "RiskTable", "CurvePoints", "CaseControlCounts", "build_risk_table",
-    "estimate_risk_table", "curve_points", "apply_model_to_test",
+    "GenotypeId", "RiskTable", "CaseControlCounts", "build_risk_table",
+    "estimate_risk_table", "apply_model_to_test",
     # summary_indices
     "IndexResult", "IndexSpec", "INDICES", "INDEX_TOKENS", "u_statistic",
     "partial_u_statistic", "clipped_band_masses", "r_square_statistic",
@@ -45,7 +47,7 @@ EXPORTS = {
 
 
 def test_package_exports_the_module_lists():
-    assert len(EXPORTS) == 72
+    assert len(EXPORTS) == 70
     assert len(predictu.__all__) == len(set(predictu.__all__))
     assert set(predictu.__all__) == EXPORTS
     for name in predictu.__all__:
@@ -54,6 +56,16 @@ def test_package_exports_the_module_lists():
 
 def three_genotype_table():
     return build_risk_table(np.array([5, 6, 10]) / 21, np.array([45, 24, 10]) / 79, rho=0.21)
+
+
+def trained_order_table():
+    # the trained order puts g1 (test risk 0.3) before g2 (0.1); g3 is unseen
+    order = (GenotypeId(0, "g1"), GenotypeId(1, "g2"))
+    counts = CaseControlCounts(
+        genotypes=order + (GenotypeId(2, "g3"),),
+        n_case=np.array([6, 2, 4]), n_control=np.array([14, 18, 16]), rho=0.2,
+    )
+    return apply_model_to_test(order, counts)
 
 
 def smoke_population():
@@ -66,7 +78,7 @@ INSTANCES = {
     "DiseaseModel": (lambda: sim.preset("smoke"), "penetrance"),
     "Population": (smoke_population, "cond_case"),
     "RiskTable": (three_genotype_table, "r"),
-    "CurvePoints": (lambda: curve_points(three_genotype_table()), "r"),
+    "RiskTable-trained-order": (trained_order_table, "r"),
     "CaseControlCounts": (
         lambda: CaseControlCounts(
             genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(3)),
@@ -83,7 +95,7 @@ INSTANCES = {
 def with_last_cell_changed(values: np.ndarray) -> np.ndarray:
     changed = np.array(values)
     if changed.dtype.kind == "f":
-        # one ulp down keeps risks ordered and masses within tolerance
+        # one ulp down keeps risks and masses within tolerance
         changed[-1] = np.nextafter(changed[-1], -np.inf)
     else:
         changed[-1] += 1
@@ -94,7 +106,7 @@ def with_last_cell_changed(values: np.ndarray) -> np.ndarray:
 def test_array_results_compare_by_value(kind):
     make, field = INSTANCES[kind]
     obj = make()
-    assert type(obj).__name__ == kind
+    assert type(obj).__name__ == kind.partition("-")[0]
     copy = make()
     assert copy is not obj and copy == obj and not copy != obj
     changed = replace(obj, **{field: with_last_cell_changed(getattr(obj, field))})

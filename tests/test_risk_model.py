@@ -11,7 +11,6 @@ from predictu.risk_model import (
     _plugin_rows,
     apply_model_to_test,
     build_risk_table,
-    curve_points,
     estimate_risk_table,
 )
 from predictu.summary_indices import u_statistic
@@ -161,14 +160,13 @@ def test_laplace_must_be_finite_and_nonnegative(laplace):
 
 
 def test_curve_points_single_entry():
-    table = build_risk_table([1.0], [1.0], rho=0.3)
-    curve = curve_points(table)
+    curve = build_risk_table([1.0], [1.0], rho=0.3)
     np.testing.assert_allclose(curve.q, [1.0])
     np.testing.assert_allclose(curve.r, [0.3], atol=1e-15)
 
 
 def test_curve_points_hand_example(three_genotype_table):
-    curve = curve_points(three_genotype_table)
+    curve = three_genotype_table
     np.testing.assert_allclose(curve.q, [0.5, 0.8, 1.0], atol=1e-12)
     np.testing.assert_allclose(curve.r, [0.1, 0.2, 0.5], atol=1e-12)
     assert curve.monotone
@@ -177,16 +175,15 @@ def test_curve_points_hand_example(three_genotype_table):
 def test_curve_points_strictly_increasing_quantiles():
     rng = np.random.default_rng(103)
     for _ in range(100):
-        curve = curve_points(random_sorted_table(rng))
+        curve = random_sorted_table(rng)
         assert np.all(np.diff(np.concatenate([[0.0], curve.q])) > 0)
 
 
 def test_apply_model_identity_reproduces_training_curve(two_genotype_counts):
     table = estimate_risk_table(two_genotype_counts)
     curve = apply_model_to_test(table.genotypes, two_genotype_counts)
-    reference = curve_points(table)
-    np.testing.assert_allclose(curve.q, reference.q, atol=1e-12)
-    np.testing.assert_allclose(curve.r, reference.r, atol=1e-12)
+    np.testing.assert_allclose(curve.q, table.q, atol=1e-12)
+    np.testing.assert_allclose(curve.r, table.r, atol=1e-12)
     assert curve.monotone
     assert curve.unseen == ()
 
@@ -215,10 +212,10 @@ def test_apply_model_inversion_u_below_isotonic_refit():
     )
     curve = apply_model_to_test(order, counts)
     assert not curve.monotone
-    u_raw = float(u_statistic(curve.masses, curve.r))
-    assert u_raw == pytest.approx(brute_force_u(curve.masses, curve.r), abs=1e-15)
-    refit = pava(curve.r, curve.masses).fitted
-    u_refit = float(u_statistic(curve.masses, refit))
+    u_raw = float(u_statistic(curve.p, curve.r))
+    assert u_raw == pytest.approx(brute_force_u(curve.p, curve.r), abs=1e-15)
+    refit = pava(curve.r, curve.p).fitted
+    u_refit = float(u_statistic(curve.p, refit))
     assert u_raw < u_refit
 
 
@@ -480,7 +477,8 @@ def test_one_bayes_core_matches_the_parent_plugins():
         p, r = apply_plugin_reference(a, b, rho)
         kept = [x for x, k in zip(counts.genotypes, (n_case + n_control) > 0) if k]
         idx = [kept.index(x) for x in curve.genotypes]
-        assert np.array_equal(curve.q, np.cumsum(p[idx])) and np.array_equal(curve.r, r[idx])
+        assert np.array_equal(curve.p, p[idx]) and np.array_equal(curve.r, r[idx])
+        assert np.array_equal(curve.q, np.cumsum(p[idx]))
 
         # the row path, 1-d and (B, G), on int and on float counts
         rows = int(rng.integers(1, 6))

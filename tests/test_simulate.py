@@ -639,7 +639,7 @@ def test_trained_order_shrinks_on_fresh_data():
         table = estimate_risk_table(train)
         curve = apply_model_to_test(table.genotypes, test)
         train_u.append(float(u_statistic(table.p, table.r)))
-        test_u.append(float(u_statistic(curve.masses, curve.r)))
+        test_u.append(float(u_statistic(curve.p, curve.r)))
     assert np.mean(test_u) < np.mean(train_u)
 
 

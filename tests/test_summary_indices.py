@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from predictu.errors import NumericError, ValidationError
-from predictu.risk_model import CurvePoints, build_risk_table, curve_points
+from predictu.risk_model import RiskTable, build_risk_table
 from predictu.summary_indices import (
     INDEX_TOKENS,
     _index_results,
@@ -228,8 +228,11 @@ def test_prefix_sum_matches_pairwise_brute_force():
 
 
 def test_indices_accept_curve_points(three_genotype_table):
-    curve = curve_points(three_genotype_table)
-    assert predictiveness_u(curve).value == pytest.approx(0.146, abs=1e-12)
+    # the rows in descending risk: U reads the stored order, TG does not
+    t = three_genotype_table
+    curve = RiskTable(genotypes=t.genotypes[::-1], p=t.p[::-1], r=t.r[::-1], rho=t.rho)
+    assert not curve.monotone
+    assert predictiveness_u(curve).value == pytest.approx(-0.146, abs=1e-12)
     assert total_gain(curve).value == pytest.approx(0.116, abs=1e-12)
 
 
@@ -289,10 +292,12 @@ def test_one_evaluator_matches_the_scalar_reference():
     for _ in range(300):
         table = random_sorted_table(rng)
         perm = rng.permutation(table.n_genotypes)
-        shuffled = CurvePoints(q=np.cumsum(table.p[perm]), r=table.r[perm], rho=table.rho)
+        shuffled = RiskTable(
+            genotypes=tuple(table.genotypes[i] for i in perm),
+            p=table.p[perm], r=table.r[perm], rho=table.rho,
+        )
         for x in (table, shuffled):
-            masses = x.p if x is table else x.masses
-            for band in _bands(rng, masses):
+            for band in _bands(rng, x.p):
                 tokens = _shuffled(rng, INDEX_TOKENS)
                 want = index_results_reference(x, tokens, band)
                 _assert_matches_reference(_index_results(x, tokens, band), want)
