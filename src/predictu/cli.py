@@ -44,7 +44,7 @@ from .isotonic import pava
 from .parallel import available_cpus
 from .risk_model import apply_model_to_test, estimate_risk_table
 from .simulate import build_population, load_model_spec, preset, run_bias_coverage
-from .summary_indices import _DEFAULT_TOKENS, INDEX_TOKENS, _check_band, _index_results
+from .summary_indices import _DEFAULT_TOKENS, INDEX_TOKENS, INDICES, _check_band, _index_results
 
 
 def _band(text: str) -> tuple[float, float]:
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--indices", type=_tokens, default=_DEFAULT_TOKENS)
     p.add_argument("--band", type=_band, default=None,
-                   help="partial-U band as q0:q1; with --bootstrap, inference.json also gets an "
-                        "interval for the raw partial U, whatever --indices asks for")
+                   help="partial-U band as q0:q1; with --bootstrap, inference.json also gets a "
+                        "'partial' interval for U_partial")
     p.add_argument("--bootstrap", type=_in_range(int, 0), default=0, metavar="N",
                    help="bootstrap replicates for percentile intervals (default: asymptotic only)")
     p.add_argument("--permutation", type=_in_range(int, 0), default=0, metavar="N",
@@ -185,11 +185,6 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _workers(requested: int | None, default: int) -> int:
-    """The thread count: ``requested`` (``default`` when None), at most the available CPUs."""
-    return min(default if requested is None else requested, available_cpus())
-
-
 def _provenance(args, seed=None) -> dict:
     return run_provenance(vars(args), seed)
 
@@ -220,27 +215,31 @@ def cmd_curve(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    workers = _workers(args.workers, available_cpus())
+    workers = args.workers or available_cpus()
     counts, report = _load_counts(args.input, args.rho, args.max_bad_rows)
     table = estimate_risk_table(counts, laplace=args.laplace)
     blocks = [res.to_dict() for res in _index_results(table, args.indices, args.band)]
 
     order = table.genotypes
-    partial = None
+    found = {}
     if args.bootstrap > 0:
-        # one draw serves the global and the partial interval
+        # one draw serves every interval: U, U_partial given a band, and each --indices token
         plan = ResamplePlan(n_replicates=args.bootstrap, seed=args.seed)
-        estimate, partial = bootstrap_estimates(
-            counts, order, plan, band=args.band, workers=workers
-        )
+        tokens = ("u", "upartial") if args.band else ("u",)
+        found = bootstrap_estimates(counts, order, plan, tokens + args.indices, args.band,
+                                    laplace=args.laplace, workers=workers)
+        estimate = found["u"]
     else:
-        estimate = asymptotic_ci(two_sample_u(counts, order))
+        estimate = asymptotic_ci(two_sample_u(counts, order, args.laplace))
     inference = {"global": estimate.to_dict()}
-    if partial is not None:
-        inference["partial"] = partial.to_dict()
+    if args.band and found:
+        inference["partial"] = found["upartial"].to_dict()
     if args.permutation > 0:
         plan = ResamplePlan(n_replicates=args.permutation, seed=args.seed)
         inference["permutation_p"] = permutation_test(counts, order, plan, workers)
+    if found:
+        inference["indices"] = [{"name": INDICES[t].name, **found[t].to_dict()} for t in args.indices]
+    inference["laplace"] = args.laplace
 
     # every result is computed before the first write, so a failed run writes nothing
     out = _outdir(args)
@@ -330,7 +329,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         band=args.band,
         n_bootstrap=args.bootstrap,
-        workers=_workers(args.workers, 1),
+        workers=args.workers,
     )
     out = _outdir(args)
     prov = _provenance(args, seed=args.seed)

@@ -383,7 +383,9 @@ def parse_counts_file(path, rho: float):
                 a, b = int(row[cols[1]]), int(row[cols[2]])
             except ValueError as exc:
                 raise error(ordinal, "counts must be integers") from exc
-            if max(abs(a), abs(b)) > _COUNT_LIMIT:
+            if min(a, b) < 0:
+                raise error(ordinal, "counts must be nonnegative")
+            if max(a, b) > _COUNT_LIMIT:
                 raise error(ordinal, f"a count exceeds the limit 2**63 - 1 = {_COUNT_LIMIT}")
             totals = (totals[0] + a, totals[1] + b)
             if max(totals) > _COUNT_LIMIT:

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import parallel
 from .errors import NumericError, ValidationError
-from .risk_model import _COUNT_LIMIT, CaseControlCounts, _plugin_rows, _positions
-from .summary_indices import _check_band, _index_rows
+from .risk_model import _COUNT_LIMIT, CaseControlCounts, _check_laplace, _plugin_rows, _positions
+from .summary_indices import INDICES, _check_request, _index_rows
 
 __all__ = [
     "Method",
@@ -160,7 +160,7 @@ def _contract(case: np.ndarray, control: np.ndarray) -> np.ndarray:
     return weighted.sum(axis=-1)
 
 
-def two_sample_u(counts: CaseControlCounts, order) -> UEstimate:
+def two_sample_u(counts: CaseControlCounts, order, laplace: float = 0.0) -> UEstimate:
     """Estimate U from case-control counts along a fixed genotype order.
 
     Contracts the pair kernel over genotype classes with one prefix sum:
@@ -168,8 +168,10 @@ def two_sample_u(counts: CaseControlCounts, order) -> UEstimate:
     (phi control)_i counts the controls ordered below i minus those above.
     The result is algebraically identical to the pairwise-mass form
     2 sum_{i>j} p_hat_i p_hat_j (r_hat_i - r_hat_j) evaluated in the
-    same order.  The attached variance is the asymptotic one when both
-    arms hold at least two subjects, else NaN.
+    same order, each count along it smoothed by ``laplace`` (default 0;
+    ``_smoothed_kernel``).  The attached variance is the asymptotic one
+    of the raw placements, unsmoothed, when both arms hold at least two
+    subjects, else NaN.
 
     Parameters
     ----------
@@ -185,10 +187,9 @@ def two_sample_u(counts: CaseControlCounts, order) -> UEstimate:
     order = tuple(order)
     case, control = _align_counts(counts, order)
     rho = counts.rho
-    n_d = counts.n_cases
-    n_dbar = counts.n_controls
-    u_hat = 2.0 * rho * (1.0 - rho) * int(_contract(case, control)) / (n_d * n_dbar)
-    if n_d >= 2 and n_dbar >= 2:
+    kernel, pairs = _smoothed_kernel(case, control, _check_laplace(laplace))
+    u_hat = float(2.0 * rho * (1.0 - rho) * kernel / pairs)
+    if counts.n_cases >= 2 and counts.n_controls >= 2:
         variance = asymptotic_variance_u(counts, order)
     else:
         variance = float("nan")
@@ -267,36 +268,55 @@ def _bootstrap_group(
     return boot_case, rng.multinomial(control.sum(), control / control.sum(), size=n_rows)
 
 
-def _bootstrap_values(
-    case: np.ndarray,
-    control: np.ndarray,
-    rho: float,
-    scale: float,
-    band: tuple[float, float] | None,
-    token: str,
-    seed: int,
-    n_replicates: int,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Global and (given a band) partial replicate values of groups lo..hi-1.
+def _smoothed_kernel(case: np.ndarray, control: np.ndarray, laplace: float):
+    """(c + l)' phi (d + l) and (n_D + l G)(n_Dbar + l G) per row, l = ``laplace``.
 
-    Each group's global values are ``scale`` times the int64 contraction
-    of its rows; given a band, its partial values rebuild the plug-in
-    curve of the same rows in float.  Only the value vectors outlive a
-    group.
+    Exact int64 at l = 0; for l > 0 the identity (c + l)' phi (d + l) =
+    c' phi d + l (sum_i (phi d)_i - sum_j (phi c)_j) adds one float term.
     """
-    values, partial = [], []
-    for group in range(lo, hi):
-        n_rows = _group_size(n_replicates, group)
-        stream = [seed, _TAG_BOOTSTRAP, group]
-        boot_case, boot_control = _bootstrap_group(case, control, stream, n_rows)
-        values.append(scale * _contract(boot_case, boot_control))
-        if band is not None:
-            p, r = _plugin_rows(boot_case, boot_control, rho)
-            del boot_case, boot_control  # out of the band statistic's peak
-            partial.append(_index_rows(p, r, rho, (token,), band)[token])
-    return np.concatenate(values), np.concatenate(partial) if partial else None
+    n_d, n_dbar = case.sum(axis=-1), control.sum(axis=-1)
+    kernel = _contract(case, control)
+    if laplace:
+        kernel = kernel + laplace * _placements(control - case).sum(axis=-1)
+        n_d, n_dbar = n_d + laplace * case.shape[-1], n_dbar + laplace * case.shape[-1]
+    return kernel, n_d * n_dbar
+
+
+def _replicate_values(stacks, rho: float, tokens, band, laplace: float):
+    """Each requested index of each row, for each (case, control) pair of
+    (B, G) count stacks along the order: one dict per pair.
+
+    ``u`` and ``ustd`` = U / (2 rho (1 - rho)) come from the exact
+    ``_smoothed_kernel``; any other token is ``_index_rows`` on the rows'
+    plug-in curve from ``laplace``-smoothed frequencies.  A generator, so a
+    pair's arrays live until the next pair's are built: freed sooner, they
+    let the heap be trimmed and re-faulted every group (45,000 minor
+    faults, not 300, at B = 2,000 and G = 1,953).
+    """
+    for case, control in stacks:
+        out = {}
+        if "u" in tokens or "ustd" in tokens:
+            kernel, pairs = _smoothed_kernel(case, control, laplace)
+            out["u"] = 2.0 * rho * (1.0 - rho) / pairs * kernel
+            out["ustd"] = out["u"] / (2.0 * rho * (1.0 - rho))
+        rest = [t for t in tokens if t not in out]
+        if rest:
+            p, r = _plugin_rows(case, control, rho, laplace)
+            out.update(_index_rows(p, r, rho, rest, band))
+        yield {t: out[t] for t in tokens}
+
+
+def _bootstrap_values(
+    case: np.ndarray, control: np.ndarray, rho: float, tokens: tuple[str, ...], band,
+    laplace: float, seed: int, n_replicates: int, lo: int, hi: int
+) -> dict[str, np.ndarray]:
+    """Each token's replicate values over groups lo..hi-1, drawn one group at a time."""
+    stacks = (
+        _bootstrap_group(case, control, [seed, _TAG_BOOTSTRAP, g], _group_size(n_replicates, g))
+        for g in range(lo, hi)
+    )
+    parts = list(_replicate_values(stacks, rho, tokens, band, laplace))
+    return {t: np.concatenate([part[t] for part in parts]) for t in tokens}
 
 
 def _permutation_hits(
@@ -351,17 +371,10 @@ def bootstrap_ci(
 
     The order is held fixed across replicates (it encodes the trained
     model); only the counts are resampled, stratified within cases and
-    controls.  Deterministic given the plan seed, whatever ``workers``
-    (thread count; default 1).
-
-    Returns
-    -------
-    UEstimate
-        ``u_hat`` is the point estimate on the original counts,
-        ``variance`` the replicate variance, ``ci`` the percentile
-        interval.
+    controls.  The ``u`` estimate of ``bootstrap_estimates``, the same
+    for a plan seed whatever ``workers`` (thread count; default 1).
     """
-    return bootstrap_estimates(counts, order, plan, level, workers=workers)[0]
+    return bootstrap_estimates(counts, order, plan, ("u",), level=level, workers=workers)["u"]
 
 
 def permutation_test(
@@ -419,71 +432,53 @@ def partial_u_variance(
     ``bootstrap_ci`` for the same plan), rebuilds the plug-in curve in
     the fixed order and evaluates the band-clipped statistic; with the
     full band (0, 1) the replicate values coincide with the global
-    bootstrap to rounding.  It and ``bootstrap_ci`` are views of
-    ``bootstrap_estimates``, which ``summarize`` calls once to get the
-    global and the partial interval from a single draw.  Replicates that
-    are not finite are left out of the variance and interval and counted
-    in ``n_finite``.
-
-    Parameters
-    ----------
-    standardized : bool
-        If True, divide each replicate by 2 rho_pt (1 - rho_pt) with
-        rho_pt the band mass integral of that replicate's curve.
-    workers : int, optional
-        Thread count; defaults to 1.
+    bootstrap to rounding.  The ``upartial`` (``upartialstd`` if
+    ``standardized``) estimate of ``bootstrap_estimates``.
     """
-    return bootstrap_estimates(counts, order, plan, level, band, standardized, workers)[1]
+    token = "upartialstd" if standardized else "upartial"
+    return bootstrap_estimates(counts, order, plan, (token,), band, level, workers=workers)[token]
 
 
 def bootstrap_estimates(
     counts: CaseControlCounts,
     order,
     plan: ResamplePlan,
-    level: float = 0.95,
+    tokens,
     band: tuple[float, float] | None = None,
-    standardized: bool = False,
+    level: float = 0.95,
+    laplace: float = 0.0,
     workers: int | None = None,
-) -> tuple[UEstimate, UEstimate | None]:
-    """Global and (given a band) partial bootstrap estimates from one draw.
+) -> dict[str, UEstimate]:
+    """Bootstrap estimates of the requested indices from one draw.
 
-    The stratified replicates are drawn once, group by group
-    (``_bootstrap_group``), on ``workers`` threads (default 1); each
-    group returns only its global and partial replicate values, so
-    memory is a few (8, G) arrays per thread whatever B is.  ``bootstrap_ci`` and ``partial_u_variance``
-    are the two halves of the result.  Non-finite partial replicates
-    are dropped at the end, in draw order.  ``summarize --band`` calls
-    it with ``standardized=False``, so the ``partial`` block of its
-    ``inference.json`` is the raw partial U whatever ``--indices`` asks
-    for, ``upartialstd`` and no partial token at all included.
+    The stratified replicates are drawn once, group by group, on
+    ``workers`` threads (default 1).  Each group's rows, and the original
+    counts as a one-row stack for the point value, go through
+    ``_replicate_values``, every count along the order smoothed by
+    ``laplace`` as in ``estimate_risk_table``, so each point value is the
+    index ``summarize`` writes to ``indices.json``.  Non-finite
+    replicates are dropped and counted in ``n_finite``.
 
     Returns
     -------
-    (UEstimate, UEstimate or None)
-        The global U estimate, and the partial U estimate (standardised
-        if ``standardized``) when a band is given.
+    dict
+        One ``UEstimate`` per token, in order of first mention.
     """
-    if band is not None:
-        _check_band(*band)
+    tokens = tuple(dict.fromkeys(tokens))
+    _check_request(tokens, band)
     if not 0.0 <= level < 1.0:
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
+    laplace = _check_laplace(laplace)
     case, control = _align_counts(counts, order)
-    rho = counts.rho
-    scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
-    token = "upartialstd" if standardized else "upartial"
 
-    args = (case, control, rho, scale, band, token, plan.seed, plan.n_replicates)
-    n_groups = _n_groups(plan.n_replicates)
-    parts = parallel.map_ranges(_bootstrap_values, n_groups, workers, *args)
-    values = np.concatenate([part[0] for part in parts])
-    total = _replicate_estimate(scale * int(_contract(case, control)), values, plan, level)
-    if band is None:
-        return total, None
-
-    p, r = _plugin_rows(case[None, :].astype(float), control[None, :].astype(float), rho)
-    point = float(_index_rows(p, r, rho, (token,), band)[token][0])
-    partial = np.concatenate([part[1] for part in parts])
-    partial = partial[np.isfinite(partial)]
-    if partial.size == 0:
-        raise NumericError("no finite bootstrap replicate for the partial U")
-    return total, _replicate_estimate(point, partial, plan, level)
+    args = (case, control, counts.rho, tokens, band, laplace, plan.seed, plan.n_replicates)
+    parts = parallel.map_ranges(_bootstrap_values, _n_groups(plan.n_replicates), workers, *args)
+    (point,) = _replicate_values([(case[None], control[None])], counts.rho, tokens, band, laplace)
+    estimates = {}
+    for token in tokens:
+        values = np.concatenate([part[token] for part in parts])
+        values = values[np.isfinite(values)]
+        if values.size == 0:
+            raise NumericError(f"no finite bootstrap replicate for {INDICES[token].name}")
+        estimates[token] = _replicate_estimate(float(point[token][0]), values, plan, level)
+    return estimates

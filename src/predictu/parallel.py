@@ -31,8 +31,9 @@ def available_cpus() -> int:
 def map_ranges(fn, n_items: int, workers: int | None, *args) -> list:
     """``fn(*args, lo, hi)`` over contiguous ranges that cover ``range(n_items)``.
 
-    There is one range per worker (at most ``n_items``), ``workers``
-    being 1 when None; a count below 1 is invalid input, not 1 worker.
+    There is one range per worker, ``workers`` being 1 when None, at
+    most ``n_items`` and at most ``available_cpus()`` (so no caller
+    starts more threads than CPUs); a count below 1 is invalid input.
     The calling thread runs the first range and each other range runs
     on a pool thread, so ``fn`` must not write to anything the ranges
     share.  The results come back in range order.
@@ -40,7 +41,7 @@ def map_ranges(fn, n_items: int, workers: int | None, *args) -> list:
     workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
-    n_jobs = min(workers, n_items)
+    n_jobs = min(workers, n_items, available_cpus())
     bounds = np.linspace(0, n_items, n_jobs + 1).astype(int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(ranges) <= 1:

@@ -269,16 +269,18 @@ def build_risk_table(
     p, r = _bayes(a, b, rho)
     keep = p > 0
     dropped = tuple(g for g, k in zip(genotypes, keep) if not k)
-    if dropped:
-        warnings.warn(
-            f"dropping {len(dropped)} zero-mass genotype(s): "
-            + ", ".join(str(g) for g in dropped),
-            stacklevel=2,
-        )
+    _warn_dropped(dropped, "zero-mass genotype(s)")
     kept = tuple(g for g, k in zip(genotypes, keep) if k)
     if not kept:
         raise ValidationError("all genotypes carry zero mass")
     return _sorted_table(kept, p[keep], r[keep], rho, dropped)
+
+
+def _warn_dropped(dropped, what: str) -> None:
+    """Warn the caller's caller of the ``dropped`` genotypes: their count and the first 5 names."""
+    if dropped:
+        names = ", ".join(str(g) for g in dropped[:5]) + (", ..." if len(dropped) > 5 else "")
+        warnings.warn(f"dropping {len(dropped)} {what}: {names}", stacklevel=3)
 
 
 def _sorted_table(genotypes, p, r, rho: float, dropped) -> RiskTable:
@@ -311,9 +313,17 @@ def _frequencies(counts, laplace: float = 0.0) -> np.ndarray:
     return (counts + laplace if laplace else counts) / total
 
 
-def _plugin_rows(case, control, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise plug-in masses and risks from count arrays; zero-count cells keep zero mass."""
-    return _bayes(_frequencies(case), _frequencies(control), rho)
+def _plugin_rows(case, control, rho: float, laplace: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise plug-in masses and risks of count arrays smoothed by ``laplace`` (``_frequencies``)."""
+    return _bayes(_frequencies(case, laplace), _frequencies(control, laplace), rho)
+
+
+def _check_laplace(laplace: float) -> float:
+    if not (math.isfinite(laplace) and laplace >= 0):
+        raise ValidationError(
+            f"laplace smoothing constant must be finite and nonnegative, got {laplace}"
+        )
+    return laplace
 
 
 def _plugin_conditionals(
@@ -321,10 +331,7 @@ def _plugin_conditionals(
 ) -> tuple[tuple[GenotypeId, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Kept genotypes, their ``seen`` mask over ``counts.genotypes``, and the
     plug-in P(g|D), P(g|not D) after removing genotypes unseen in both arms."""
-    if not (math.isfinite(laplace) and laplace >= 0):
-        raise ValidationError(
-            f"laplace smoothing constant must be finite and nonnegative, got {laplace}"
-        )
+    _check_laplace(laplace)
     seen = (counts.n_case + counts.n_control) > 0
     kept = tuple(g for g, k in zip(counts.genotypes, seen) if k)
     if not kept:
@@ -357,12 +364,7 @@ def estimate_risk_table(counts: CaseControlCounts, laplace: float = 0.0) -> Risk
     """
     kept, seen, a, b = _plugin_conditionals(counts, laplace)
     dropped = tuple(g for g, k in zip(counts.genotypes, seen) if not k)
-    if dropped:
-        warnings.warn(
-            f"dropping {len(dropped)} genotype(s) unseen in both arms: "
-            + ", ".join(str(g) for g in dropped),
-            stacklevel=2,
-        )
+    _warn_dropped(dropped, "genotype(s) unseen in both arms")
     # every kept genotype was seen in an arm, so its mass is positive
     p, r = _bayes(a, b, counts.rho)
     return _sorted_table(kept, p, r, counts.rho, dropped)

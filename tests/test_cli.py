@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import predictu
-from predictu import cli
+from predictu import cli, parallel
 from predictu.cli import main
 from predictu.fileio import (
     parse_subject_file, read_json, run_provenance, write_counts_csv, write_json,
@@ -395,8 +395,8 @@ def test_summarize_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
         assert main(args + list(extra) + ["--out", str(out)]) == 0
         return [(out / name).read_bytes() for name in names]
 
-    # --workers is capped at the available CPUs; allow three on any host
-    monkeypatch.setattr(cli, "available_cpus", lambda: 3)
+    # the worker count is capped at the available CPUs; allow three on any host
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
     want = run("w1", "--workers", "1")
     assert run("w2", "--workers", "2") == want
     assert run("w3", "--workers", "3") == want
@@ -404,12 +404,16 @@ def test_summarize_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
 
 
 def test_workers_are_capped_at_the_available_cpus(monkeypatch):
-    # only the resolved count: no pool is started
-    monkeypatch.setattr(cli, "available_cpus", lambda: 2)
-    assert cli._workers(100_000, 1) == 2
-    assert cli._workers(None, 1) == 1
-    assert cli._workers(None, cli.available_cpus()) == 2
-    assert cli._workers(1, 2) == 1
+    # every entry point splits its work through map_ranges, which caps the
+    # ranges (one thread each) at the CPUs; only one pool thread starts here
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+
+    def record(lo, hi):
+        return lo, hi
+
+    assert parallel.map_ranges(record, 100, 10**6) == [(0, 50), (50, 100)]
+    assert parallel.map_ranges(record, 100, None) == [(0, 100)]
+    assert parallel.map_ranges(record, 1, 10**6) == [(0, 1)]
 
 
 _SUMMARIZE = ["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "20", "--permutation", "19"]
@@ -503,6 +507,65 @@ def test_summarize_asymptotic_when_no_bootstrap(counts_file, tmp_path):
     assert main(["summarize", counts_file, "--rho", "0.21", "--out", str(out)]) == 0
     doc = read_json(out / "inference.json")
     assert doc["global"]["method"] == "two_sample_asymptotic"
+
+
+PACKAGED_COUNTS = os.path.join(os.path.dirname(predictu.__file__), "data", "three_genotype_counts.csv")
+
+
+@pytest.mark.parametrize("laplace", ["0", "0.5"])
+def test_inference_intervals_what_indices_reports(laplace, tmp_path):
+    out = tmp_path / "run"
+    assert main(["summarize", PACKAGED_COUNTS, "--rho", "0.21", "--laplace", laplace,
+                 "--bootstrap", "50", "--band", "0.5:1", "--indices", "u,upartialstd,rstd,ae",
+                 "--out", str(out)]) == 0
+    want = {b["name"]: b["value"] for b in read_json(out / "indices.json")["indices"]}
+    doc = read_json(out / "inference.json")
+    assert doc["laplace"] == float(laplace)
+    assert doc["global"]["u_hat"] == pytest.approx(want["U"], rel=1e-14, abs=0)
+    assert [b["name"] for b in doc["indices"]] == ["U", "U_partial_std", "R_std", "AE"]
+    for block in doc["indices"]:
+        assert block["u_hat"] == pytest.approx(want[block["name"]], rel=1e-14, abs=0)
+        assert block["n_replicates"] == 50
+    assert {k: v for k, v in doc["indices"][0].items() if k != "name"} == doc["global"]
+    # the partial block stays the raw partial U
+    assert doc["partial"]["u_hat"] != doc["indices"][1]["u_hat"]
+
+    # without --bootstrap the asymptotic point is the smoothed U too
+    assert main(["summarize", PACKAGED_COUNTS, "--rho", "0.21", "--laplace", laplace,
+                 "--out", str(out / "asym")]) == 0
+    doc = read_json(out / "asym" / "inference.json")
+    assert doc["global"]["u_hat"] == pytest.approx(want["U"], rel=1e-14, abs=0)
+    assert set(doc) == {"provenance", "global", "laplace"}
+
+
+_CELLS = [str(2**31), str(2**53), str(2**63), "-1", "1.5", "1e3", ""]
+_COUNTS_COMMANDS = {
+    "curve": ["curve", "{path}"],
+    "summarize": ["summarize", "{path}", "--bootstrap", "20", "--permutation", "19"],
+    "links": ["links", "{path}"],
+    "validate": ["validate", "--train", "{path}", "--test", "{path}"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COUNTS_COMMANDS))
+@pytest.mark.parametrize("edit", _CELLS + ["cut"], ids=[c or "empty" for c in _CELLS] + ["cut"])
+@pytest.mark.filterwarnings("ignore:dropping")
+def test_mutated_counts_exit_with_a_code_and_no_traceback(command, edit, tmp_path, capsys):
+    # one cell of the packaged counts replaced, or its last line cut mid-row
+    with open(PACKAGED_COUNTS, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if edit == "cut":
+        text = "\n".join(lines)[:-3]
+    else:
+        cells = lines[2].split(",")
+        cells[1] = edit
+        text = "\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n"
+    path = tmp_path / "counts.csv"
+    path.write_text(text)
+    argv = [a.format(path=path) for a in _COUNTS_COMMANDS[command]]
+    code = main(argv + ["--rho", "0.21", "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_summarize_partial_requires_band(counts_file, tmp_path, capsys):

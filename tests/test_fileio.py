@@ -374,8 +374,9 @@ def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_rows):
         ("g3,1", "line 9: wrong column count"),
         ("g0,1,1", "line 9: duplicate genotype_id 'g0'"),
         ("g3,1.5,2", "line 9: counts must be integers"),
+        ("g3,-1,2", "line 9: counts must be nonnegative"),
     ],
-    ids=["ragged", "duplicate", "non-integer"],
+    ids=["ragged", "duplicate", "non-integer", "negative"],
 )
 def test_counts_errors_name_the_same_line_in_any_chunk(tmp_path, chunk_rows, row, message):
     # line numbers are file lines: the comments, blank line and blank-cell

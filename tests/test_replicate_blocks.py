@@ -18,7 +18,7 @@ import pytest
 
 import conftest
 import predictu
-from predictu import inference
+from predictu import inference, parallel
 from predictu.errors import NumericError, ValidationError
 from predictu.inference import (
     _GROUP,
@@ -89,23 +89,24 @@ def _check_case(counts, order, rng, seed):
         np.testing.assert_array_equal(got_case, want_case)
         np.testing.assert_array_equal(got_control, want_control)
 
-        assert bootstrap_estimates(counts, order, plan) == bootstrap_estimates_reference(
-            counts, order, plan
-        )
+        assert bootstrap_estimates(counts, order, plan, ("u",)) == {
+            "u": bootstrap_estimates_reference(counts, order, plan)[0]
+        }
         q0 = float(rng.uniform(0.0, 0.8))
         for band in ((0.0, 1.0), (q0, float(rng.uniform(q0 + 0.05, 1.0)))):
             for standardized in (False, True):
+                tokens = ("u", "upartialstd" if standardized else "upartial")
                 try:
                     want = bootstrap_estimates_reference(
                         counts, order, plan, 0.9, band, standardized
                     )
                 except NumericError:
                     with pytest.raises(NumericError):
-                        bootstrap_estimates(counts, order, plan, 0.9, band, standardized)
+                        bootstrap_estimates(counts, order, plan, tokens, band, 0.9)
                     continue
-                got = bootstrap_estimates(counts, order, plan, 0.9, band, standardized)
-                assert got[0] == want[0]
-                assert same(got[1], want[1])
+                got = bootstrap_estimates(counts, order, plan, tokens, band, 0.9)
+                assert got[tokens[0]] == want[0]
+                assert same(got[tokens[1]], want[1])
 
         assert permutation_test(counts, order, plan) == permutation_test_reference(
             counts, order, plan
@@ -124,11 +125,9 @@ def _check_case(counts, order, rng, seed):
             case + control, counts.n_cases, observed, seed, n_replicates, lo, hi
         )
         assert hits == int(np.count_nonzero(perm_stats[rows] >= observed))
-        values, partial = _bootstrap_values(
-            case, control, rho, scale, None, "upartial", seed, n_replicates, lo, hi
-        )
-        np.testing.assert_array_equal(values, boot_values[rows])
-        assert partial is None
+        values = _bootstrap_values(case, control, rho, ("u",), None, 0.0, seed, n_replicates, lo, hi)
+        assert list(values) == ["u"]
+        np.testing.assert_array_equal(values["u"], boot_values[rows])
 
 
 def _boundary_case(n_cases, spread):
@@ -209,7 +208,7 @@ def test_resampling_memory_is_flat_in_replicates():
 
     def bootstrap(n):
         plan = ResamplePlan(n, seed=5)
-        return lambda: bootstrap_estimates(counts, order, plan, band=(0.9, 1.0))
+        return lambda: bootstrap_estimates(counts, order, plan, ("u", "upartial"), (0.9, 1.0))
 
     def permutation(n):
         plan = ResamplePlan(n, seed=5)
@@ -228,11 +227,12 @@ def test_resampling_memory_is_bounded_at_large_g():
     # here with 8-row groups, about 45 MiB with 32-row groups
     counts, order = _wide_counts(20_000, seed=23)
     plan = ResamplePlan(64, seed=5)
-    bootstrap_estimates(counts, order, ResamplePlan(2, seed=5), band=(0.9, 1.0))  # set-up
-    peak = _peak(lambda: bootstrap_estimates(counts, order, plan, band=(0.9, 1.0)))
+    tokens, band = ("u", "upartial"), (0.9, 1.0)
+    bootstrap_estimates(counts, order, ResamplePlan(2, seed=5), tokens, band)  # set-up
+    peak = _peak(lambda: bootstrap_estimates(counts, order, plan, tokens, band))
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     # each thread holds one group's working set and no more
-    peak = _peak(lambda: bootstrap_estimates(counts, order, plan, band=(0.9, 1.0), workers=2))
+    peak = _peak(lambda: bootstrap_estimates(counts, order, plan, tokens, band, workers=2))
     assert peak < 2 * 16 * 2**20, f"peak {peak / 2**20:.1f} MiB on two threads"
 
 
@@ -251,17 +251,20 @@ def _invariance_case():
 def _results(counts, order, plan, workers):
     band = (0.8, 1.0)
     return (
-        bootstrap_estimates(counts, order, plan, 0.9, band, True, workers=workers),
+        bootstrap_estimates(counts, order, plan, ("u", "upartialstd"), band, 0.9, workers=workers),
         bootstrap_ci(counts, order, plan, workers=workers),
         partial_u_variance(counts, order, band, plan, workers=workers),
         permutation_test(counts, order, plan, workers=workers),
     )
 
 
-def test_results_do_not_depend_on_the_worker_count():
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     counts, order, plan = _invariance_case()
     serial = _results(counts, order, plan, 1)
-    assert same(serial[0], bootstrap_estimates_reference(counts, order, plan, 0.9, (0.8, 1.0), True))
+    want = bootstrap_estimates_reference(counts, order, plan, 0.9, (0.8, 1.0), True)
+    assert same(tuple(serial[0].values()), want)
+    # the worker count is capped at the available CPUs; allow three on any host
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
     for workers in (2, 3):
         assert repr(_results(counts, order, plan, workers)) == repr(serial)
 
@@ -270,8 +273,9 @@ def test_results_do_not_depend_on_the_worker_count():
 @pytest.mark.parametrize("entry", [bootstrap_estimates, permutation_test])
 def test_a_worker_count_below_one_is_rejected(entry, workers):
     counts, order, plan = _invariance_case()
+    tokens = (("u",),) if entry is bootstrap_estimates else ()
     with pytest.raises(ValidationError, match=f"workers must be at least 1, got {workers}"):
-        entry(counts, order, plan, workers=workers)
+        entry(counts, order, plan, *tokens, workers=workers)
 
 
 def test_threaded_resampling_runs_from_a_script_on_stdin():
@@ -295,10 +299,11 @@ def test_threaded_resampling_runs_from_a_script_on_stdin():
     assert res.stdout.strip() == repr(bootstrap_ci(counts, order, plan, workers=1))
 
 
-def test_results_hold_under_forced_thread_switches():
+def test_results_hold_under_forced_thread_switches(monkeypatch):
     # more threads than cores, switching as often as the interpreter allows
     counts, order, plan = _invariance_case()
     serial = _results(counts, order, plan, 1)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

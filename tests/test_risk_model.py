@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from predictu.errors import ValidationError
+from predictu.fileio import curve_metadata, parse_counts_file
 from predictu.isotonic import pava
 from predictu.risk_model import (
     CaseControlCounts,
@@ -284,6 +285,23 @@ def test_estimate_drops_by_position_not_by_index():
         table = estimate_risk_table(counts)
     assert [(g.index, g.label) for g in table.dropped] == [(0, "b")]
     assert [(g.index, g.label) for g in table.genotypes] == [(0, "a")]
+
+
+def test_drop_warnings_name_at_most_five_genotypes(tmp_path):
+    # hundreds of unseen genotypes: the warning stays one short line, and
+    # the table (so curve.json) keeps every dropped name
+    rows = ["g0,5,10", "g1,3,2"] + [f"u{i},0,0" for i in range(300)]
+    path = tmp_path / "counts.csv"
+    path.write_text("genotype_id,n_case,n_control\n" + "\n".join(rows) + "\n")
+    counts, _ = parse_counts_file(path, rho=0.1)
+    want = r"dropping 300 genotype\(s\) unseen in both arms: u0, u1, u2, u3, u4, \.\.\.$"
+    with pytest.warns(UserWarning, match=want):
+        table = estimate_risk_table(counts)
+    assert curve_metadata(table)["dropped"] == [f"u{i}" for i in range(300)]
+    a = np.r_[0.5, 0.5, np.zeros(6)]
+    with pytest.warns(UserWarning, match=r"dropping 6 zero-mass genotype\(s\): g2, g3, g4, g5, g6, \.\.\.$"):
+        table = build_risk_table(a, a, rho=0.1)
+    assert [str(g) for g in table.dropped] == [f"g{i}" for i in range(2, 8)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,26 @@ from predictu.inference import (
     UEstimate,
     _align_counts,
     _bootstrap_group,
+    _bootstrap_values,
     _contract,
     _percentile_ci,
     bootstrap_ci,
     bootstrap_estimates,
     partial_u_variance,
 )
-from predictu.risk_model import CaseControlCounts, GenotypeId, _plugin_rows, estimate_risk_table
-from predictu.summary_indices import clipped_band_masses, partial_u_statistic
+from predictu.risk_model import (
+    CaseControlCounts,
+    GenotypeId,
+    _bayes,
+    _plugin_rows,
+    estimate_risk_table,
+)
+from predictu.summary_indices import (
+    INDEX_TOKENS,
+    _index_rows,
+    clipped_band_masses,
+    partial_u_statistic,
+)
 
 from conftest import bootstrap_counts_reference, random_case, same
 
@@ -97,11 +109,10 @@ def test_wrappers_equal_the_two_draw_reference():
                 assert same(got, want)
                 exact += got == want
                 nan_points += got != want
-                total, partial = bootstrap_estimates(
-                    counts, order, plan, level, band, standardized
-                )
-                assert total == old_bootstrap_ci(counts, order, plan, level)
-                assert same(partial, want)
+                token = "upartialstd" if standardized else "upartial"
+                found = bootstrap_estimates(counts, order, plan, ("u", token), band, level)
+                assert found["u"] == old_bootstrap_ci(counts, order, plan, level)
+                assert same(found[token], want)
     assert exact > 10 * nan_points
 
 
@@ -144,7 +155,7 @@ def test_shared_peak_stays_within_the_partial_routine_alone():
     peaks = []
     for run in (
         lambda: old_partial_u_variance(counts, order, (0.9, 1.0), plan),
-        lambda: bootstrap_estimates(counts, order, plan, band=(0.9, 1.0)),
+        lambda: bootstrap_estimates(counts, order, plan, ("u", "upartial"), (0.9, 1.0)),
     ):
         tracemalloc.start()
         try:
@@ -154,3 +165,46 @@ def test_shared_peak_stays_within_the_partial_routine_alone():
             tracemalloc.stop()
     old, shared = peaks
     assert shared <= old, f"shared {shared / 2**20:.1f} MiB > partial alone {old / 2**20:.1f} MiB"
+
+
+def _tied_case(rng):
+    """Genotypes in tied pairs (equal counts, so equal risks), one of them
+    unobserved, with an order that keeps it."""
+    half = rng.integers(1, 20, (2, 4)) * (rng.random((2, 4)) < 0.8)
+    half[:, 0] = [3, 5]
+    n_case, n_control = np.repeat(half, 2, axis=1)
+    n_case[-2:] = n_control[-2:] = 0
+    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(8))
+    counts = CaseControlCounts(genotypes, n_case, n_control, float(rng.uniform(0.05, 0.5)))
+    return counts, genotypes[::-1]
+
+
+@pytest.mark.parametrize("laplace", [0.0, 0.5])
+def test_every_token_is_the_index_of_the_drawn_smoothed_rows(laplace):
+    # random, tied and zero-cell rows: every replicate value is the index of
+    # the plug-in curve of the same drawn rows, smoothed by laplace
+    rng = np.random.default_rng(57)
+    band = (0.3, 0.9)
+    for trial in range(90):
+        counts, order = _tied_case(rng) if trial % 3 == 0 else random_case(rng)
+        plan = ResamplePlan(int(rng.integers(1, 30)), seed=trial)
+        case, control = _align_counts(counts, order)
+        rho = counts.rho
+        groups = -(-plan.n_replicates // _GROUP)
+        got = _bootstrap_values(case, control, rho, INDEX_TOKENS, band, laplace,
+                                plan.seed, plan.n_replicates, 0, groups)
+
+        boot_case, boot_control = bootstrap_counts_reference(counts, order, plan)
+        g = len(order)
+        a = (boot_case + laplace) / (boot_case.sum(axis=-1, keepdims=True) + laplace * g)
+        b = (boot_control + laplace) / (boot_control.sum(axis=-1, keepdims=True) + laplace * g)
+        p, r = _bayes(a, b, rho)
+        want = _index_rows(p, r, rho, INDEX_TOKENS, band)
+        for token in INDEX_TOKENS:
+            if token in ("u", "ustd"):
+                # the identity on the exact contraction against the float U
+                # (near U = 0 only the bound of 1e-12 of U's range can hold)
+                scale = 1.0 if token == "ustd" else 2.0 * rho * (1.0 - rho)
+                np.testing.assert_allclose(got[token], want[token], rtol=1e-12, atol=1e-12 * scale)
+            else:
+                np.testing.assert_array_equal(got[token], want[token])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from predictu import NumericError, ValidationError
-from predictu import inference
+from predictu import inference, parallel
 from predictu import simulate as sim
 from predictu.risk_model import (
     GenotypeId,
@@ -450,6 +450,8 @@ def test_harness_holds_on_eight_threads_under_forced_switches(monkeypatch):
         raise AssertionError("the harness asked for a process context")
 
     monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    # the worker count is capped at the available CPUs; allow eight on any host
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
