@@ -31,8 +31,8 @@ rho = table.rho
 
 roc = roc_from_table(table)
 print("ROC vertices (fpr, tpr):")
-for f, t in zip(roc.f, roc.t):
-    print(f"  ({f:.4f}, {t:.4f})")
+for t, f in zip(roc.t, roc.f):
+    print(f"  ({t:.4f}, {f:.4f})")
 print(f"AUC_R = {roc.auc:.6f}")
 print(f"identity: 2 rho (1-rho) (2 AUC_R - 1) = {2 * rho * (1 - rho) * (2 * roc.auc - 1):.6f}")
 print(f"U                                     = {u:.6f}")

@@ -264,7 +264,7 @@ def cmd_links(args) -> int:
     lorenz_check = check_lorenz_identity(table)
     out = _outdir(args)
     prov = _provenance(args)
-    write_xy_csv(os.path.join(out, "roc.csv"), "fpr", roc.f, "tpr", roc.t, prov)
+    write_xy_csv(os.path.join(out, "roc.csv"), "fpr", roc.t, "tpr", roc.f, prov)
     write_xy_csv(os.path.join(out, "lorenz.csv"), "q", lorenz.q, "h", lorenz.h, prov)
     write_json(
         os.path.join(out, "links.json"),

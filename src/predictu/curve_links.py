@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericError
 from .risk_model import _fields_equal
-from .summary_indices import _EDGE, _masses_risks, u_statistic
+from .summary_indices import _EDGE, _masses_risks, _u_scale, u_statistic
 
 __all__ = [
     "RocCurve",
@@ -151,7 +151,7 @@ def check_roc_identity(table) -> IdentityCheck:
     residual is still reported, with ``monotone`` False.
     """
     auc = roc_from_table(table).auc
-    return _identity(table, lambda rho: 2.0 * rho * (1.0 - rho) * (2.0 * auc - 1.0))
+    return _identity(table, lambda rho: _u_scale(rho) * (2.0 * auc - 1.0))
 
 
 def check_lorenz_identity(table) -> IdentityCheck:

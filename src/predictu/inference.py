@@ -12,11 +12,12 @@ pairs, and along the order the kernel reduces to a prefix sum,
     case' phi control = sum_i case_i (C_{<i} - C_{>i}),
 
 with C_{<i} and C_{>i} the controls ordered below and above position i
-(the DeLong placement values).  One int64 cumulative sum serves the
-point estimate, the asymptotic variance and every resampling replicate
-in O(G) per row, exactly while n_D n_Dbar and 2 max(n_D, n_Dbar) fit in
-int64 (larger arm totals raise ``ValidationError``); the dense
-``pair_kernel`` and the per-subject form exist only as test references.
+(the DeLong placement values): ``summary_indices._contract``, the one
+kernel of every U, exact on the int64 counts of the point estimate, the
+asymptotic variance and every resampling replicate, O(G) per row, while
+n_D n_Dbar and 2 max(n_D, n_Dbar) fit in int64 (larger arm totals raise
+``ValidationError``); the dense ``pair_kernel`` and the per-subject form
+exist only as test references.
 
 Resampling is stratified within arms (bootstrap) or redraws the case
 counts from the pooled genotype totals by multivariate hypergeometric
@@ -42,7 +43,7 @@ import numpy as np
 from . import parallel
 from .errors import NumericError, ValidationError
 from .risk_model import _COUNT_LIMIT, CaseControlCounts, _check_laplace, _plugin_rows, _positions
-from .summary_indices import INDICES, _check_request, _index_rows
+from .summary_indices import INDICES, _check_request, _contract, _index_rows, _placements, _u_scale
 
 __all__ = [
     "Method",
@@ -144,22 +145,6 @@ def _align_counts(counts: CaseControlCounts, order) -> tuple[np.ndarray, np.ndar
     return np.where(seen, counts.n_case[pos], 0), np.where(seen, counts.n_control[pos], 0)
 
 
-def _placements(control: np.ndarray) -> np.ndarray:
-    """(phi control)_i = C_{<i} - C_{>i} = 2 C_{<=i} - c_i - C, last axis, int64."""
-    out = np.cumsum(control, axis=-1, dtype=np.int64)
-    out *= 2
-    out -= control
-    out -= control.sum(axis=-1, keepdims=True)
-    return out
-
-
-def _contract(case: np.ndarray, control: np.ndarray) -> np.ndarray:
-    """case' phi control per row (1-d or (B, G)), exact in int64, one temporary."""
-    weighted = _placements(control)
-    weighted *= case
-    return weighted.sum(axis=-1)
-
-
 def two_sample_u(counts: CaseControlCounts, order, laplace: float = 0.0) -> UEstimate:
     """Estimate U from case-control counts along a fixed genotype order.
 
@@ -188,7 +173,7 @@ def two_sample_u(counts: CaseControlCounts, order, laplace: float = 0.0) -> UEst
     case, control = _align_counts(counts, order)
     rho = counts.rho
     kernel, pairs = _smoothed_kernel(case, control, _check_laplace(laplace))
-    u_hat = float(2.0 * rho * (1.0 - rho) * kernel / pairs)
+    u_hat = float(_u_scale(rho) * kernel / pairs)
     if counts.n_cases >= 2 and counts.n_controls >= 2:
         variance = asymptotic_variance_u(counts, order)
     else:
@@ -297,8 +282,8 @@ def _replicate_values(stacks, rho: float, tokens, band, laplace: float):
         out = {}
         if "u" in tokens or "ustd" in tokens:
             kernel, pairs = _smoothed_kernel(case, control, laplace)
-            out["u"] = 2.0 * rho * (1.0 - rho) / pairs * kernel
-            out["ustd"] = out["u"] / (2.0 * rho * (1.0 - rho))
+            out["u"] = _u_scale(rho) / pairs * kernel
+            out["ustd"] = out["u"] / _u_scale(rho)
         rest = [t for t in tokens if t not in out]
         if rest:
             p, r = _plugin_rows(case, control, rho, laplace)

@@ -358,6 +358,13 @@ def build_population(model: DiseaseModel) -> Population:
     )
 
 
+def _draw_arms(population: Population, n_cases: int, n_controls: int, seed):
+    """Case then control counts of one study, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    case = rng.multinomial(n_cases, population.cond_case)
+    return case, rng.multinomial(n_controls, population.cond_control)
+
+
 def sample_case_control(
     population: Population, n_cases: int, n_controls: int, seed=None
 ) -> CaseControlCounts:
@@ -368,9 +375,7 @@ def sample_case_control(
     """
     if n_cases < 1 or n_controls < 1:
         raise ValidationError("need at least one case and one control")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    case = rng.multinomial(n_cases, population.cond_case)
-    control = rng.multinomial(n_controls, population.cond_control)
+    case, control = _draw_arms(population, n_cases, n_controls, seed)
     return CaseControlCounts(
         genotypes=population.table.genotypes,
         n_case=case,
@@ -433,13 +438,8 @@ def _replicate_chunk(
     covered = np.zeros((rep_hi - rep_lo, n_tokens), dtype=bool)
 
     for row, k in enumerate(range(rep_lo, rep_hi)):
-        rng_train = np.random.default_rng([seed, model_idx, k, 0])
-        rng_test = np.random.default_rng([seed, model_idx, k, 1])
-
-        case_t = rng_train.multinomial(n_cases, population.cond_case)
-        ctrl_t = rng_train.multinomial(n_controls, population.cond_control)
-        case_s = rng_test.multinomial(n_cases, population.cond_case)
-        ctrl_s = rng_test.multinomial(n_controls, population.cond_control)
+        case_t, ctrl_t = _draw_arms(population, n_cases, n_controls, [seed, model_idx, k, 0])
+        case_s, ctrl_s = _draw_arms(population, n_cases, n_controls, [seed, model_idx, k, 1])
 
         # train-observed genotypes by train risk, then the rest by test risk
         _, r_train = _plugin_rows(case_t, ctrl_t, rho)

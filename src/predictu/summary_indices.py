@@ -100,13 +100,29 @@ def _check_band(q0: float, q1: float) -> None:
         raise ValidationError(f"band must satisfy 0 <= q0 < q1 <= 1, got ({q0}, {q1})")
 
 
+def _placements(x: np.ndarray) -> np.ndarray:
+    """(phi x)_i = X_{<i} - X_{>i} = 2 X_{<=i} - x_i - X over the last axis;
+    int64 for integer input (exact while 2 X fits in int64), else float."""
+    out = np.cumsum(x, axis=-1, dtype=np.int64 if x.dtype.kind in "iu" else float)
+    out *= 2
+    out -= x
+    out -= x.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a' phi b per row (1-d or (B, G)), one temporary: the kernel of every U."""
+    weighted = _placements(b)
+    weighted *= a
+    return weighted.sum(axis=-1)
+
+
 def u_statistic(p, r) -> np.ndarray | float:
     """U = 2 sum_{i>j} p_i p_j (r_i - r_j) over the last axis.
 
-    Uses the prefix-sum contraction, O(G) per curve:
-    U = 2 [sum_i p_i r_i P_{i-1} - sum_i p_i S_{i-1}] with P and S the
-    cumulative mass and cumulative mass-risk below i.  ``p`` and ``r``
-    broadcast, so a matrix of bootstrap masses can share one risk row.
+    Equals 2 (p r)' phi p, (phi p)_i the mass ordered below i minus that
+    above it: one prefix sum, O(G) per curve (``_contract``).  ``p`` and
+    ``r`` broadcast, so a matrix of bootstrap masses can share one risk row.
 
     Parameters
     ----------
@@ -122,10 +138,7 @@ def u_statistic(p, r) -> np.ndarray | float:
         Scalar for 1-d input, else one value per leading row.
     """
     p, r = np.broadcast_arrays(np.asarray(p, float), np.asarray(r, float))
-    pr = p * r
-    below_mass = np.cumsum(p, axis=-1) - p
-    below_pr = np.cumsum(pr, axis=-1) - pr
-    out = 2.0 * ((pr * below_mass).sum(axis=-1) - (p * below_pr).sum(axis=-1))
+    out = 2.0 * _contract(p * r, p)
     return float(out) if out.ndim == 0 else out
 
 

@@ -109,6 +109,21 @@ def brute_force_u(p, r):
     return 2.0 * total
 
 
+def u_statistic_two_cumsum(p, r):
+    """U by two float cumulative sums (the former ``u_statistic``): the
+    oracle the one ``_contract`` kernel must match to rounding.
+
+    U = 2 [sum_i p_i r_i P_{i-1} - sum_i p_i S_{i-1}] with P and S the
+    cumulative mass and cumulative mass-risk below i.
+    """
+    p, r = np.broadcast_arrays(np.asarray(p, float), np.asarray(r, float))
+    pr = p * r
+    below_mass = np.cumsum(p, axis=-1) - p
+    below_pr = np.cumsum(pr, axis=-1) - pr
+    out = 2.0 * ((pr * below_mass).sum(axis=-1) - (p * below_pr).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
 def pava_stack(risks, weights) -> np.ndarray:
     """Weighted isotonic fit by the sequential block stack (the former
     ``pava``): the oracle the merge rounds of ``pava_rows`` must match.

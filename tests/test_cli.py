@@ -659,6 +659,15 @@ def test_links_identities_hold(counts_file, tmp_path, capsys):
     assert (out / "roc.csv").read_text().splitlines()[1] == "fpr,tpr"
     assert (out / "lorenz.csv").read_text().splitlines()[1] == "q,h"
     assert "AUC" in capsys.readouterr().out
+    # 1 - specificity under fpr, sensitivity under tpr: a risk-sorted
+    # table's ROC never dips below the diagonal, and the first vertex past
+    # (0, 0) calls the top genotype (10 of 79 controls, 10 of 21 cases)
+    packaged = tmp_path / "packaged"
+    assert main(["links", PACKAGED_COUNTS, "--rho", "0.21", "--out", str(packaged)]) == 0
+    for run in (out, packaged):
+        rows = np.loadtxt(run / "roc.csv", delimiter=",", skiprows=2, ndmin=2)
+        assert (rows[:, 1] >= rows[:, 0]).all(), rows
+        assert rows[1] == pytest.approx([10 / 79, 10 / 21], rel=1e-12)
 
 
 # a step of mass 1e-17 at --rho 1e-11: adding it leaves the cumulative mass at 1

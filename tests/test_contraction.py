@@ -3,14 +3,18 @@
 ``dense_reference`` is the earlier production path, kept here as the
 oracle: counts arranged along the order by a per-column loop, then
 contracted through the G x G matrix phi = pair_kernel(G).  The O(G)
-path must reproduce it exactly, not to a tolerance.
+path must reproduce it exactly, not to a tolerance.  On float masses the
+same kernel gives the index U, checked against the former two-cumsum
+formula and the exact rational U.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from predictu import inference, summary_indices
 from predictu.errors import ValidationError
 from predictu.inference import (
     ResamplePlan,
@@ -22,12 +26,14 @@ from predictu.inference import (
     two_sample_u,
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId
+from predictu.summary_indices import _placements, clipped_band_masses, u_statistic
 
 from conftest import (
     bootstrap_counts_reference,
     pair_kernel,
     permutation_draws_reference,
     random_case,
+    u_statistic_two_cumsum,
 )
 
 
@@ -171,7 +177,14 @@ def test_the_exact_contraction_has_a_stated_limit(case, control, exact):
                 entry(counts, order)
         return
     total = _contract_in_python_ints(case[::-1], control[::-1])
-    assert int(_contract(*_align_counts(counts, order))) == total
+    aligned = _align_counts(counts, order)
+    assert int(_contract(*aligned)) == total
+    # the placements of integer counts stay int64 and exact at the limit
+    for arm in aligned:
+        placed = _placements(arm)
+        assert placed.dtype == np.int64
+        arm = [int(c) for c in arm]
+        assert placed.tolist() == [sum(arm[:i]) - sum(arm[i + 1:]) for i in range(len(arm))]
     n_d, n_dbar = sum(case), sum(control)
     assert two_sample_u(counts, order).u_hat == 2.0 * 0.05 * 0.95 * total / (n_d * n_dbar)
 
@@ -187,3 +200,66 @@ def test_the_permutation_test_has_a_stated_limit():
     bigger = CaseControlCounts(counts.genotypes, counts.n_case, counts.n_control + [0, 1], 0.05)
     with pytest.raises(ValidationError, match=r"than the limit 10\*\*9 = 1000000000, got 1000000000"):
         permutation_test(bigger, bigger.genotypes, ResamplePlan(1, seed=1))
+
+
+def test_one_kernel_serves_every_u():
+    assert inference._contract is summary_indices._contract
+    assert inference._placements is summary_indices._placements
+
+
+def _unit(p, r):
+    """The tolerance unit, 2 sum_i |p_i r_i| per row."""
+    return 2.0 * np.abs(p * r).sum(axis=-1)
+
+
+def _exact_u(p, r):
+    p = [Fraction(float(x)) for x in p]
+    r = [Fraction(float(x)) for x in r]
+    pairs = sum(p[i] * p[j] * (r[i] - r[j]) for i in range(len(p)) for j in range(i))
+    return 2 * pairs
+
+
+def _curve_rows(rng, rows, g):
+    """Masses and risks of random curves: risk-sorted or shuffled rows,
+    some cells of zero mass."""
+    p = rng.dirichlet(np.ones(g), size=rows)
+    p[rng.random((rows, g)) < 0.2] = 0.0
+    r = np.sort(rng.random((rows, g)), axis=-1)
+    for row in range(0, rows, 2):
+        rng.shuffle(r[row])
+    return p, r
+
+
+@pytest.mark.parametrize("g", [1, 2, 5, 40, 3000])
+def test_u_statistic_matches_the_two_cumsum_formula(g):
+    rng = np.random.default_rng(g)
+    p, r = _curve_rows(rng, 16, g)
+    q0, q1 = np.sort(rng.random(2))
+    cases = [
+        (p, r),  # sorted and shuffled rows, zero-mass cells
+        (clipped_band_masses(p, q0, q1), r),  # band-clipped masses
+        (p, r[0]),  # a (B, G) stack of masses sharing one risk row
+        (p[0], r),  # one mass row under a (B, G) stack of risks
+    ]
+    for masses, risks in cases:
+        got = u_statistic(masses, risks)
+        want = u_statistic_two_cumsum(masses, risks)
+        assert got.shape == want.shape == (16,)
+        assert np.all(np.abs(got - want) <= 1e-14 * _unit(masses, risks))
+    for row in range(3):
+        got = u_statistic(p[row], r[row])
+        assert isinstance(got, float)
+        assert abs(got - u_statistic_two_cumsum(p[row], r[row])) <= 1e-14 * _unit(p[row], r[row])
+
+
+def test_u_statistic_matches_the_exact_rational_u():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        g = int(rng.integers(1, 13))
+        p, r = _curve_rows(rng, 1, g)
+        if trial % 3 == 0:
+            p = clipped_band_masses(p, 0.25, 0.8)
+        exact = _exact_u(p[0], r[0])
+        tol = 1e-14 * _unit(p[0], r[0])
+        assert abs(u_statistic(p[0], r[0]) - float(exact)) <= tol
+        assert abs(u_statistic_two_cumsum(p[0], r[0]) - float(exact)) <= tol
