@@ -117,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=_in_range(int, 0), default=0, metavar="N",
                    help="bootstrap replicates for percentile intervals (default: asymptotic only)")
     p.add_argument("--permutation", type=_in_range(int, 0), default=0, metavar="N",
-                   help="permutation replicates for a null test of U (default: off)")
+                   help="permutation replicates for a null test of U (default: off); the "
+                        "order is fitted on the same data, so the p-value is anti-conservative "
+                        "(see README)")
     p.add_argument("--seed", type=_in_range(int, 0), default=0)
     p.add_argument("--workers", type=_in_range(int, 1), default=None,
                    help="resampling thread count, at most the available CPUs (default: all of them)")

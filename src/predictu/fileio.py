@@ -5,9 +5,9 @@ row with ``sample_id``, ``status`` and one column per marker, one row
 per subject; subjects are aggregated into multi-locus genotype counts
 by exact marker-tuple match.  Format B is pre-aggregated:
 ``genotype_id``, ``n_case``, ``n_control``.  Blank lines and lines
-starting with ``#`` are ignored in both, so written counts files
-re-parse even with their provenance comment.  Warnings and errors name
-the file line on which the offending row starts.
+starting with ``#`` (comments, such as a provenance line) are ignored
+in both.  Warnings and errors name the file line on which the offending
+row starts.
 
 Both layouts are read as UTF-8 (a leading byte-order mark is dropped)
 by one line reader that streams the file.  A subject file is tallied
@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .risk_model import _COUNT_LIMIT, CaseControlCounts, GenotypeId, RiskTable
 
 __all__ = [
-    "ParseReport", "parse_subject_file", "parse_counts_file", "write_counts_csv", "run_provenance",
+    "ParseReport", "parse_subject_file", "parse_counts_file", "run_provenance",
 ]
 
 _DELIMITERS = ",\t;"
@@ -60,10 +60,6 @@ class ParseReport:
     n_dropped: int
     n_markers: int
     warnings: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def dropped_fraction(self) -> float:
-        return self.n_dropped / self.n_rows if self.n_rows else 0.0
 
 
 def _sniff_delimiter(sample: str) -> str:
@@ -112,6 +108,15 @@ def _input_error(path, problem: str) -> ValidationError:
     depend on how far the file was read."""
     at = _bad_byte(path)
     return ValidationError(f"{path}: {problem}") if at is None else _not_utf8(path, at)
+
+
+def _check_arms(path, n_cases: int, n_controls: int, unit: str) -> None:
+    """A curve needs both arms: name the file and the arm it lacks."""
+    empty = [arm for arm, n in (("case", n_cases), ("control", n_controls)) if n == 0]
+    if empty:
+        raise _input_error(
+            path, f"no {' and no '.join(empty)} {unit}: need at least one case and one control"
+        )
 
 
 def _is_counts_file(path) -> bool:
@@ -344,6 +349,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
     labels = sorted(set(cases) | set(controls))
     if not labels:
         raise ValidationError(f"{path}: no usable subject rows")
+    _check_arms(path, sum(cases.values()), sum(controls.values()), "rows")
     genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
     counts = CaseControlCounts(
         genotypes=genotypes,
@@ -394,6 +400,7 @@ def parse_counts_file(path, rho: float):
             seen.add(label)
             n_case.append(a)
             n_control.append(b)
+    _check_arms(path, *totals, "counts")
     genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
     counts = CaseControlCounts(
         genotypes=genotypes,
@@ -405,14 +412,6 @@ def parse_counts_file(path, rho: float):
         path=str(path), n_rows=len(labels), n_used=len(labels), n_dropped=0, n_markers=0
     )
     return counts, report
-
-
-def write_counts_csv(path, counts: CaseControlCounts, provenance: dict | None = None) -> None:
-    """Emit counts in the pre-aggregated format (round-trips with
-    :func:`parse_counts_file`)."""
-    columns = zip(counts.genotypes, counts.n_case, counts.n_control)
-    rows = ((str(g), int(a), int(b)) for g, a, b in columns)
-    write_csv(path, ("genotype_id", "n_case", "n_control"), rows, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ __all__ = [
     "bootstrap_estimates",
     "bootstrap_ci",
     "permutation_test",
-    "partial_u_variance",
 ]
 
 # stream tags keep bootstrap and permutation draws decoupled per seed
@@ -400,28 +399,6 @@ def permutation_test(
     n_groups = _n_groups(plan.n_replicates)
     hits = parallel.map_ranges(_permutation_hits, n_groups, workers, *args)
     return (1 + sum(hits)) / (1 + plan.n_replicates)
-
-
-def partial_u_variance(
-    counts: CaseControlCounts,
-    order,
-    band: tuple[float, float],
-    plan: ResamplePlan,
-    level: float = 0.95,
-    standardized: bool = False,
-    workers: int | None = None,
-) -> UEstimate:
-    """Bootstrap variance and percentile interval for the partial U.
-
-    Each replicate resamples the counts (stratified, same stream as
-    ``bootstrap_ci`` for the same plan), rebuilds the plug-in curve in
-    the fixed order and evaluates the band-clipped statistic; with the
-    full band (0, 1) the replicate values coincide with the global
-    bootstrap to rounding.  The ``upartial`` (``upartialstd`` if
-    ``standardized``) estimate of ``bootstrap_estimates``.
-    """
-    token = "upartialstd" if standardized else "upartial"
-    return bootstrap_estimates(counts, order, plan, (token,), band, level, workers=workers)[token]
 
 
 def bootstrap_estimates(

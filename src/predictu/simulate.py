@@ -62,7 +62,6 @@ __all__ = [
     "run_bias_coverage",
     "load_model_spec",
     "preset",
-    "simulation_presets",
 ]
 
 
@@ -651,9 +650,3 @@ def preset(name: str) -> DiseaseModel:
         available = ", ".join(sorted(p.name[:-5] for p in _preset_dir().iterdir()))
         raise ValidationError(f"unknown preset {name!r}; available: {available}")
     return load_model_spec(ref)
-
-
-def simulation_presets() -> list[DiseaseModel]:
-    """All shipped preset models, sorted by name."""
-    names = sorted(p.name[:-5] for p in _preset_dir().iterdir() if p.name.endswith(".yaml"))
-    return [preset(name) for name in names]

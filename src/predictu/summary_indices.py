@@ -21,8 +21,8 @@ curves with genotypes on the last axis, which the resampling engines
 use to evaluate thousands of bootstrap replicates in one call.  One
 row-wise evaluator computes and standardises every index of the
 ``INDICES`` table; the ``IndexResult`` functions call it with the curve
-as a one-row stack, so the CLI, the harness and the partial bootstrap
-compute each index the same way.
+as a one-row stack, so the CLI, the harness and the bootstrap compute
+each index the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "INDICES",
     "INDEX_TOKENS",
     "u_statistic",
-    "partial_u_statistic",
     "clipped_band_masses",
     "r_square_statistic",
     "total_gain_statistic",
@@ -154,11 +153,6 @@ def clipped_band_masses(p, q0: float, q1: float) -> np.ndarray:
     return np.clip(np.minimum(upper, q1) - np.maximum(lower, q0), 0.0, None)
 
 
-def partial_u_statistic(p, r, q0: float, q1: float) -> np.ndarray | float:
-    """U restricted to the band (q0, q1], via clipped step masses."""
-    return u_statistic(clipped_band_masses(p, q0, q1), r)
-
-
 def r_square_statistic(p, r) -> np.ndarray | float:
     """R = sum_i p_i (r_i - rho)^2, with rho = sum p r."""
     p, r = np.broadcast_arrays(np.asarray(p, float), np.asarray(r, float))
@@ -232,7 +226,7 @@ class IndexSpec:
 
 
 # The one table of indices: the CLI's ``--indices`` tokens, the
-# harness and the partial bootstrap all dispatch through it.
+# harness and the bootstrap all dispatch through it.
 INDICES = {
     "u": IndexSpec("U", u_statistic),
     "ustd": IndexSpec("U_std", u_statistic, _u_scale),

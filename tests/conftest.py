@@ -5,7 +5,7 @@ import pytest
 
 from predictu import inference
 from predictu.errors import NumericError, ValidationError
-from predictu.fileio import ParseReport, _sniff_delimiter
+from predictu.fileio import ParseReport, _sniff_delimiter, write_csv
 from predictu.inference import (
     _GROUP,
     _TAG_BOOTSTRAP,
@@ -354,6 +354,14 @@ def permutation_test_reference(counts, order, plan):
     return (1 + hits) / (1 + plan.n_replicates)
 
 
+def write_counts_csv(path, counts: CaseControlCounts, provenance: dict | None = None) -> None:
+    """Write counts in the pre-aggregated layout that ``parse_counts_file``
+    reads (no subcommand writes a counts file)."""
+    columns = zip(counts.genotypes, counts.n_case, counts.n_control)
+    rows = ((str(g), int(a), int(b)) for g, a, b in columns)
+    write_csv(path, ("genotype_id", "n_case", "n_control"), rows, provenance)
+
+
 def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
     """Subject-file aggregation by a per-row dict loop.
 
@@ -418,7 +426,7 @@ def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
         n_markers=len(marker_cols),
         warnings=tuple(warnings),
     )
-    if report.n_rows and report.dropped_fraction > max_bad_rows:
+    if report.n_rows and n_dropped / report.n_rows > max_bad_rows:
         raise ValidationError(
             f"{path}: {n_dropped}/{report.n_rows} malformed rows exceeds "
             f"--max-bad-rows {max_bad_rows:g}"
@@ -426,6 +434,9 @@ def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
     labels = sorted(set(cases) | set(controls))
     if not labels:
         raise ValidationError(f"{path}: no usable subject rows")
+    for arm, bucket in (("case", cases), ("control", controls)):
+        if not bucket:
+            raise ValidationError(f"{path}: no {arm} rows: need at least one case and one control")
     genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
     counts = CaseControlCounts(
         genotypes=genotypes,

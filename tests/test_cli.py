@@ -12,10 +12,10 @@ import pytest
 import predictu
 from predictu import cli, parallel
 from predictu.cli import main
-from predictu.fileio import (
-    parse_subject_file, read_json, run_provenance, write_counts_csv, write_json,
-)
+from predictu.fileio import parse_subject_file, read_json, run_provenance, write_json
 from predictu.risk_model import CaseControlCounts, GenotypeId
+
+from conftest import write_counts_csv
 
 COUNTS = "genotype_id,n_case,n_control\ng0,5,45\ng1,6,24\ng2,10,10\n"
 SUBJECTS = (
@@ -510,6 +510,9 @@ def test_summarize_asymptotic_when_no_bootstrap(counts_file, tmp_path):
 
 
 PACKAGED_COUNTS = os.path.join(os.path.dirname(predictu.__file__), "data", "three_genotype_counts.csv")
+PACKAGED_SUBJECTS = os.path.join(
+    os.path.dirname(predictu.__file__), "data", "three_genotype_subjects.csv"
+)
 
 
 @pytest.mark.parametrize("laplace", ["0", "0.5"])
@@ -566,6 +569,58 @@ def test_mutated_counts_exit_with_a_code_and_no_traceback(command, edit, tmp_pat
     code = main(argv + ["--rho", "0.21", "--out", str(tmp_path / "out")])
     assert code in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _probe_subjects(lines, probe) -> bytes:
+    """The packaged subject file (``lines``, header first) under one probe."""
+    header, rows = lines[0], lines[1:]
+    if probe == "cut":
+        return "\n".join(lines)[:-3].encode()
+    if probe == "header-only":
+        return (header + "\n").encode()
+    if probe == "empty":
+        return b""
+    if probe == "latin-1":
+        rows[0] = "s\u00e9" + rows[0][1:]
+        return "\n".join([header, *rows]).encode("latin-1") + b"\n"
+    if probe == "nul":
+        rows[0] = "s\x00" + rows[0][1:]
+    elif probe == "status-2":
+        rows[0] = rows[0].replace(",1,", ",2,", 1)
+    elif probe == "all-cases":
+        rows = [row.replace(",0,", ",1,", 1) for row in rows]
+    elif probe == "no-marker":
+        header, rows = header.rsplit(",", 1)[0], [row.rsplit(",", 1)[0] for row in rows]
+    elif probe == "quoted":
+        rows[0] = '"s0\n' + rows[0][2:].replace(",", '",', 1)
+    elif probe == "bom-semicolon":
+        return ("\ufeff" + "\n".join([header, *rows]).replace(",", ";") + "\n").encode()
+    elif probe == "chunk-cut":
+        # a full 16,384-line chunk of rows, then a row cut mid-way
+        rows = [rows[i % len(rows)] for i in range(16_384)] + [rows[0][:5]]
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+_SUBJECT_PROBES = {
+    "cut": 0, "header-only": 2, "empty": 2, "nul": 0, "status-2": 0, "all-cases": 2,
+    "no-marker": 2, "quoted": 0, "bom-semicolon": 0, "latin-1": 2, "chunk-cut": 0,
+}
+
+
+@pytest.mark.parametrize("command", ["curve", "summarize"])
+@pytest.mark.parametrize("probe", list(_SUBJECT_PROBES))
+def test_probed_subjects_exit_with_a_code_and_no_traceback(command, probe, tmp_path, capsys):
+    with open(PACKAGED_SUBJECTS, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    path = tmp_path / "subjects.csv"
+    path.write_bytes(_probe_subjects(lines, probe))
+    argv = [a.format(path=path) for a in _COUNTS_COMMANDS[command]]
+    code = main(argv + ["--rho", "0.21", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == _SUBJECT_PROBES[probe], err
+    assert "Traceback" not in err
+    if probe == "chunk-cut":
+        assert "line 16386: expected 3 columns" in err
 
 
 def test_summarize_partial_requires_band(counts_file, tmp_path, capsys):
@@ -733,6 +788,25 @@ def test_validate_disjoint_genotypes(counts_file, tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, arm",
+    [
+        ("subjects.csv", "sample_id,status,snp1\na,1,0\nb,1,1\n", "no control rows"),
+        ("counts.csv", "genotype_id,n_case,n_control\ng0,0,5\ng1,0,7\n", "no case counts"),
+    ],
+    ids=["subjects-without-controls", "counts-without-cases"],
+)
+def test_empty_arm_names_its_file(counts_file, tmp_path, capsys, name, text, arm):
+    test = tmp_path / name
+    test.write_text(text)
+    code = main([
+        "validate", "--train", counts_file, "--test", str(test),
+        "--rho", "0.21", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {test}: {arm}")
 
 
 def test_simulate_unknown_preset(tmp_path, capsys):

@@ -10,13 +10,11 @@ import pytest
 
 from predictu import ValidationError, fileio
 from predictu.fileio import (
-    ParseReport,
     curve_metadata,
     parse_counts_file,
     parse_subject_file,
     read_json,
     run_provenance,
-    write_counts_csv,
     write_eval_csv,
     write_json,
     write_xy_csv,
@@ -24,7 +22,7 @@ from predictu.fileio import (
 from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
 from predictu.simulate import EvalReport
 
-from conftest import parse_subjects_row_by_row
+from conftest import parse_subjects_row_by_row, write_counts_csv
 
 
 @pytest.fixture(params=[1, 2, 3, 7, fileio._CHUNK_ROWS], ids=["1", "2", "3", "7", "default"])
@@ -583,11 +581,6 @@ def test_counts_ragged_row(tmp_path):
     path = subjects(tmp_path, "genotype_id,n_case,n_control\ng0,5\n", "c.csv")
     with pytest.raises(ValidationError, match="column count"):
         parse_counts_file(path, rho=0.2)
-
-
-def test_dropped_fraction_of_empty_report():
-    report = ParseReport(path="x", n_rows=0, n_used=0, n_dropped=0, n_markers=1)
-    assert report.dropped_fraction == 0.0
 
 
 def test_provenance_hash_is_order_and_output_insensitive():

@@ -12,7 +12,7 @@ from predictu.inference import (
     asymptotic_ci,
     asymptotic_variance_u,
     bootstrap_ci,
-    partial_u_variance,
+    bootstrap_estimates,
     permutation_test,
     two_sample_u,
 )
@@ -162,7 +162,9 @@ def test_bootstrap_deterministic_replay(two_genotype_counts):
 def test_partial_variance_full_band_matches_global_bootstrap(three_genotype_counts):
     table = estimate_risk_table(three_genotype_counts)
     plan = ResamplePlan(300, seed=11)
-    full = partial_u_variance(three_genotype_counts, table.genotypes, (0.0, 1.0), plan)
+    full = bootstrap_estimates(
+        three_genotype_counts, table.genotypes, plan, ("upartial",), (0.0, 1.0)
+    )["upartial"]
     whole = bootstrap_ci(three_genotype_counts, table.genotypes, plan)
     assert full.ci.lower == pytest.approx(whole.ci.lower, abs=1e-12)
     assert full.ci.upper == pytest.approx(whole.ci.upper, abs=1e-12)
@@ -285,7 +287,9 @@ def test_partial_counts_its_finite_replicates():
         rho=0.1,
     )
     plan = ResamplePlan(200, seed=4)
-    est = partial_u_variance(counts, counts.genotypes, (0.9, 1.0), plan, standardized=True)
+    est = bootstrap_estimates(counts, counts.genotypes, plan, ("upartialstd",), (0.9, 1.0))[
+        "upartialstd"
+    ]
     assert est.n_replicates == 200
     assert 0 < est.n_finite < 200
     assert est.to_dict()["n_finite"] == est.n_finite

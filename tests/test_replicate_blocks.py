@@ -31,7 +31,6 @@ from predictu.inference import (
     _permutation_hits,
     bootstrap_ci,
     bootstrap_estimates,
-    partial_u_variance,
     permutation_test,
 )
 from predictu.risk_model import CaseControlCounts, GenotypeId
@@ -253,7 +252,7 @@ def _results(counts, order, plan, workers):
     return (
         bootstrap_estimates(counts, order, plan, ("u", "upartialstd"), band, 0.9, workers=workers),
         bootstrap_ci(counts, order, plan, workers=workers),
-        partial_u_variance(counts, order, band, plan, workers=workers),
+        bootstrap_estimates(counts, order, plan, ("upartial",), band, workers=workers),
         permutation_test(counts, order, plan, workers=workers),
     )
 

@@ -27,7 +27,6 @@ from predictu.inference import (
     _percentile_ci,
     bootstrap_ci,
     bootstrap_estimates,
-    partial_u_variance,
 )
 from predictu.risk_model import (
     CaseControlCounts,
@@ -40,7 +39,7 @@ from predictu.summary_indices import (
     INDEX_TOKENS,
     _index_rows,
     clipped_band_masses,
-    partial_u_statistic,
+    u_statistic,
 )
 
 from conftest import bootstrap_counts_reference, random_case, same
@@ -68,9 +67,10 @@ def old_partial_u_variance(counts, order, band, plan, level=0.95, standardized=F
 
     def stat(case_rows, control_rows):
         p, r = _plugin_rows(case_rows, control_rows, rho)
-        value = np.atleast_1d(partial_u_statistic(p, r, q0, q1))
+        clipped = clipped_band_masses(p, q0, q1)
+        value = np.atleast_1d(u_statistic(clipped, r))
         if standardized:
-            rho_pt = (clipped_band_masses(p, q0, q1) * r).sum(axis=-1)
+            rho_pt = (clipped * r).sum(axis=-1)
             denom = 2.0 * rho_pt * (1.0 - rho_pt)
             value = np.divide(value, denom, out=np.full_like(value, np.nan), where=denom > 0)
         return value
@@ -99,17 +99,17 @@ def test_wrappers_equal_the_two_draw_reference():
         q0 = float(rng.uniform(0.0, 0.8))
         for band in ((0.0, 1.0), (q0, float(rng.uniform(q0 + 0.05, 1.0)))):
             for standardized in (False, True):
+                token = "upartialstd" if standardized else "upartial"
                 try:
                     want = old_partial_u_variance(counts, order, band, plan, level, standardized)
                 except NumericError:
                     with pytest.raises(NumericError):
-                        partial_u_variance(counts, order, band, plan, level, standardized)
+                        bootstrap_estimates(counts, order, plan, (token,), band, level)
                     continue
-                got = partial_u_variance(counts, order, band, plan, level, standardized)
+                got = bootstrap_estimates(counts, order, plan, (token,), band, level)[token]
                 assert same(got, want)
                 exact += got == want
                 nan_points += got != want
-                token = "upartialstd" if standardized else "upartial"
                 found = bootstrap_estimates(counts, order, plan, ("u", token), band, level)
                 assert found["u"] == old_bootstrap_ci(counts, order, plan, level)
                 assert same(found[token], want)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ from conftest import (
     refit_rows_one_by_one,
     replicate_chunk_reference,
     replicate_rows_reference,
+)
+
+# every shipped preset, read from the package's presets directory
+PRESET_NAMES = sorted(
+    ref.name[:-5]
+    for ref in resources.files("predictu").joinpath("presets").iterdir()
+    if ref.name.endswith(".yaml")
 )
 
 
@@ -238,7 +246,7 @@ def test_sampling_matches_conditional_laws():
 
 
 def test_presets_load_and_hit_targets():
-    models = sim.simulation_presets()
+    models = [sim.preset(name) for name in PRESET_NAMES]
     names = [s.name for s in models]
     for required in (
         "sim1_h002",
@@ -264,7 +272,7 @@ def test_presets_load_and_hit_targets():
 
 
 def test_presets_match_the_200_step_bisections():
-    for model in sim.simulation_presets():
+    for model in map(sim.preset, PRESET_NAMES):
         want = penetrance_model_reference(model.snps, model.target_rho, model.interactions)
         want = want.penetrance if model.target_h2 is None else (
             calibrated_penetrance_reference(want, model.target_h2)
