@@ -11,8 +11,10 @@ row starts.
 
 Both layouts are read as UTF-8 (a leading byte-order mark is dropped)
 by one line reader that streams the file.  A subject file is tallied
-in chunks of a fixed number of lines, so parsing holds one chunk plus
-the distinct genotypes, however long the file.  While its chunks are
+in chunks of about ``_CHUNK_BYTES`` of line text, each chunk's line
+count that budget over the mean length of the lines read so far, so
+parsing holds one chunk plus the distinct genotypes, however long the
+file and however wide its rows.  While its chunks are
 clean (no quote, no NUL, every distinct row well formed), lines are
 counted by their text and each distinct text is parsed once; from the
 first chunk that is not clean on, the csv module reads every row.
@@ -44,9 +46,9 @@ __all__ = [
 ]
 
 _DELIMITERS = ",\t;"
-# lines or rows held at once while a subject file is read (a chunk of
-# 2**14 short rows is a few MiB)
-_CHUNK_ROWS = 1 << 14
+# characters of line text held at once while a subject file is read:
+# about 8,000 lines of 7 markers, 500 of 200
+_CHUNK_BYTES = 200_000
 _SKIP_LINE = re.compile(r"\s*(?:#|$)").match
 
 
@@ -121,13 +123,29 @@ def _check_arms(path, n_cases: int, n_controls: int, unit: str) -> None:
 
 def _is_counts_file(path) -> bool:
     """Whether the header the parsers read has a ``genotype_id`` cell."""
-    with _open_rows(path) as (header, _, _):
+    with _open_rows(path) as (header, *_):
         return "genotype_id" in (cell.lower() for cell in header)
 
 
+class _ChunkSize:
+    """Lines per chunk of a subject file: ``_CHUNK_BYTES`` over the mean
+    length of the lines read so far, one line at least."""
+
+    def __init__(self, head):
+        self.chars, self.lines = sum(map(len, head)), len(head)
+
+    def __call__(self) -> int:
+        return max(1, _CHUNK_BYTES * self.lines // max(self.chars, 1))
+
+    def add(self, chars: int, lines: int) -> None:
+        self.chars += chars
+        self.lines += lines
+
+
 def _kept_lines(lines):
-    r"""The lines of ``lines`` that are not blank or ``#`` comments, and
-    the delimiter sniffed from the first 50 of them.
+    r"""The lines of ``lines`` that are not blank or ``#`` comments, the
+    delimiter sniffed from the first 50 of them, and a ``_ChunkSize``
+    that starts from those 50: (delimiter, lines, chunk size).
 
     Lines end only at ``\n``, ``\r`` or ``\r\n``, as the csv module
     reads them; this is the one line reader behind both the csv rows and
@@ -136,7 +154,7 @@ def _kept_lines(lines):
     lines = filterfalse(_SKIP_LINE, lines)
     head = list(islice(lines, 50))
     sample = "\n".join(line.rstrip("\r\n") for line in head)[:8192]
-    return _sniff_delimiter(sample), chain(head, lines)
+    return _sniff_delimiter(sample), chain(head, lines), _ChunkSize(head)
 
 
 def _has_text(row) -> bool:
@@ -145,8 +163,9 @@ def _has_text(row) -> bool:
 
 @contextmanager
 def _open_rows(path):
-    """Open ``path`` and yield its stripped header, its delimiter and an
-    iterator over the kept lines below the header.
+    """Open ``path`` and yield its stripped header, its delimiter, an
+    iterator over the kept lines below the header and the ``_ChunkSize``
+    to read them in.
 
     The header is the first row with a non-blank cell.  The file stays
     open inside the block, so a caller that walks the lines in chunks
@@ -155,12 +174,12 @@ def _open_rows(path):
     input, named by its file line.
     """
     with _open_text(path) as fh:
-        sep, lines = _kept_lines(fh)
+        sep, lines, chunk_size = _kept_lines(fh)
         try:
             header = next(filter(_has_text, csv.reader(lines, delimiter=sep)), None)
             if header is None:
                 raise ValidationError(f"{path}: file is empty")
-            yield [cell.strip() for cell in header], sep, lines
+            yield [cell.strip() for cell in header], sep, lines, chunk_size
         except csv.Error as exc:
             line = deque(_row_starts(path), maxlen=1).pop()
             raise ValidationError(f"{path}: line {line}: {exc}") from exc
@@ -183,7 +202,7 @@ def _row_starts(path):
             yield line
 
     with _open_text(path) as fh:
-        sep, lines = _kept_lines(numbered(fh))
+        sep, lines, _ = _kept_lines(numbered(fh))
         reader = csv.reader(lines, delimiter=sep)
         taken = 0
         try:
@@ -212,10 +231,10 @@ def _file_lines(path, ordinals) -> dict[int, int]:
     return lines
 
 
-def _tally_lines(lines, sep, id_first: bool, width: int, cols, tally: Counter):
+def _tally_lines(lines, chunk_size, sep, id_first: bool, width: int, cols, tally: Counter):
     """Tally the rows of ``lines`` by their text while the chunks are clean.
 
-    A chunk of ``_CHUNK_ROWS`` lines is clean when no line holds a quote
+    A chunk of ``chunk_size()`` lines is clean when no line holds a quote
     or a NUL or is as long as the csv field limit, so that each line is
     one row, and when every distinct line text parses to ``width``
     cells (the id cell first when ``id_first``) with status 0 or 1.  A
@@ -231,7 +250,7 @@ def _tally_lines(lines, sep, id_first: bool, width: int, cols, tally: Counter):
     status = cols[0] - id_first
     parsed: dict[str, tuple] = {}  # distinct line text -> its raw cells at cols
     n_rows = 0
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
+    while chunk := list(islice(lines, chunk_size())):
         text = "".join(chunk)
         if '"' in text or "\0" in text or max(map(len, chunk)) >= limit:
             return n_rows, chunk
@@ -252,6 +271,7 @@ def _tally_lines(lines, sep, id_first: bool, width: int, cols, tally: Counter):
         for line, n in counted.items():
             tally[parsed[line]] += n
         n_rows += len(chunk)
+        chunk_size.add(len(text), len(chunk))
     return n_rows, []
 
 
@@ -278,7 +298,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         Genotypes are labelled by the ``/``-joined marker tuple and
         indexed in sorted-label order.
     """
-    with _open_rows(path) as (header, sep, lines):
+    with _open_rows(path) as (header, sep, lines, chunk_size):
         lowered = [h.lower() for h in header]
         if "status" not in lowered:
             raise _input_error(path, "missing required column 'status'")
@@ -295,7 +315,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         n_rows, pending = 0, []
         if id_col in (0, None):
             n_rows, pending = _tally_lines(
-                lines, sep, id_col == 0, width, (status_col, *marker_cols), tally
+                lines, chunk_size, sep, id_col == 0, width, (status_col, *marker_cols), tally
             )
 
         # from the first chunk that is not clean on, tally the raw cells of
@@ -305,7 +325,9 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         rows = filter(_has_text, csv.reader(chain(pending, lines), delimiter=sep))
         del pending  # the chain frees it once its lines are read
         bad: list[tuple[int, str]] = []  # (kept-row ordinal, the header 0; problem)
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
+        while chunk := list(islice(rows, chunk_size())):
+            # a row's line is about its cells, their delimiters and a line end
+            chunk_size.add(sum(map(len, map(sep.join, chunk))) + len(chunk), len(chunk))
             ragged = bool(set(map(len, chunk)) - {width})
             good = [row for row in chunk if len(row) == width] if ragged else chunk
             chunk_tally = Counter(map(key, good))
@@ -371,7 +393,7 @@ def parse_counts_file(path, rho: float):
     def error(ordinal, problem):
         return _input_error(path, f"line {_file_lines(path, [ordinal])[ordinal]}: {problem}")
 
-    with _open_rows(path) as (header, sep, lines):
+    with _open_rows(path) as (header, sep, lines, _):
         lowered = [h.lower() for h in header]
         required = ("genotype_id", "n_case", "n_control")
         missing = [c for c in required if c not in lowered]

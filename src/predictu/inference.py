@@ -244,8 +244,10 @@ def _bootstrap_group(
     a multinomial draw over that arm's genotype frequencies, here taken
     along the order.  A generator seeded with the entropy ``stream``
     draws the ``n_rows`` case rows in one call, then the control rows.
-    ``summarize`` passes ``[seed, _TAG_BOOTSTRAP, group]``; the
-    simulation harness passes ``[seed, population, replicate, 2]``.
+    ``summarize`` passes ``[seed, _TAG_BOOTSTRAP, group]``.  The
+    simulation harness draws its rows the same way from ``[seed,
+    population, replicate, 2]``, the control rows a block at a time
+    (``simulate._replicate_chunk``).
     """
     rng = np.random.default_rng(stream)
     boot_case = rng.multinomial(case.sum(), case / case.sum(), size=n_rows)

@@ -19,12 +19,14 @@ the competitor indices interesting: the test curve is non-monotone, a
 plug-in R or AE inflates under noise, while the pairwise structure of U
 absorbs most of it.  Replicates run on threads (``parallel.map_ranges``)
 and work only on the genotypes their test sample observed, not all 3^L.
+A replicate's (B + 1)-row bootstrap stack is drawn and evaluated in
+blocks of at most ``_BLOCK_CELLS`` cells, so a thread holds one block
+and the (B, G_e) case draw, not the whole stack and its temporaries.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -156,7 +158,8 @@ def _check_loci(interactions, n_loci: int) -> None:
 
 def genotype_matrix(n_loci: int) -> np.ndarray:
     """All 3**m minor-allele-count vectors, canonical order, shape (G, m)."""
-    return np.array(list(itertools.product((0, 1, 2), repeat=n_loci)), dtype=np.int64)
+    grid = np.indices((3,) * n_loci, dtype=np.int64).reshape(n_loci, -1)
+    return np.ascontiguousarray(grid.T)
 
 
 def genotype_probabilities(snps) -> np.ndarray:
@@ -409,6 +412,11 @@ class EvalReport:
         }
 
 
+# cells (rows x genotypes) in one evaluation block of a replicate's
+# bootstrap stack: the stack's working set is one block, whatever B is
+_BLOCK_CELLS = 1 << 16
+
+
 def _true_values(population: Population, tokens, band) -> dict[str, float]:
     p, r = population.table.p, population.table.r
     values = _index_rows(p, r, population.rho, tokens, band)
@@ -452,18 +460,33 @@ def _replicate_chunk(
         keep[-1] = True
         cols = order[keep]
         case_e, ctrl_e = case_s[cols], ctrl_s[cols]
-        # row 0 is the test curve, rows 1.. its bootstrap replicates
-        case_b, ctrl_b = inference._bootstrap_group(
-            case_e, ctrl_e, [seed, model_idx, k, 2], n_bootstrap
-        )
-        case_b = np.vstack([case_e, case_b])
-        ctrl_b = np.vstack([ctrl_e, ctrl_b])
-        p, r = _plugin_rows(case_b, ctrl_b, rho)
-        del case_b, ctrl_b  # keep the refit's temporaries within the old peak
-        if isotonic:
-            pava_rows(r, p)
-
-        stack = _index_rows(p, r, rho, tokens, band)
+        # row 0 is the test curve, rows 1.. its bootstrap replicates: all B
+        # case rows in one draw, then the control rows a block at a time from
+        # the same stream, whose consecutive calls give the rows of one call;
+        # each block of at most _BLOCK_CELLS cells is evaluated row-wise
+        # before the next is drawn
+        rng = np.random.default_rng([seed, model_idx, k, 2])
+        boot_case = rng.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)
+        step = max(1, _BLOCK_CELLS // cols.size)
+        parts = []
+        for lo in range(0, n_bootstrap + 1, step):
+            hi = min(lo + step, n_bootstrap + 1)
+            case_b = boot_case[max(lo - 1, 0):hi - 1]
+            ctrl_b = rng.multinomial(n_controls, ctrl_e / n_controls, size=hi - max(lo, 1))
+            if lo == 0:
+                case_b, ctrl_b = np.vstack([case_e, case_b]), np.vstack([ctrl_e, ctrl_b])
+            if hi > n_bootstrap:
+                del boot_case  # the last block: free every count row before the refit
+            # p and r stay bound until the next replicate's first block: freed
+            # sooner, they let the heap be trimmed and re-faulted every
+            # replicate (29,900 minor faults, not 5,400, over 150 sim1_h005
+            # replicates at B = 400)
+            p, r = _plugin_rows(case_b, ctrl_b, rho)
+            del case_b, ctrl_b
+            if isotonic:
+                pava_rows(r, p)
+            parts.append(_index_rows(p, r, rho, tokens, band))
+        stack = {t: np.concatenate([part[t] for part in parts]) for t in tokens}
         for t, token in enumerate(tokens):
             values[row, t] = stack[token][0]
             reps = stack[token][1:]

@@ -354,6 +354,14 @@ def permutation_test_reference(counts, order, plan):
     return (1 + hits) / (1 + plan.n_replicates)
 
 
+def first_chunk_rows(lines, chunk_bytes) -> int:
+    """Rows in the first chunk of a subject file whose lines, header first
+    and none blank or a comment, are ``lines``, each with its line end:
+    the byte budget over the mean length of the first 50."""
+    head = lines[:50]
+    return max(1, chunk_bytes * len(head) // sum(map(len, head)))
+
+
 def write_counts_csv(path, counts: CaseControlCounts, provenance: dict | None = None) -> None:
     """Write counts in the pre-aggregated layout that ``parse_counts_file``
     reads (no subcommand writes a counts file)."""
@@ -576,21 +584,32 @@ def replicate_chunk_reference(
     model_idx,
     rep_lo,
     rep_hi,
+    observed=False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Former ``simulate._replicate_chunk``, which drew its own stratified
     bootstrap rows from ``rng_boot`` and evaluated every column of the
     grid: the reference whose coverage the harness must equal and whose
-    means it must match to rounding."""
+    means it must match to rounding.  With ``observed``, it evaluates its
+    whole stack at once over the order positions the test sample
+    observed and the last one, as the harness does in blocks: then the
+    harness must equal it bit for bit."""
     rho = population.rho
     n_tokens = len(tokens)
     values = np.empty((rep_hi - rep_lo, n_tokens))
     covered = np.zeros((rep_hi - rep_lo, n_tokens), dtype=bool)
 
     for row, k in enumerate(range(rep_lo, rep_hi)):
-        _, _, p, r, fit = replicate_rows_reference(
+        case_b, ctrl_b, p, r, fit = replicate_rows_reference(
             population, n_cases, n_controls, isotonic, n_bootstrap, seed, model_idx, k
         )
-        stack = _index_rows(p, r if fit is None else fit, rho, tokens, band)
+        r = r if fit is None else fit
+        if observed:
+            keep = case_b[0] + ctrl_b[0] > 0
+            keep[-1] = True
+            # in C order, as the harness's rows are: a row sum's rounding
+            # follows the memory layout
+            p, r = np.ascontiguousarray(p[:, keep]), np.ascontiguousarray(r[:, keep])
+        stack = _index_rows(p, r, rho, tokens, band)
         for t, token in enumerate(tokens):
             values[row, t] = stack[token][0]
             reps = stack[token][1:]

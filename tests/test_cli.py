@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import predictu
-from predictu import cli, parallel
+from predictu import cli, fileio, parallel
 from predictu.cli import main
 from predictu.fileio import parse_subject_file, read_json, run_provenance, write_json
 from predictu.risk_model import CaseControlCounts, GenotypeId
 
-from conftest import write_counts_csv
+from conftest import first_chunk_rows, write_counts_csv
 
 COUNTS = "genotype_id,n_case,n_control\ng0,5,45\ng1,6,24\ng2,10,10\n"
 SUBJECTS = (
@@ -596,8 +596,9 @@ def _probe_subjects(lines, probe) -> bytes:
     elif probe == "bom-semicolon":
         return ("\ufeff" + "\n".join([header, *rows]).replace(",", ";") + "\n").encode()
     elif probe == "chunk-cut":
-        # a full 16,384-line chunk of rows, then a row cut mid-way
-        rows = [rows[i % len(rows)] for i in range(16_384)] + [rows[0][:5]]
+        # a full first chunk of rows, then a row cut mid-way
+        n_rows = first_chunk_rows([line + "\n" for line in lines], fileio._CHUNK_BYTES)
+        rows = [rows[i % len(rows)] for i in range(n_rows)] + [rows[0][:5]]
     return ("\n".join([header, *rows]) + "\n").encode()
 
 
@@ -620,7 +621,9 @@ def test_probed_subjects_exit_with_a_code_and_no_traceback(command, probe, tmp_p
     assert code == _SUBJECT_PROBES[probe], err
     assert "Traceback" not in err
     if probe == "chunk-cut":
-        assert "line 16386: expected 3 columns" in err
+        # the header, the first chunk's rows, then the cut row
+        n_rows = first_chunk_rows([line + "\n" for line in lines], fileio._CHUNK_BYTES)
+        assert f"line {n_rows + 2}: expected 3 columns" in err
 
 
 def test_summarize_partial_requires_band(counts_file, tmp_path, capsys):

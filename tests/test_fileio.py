@@ -22,13 +22,18 @@ from predictu.fileio import (
 from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
 from predictu.simulate import EvalReport
 
-from conftest import parse_subjects_row_by_row, write_counts_csv
+from conftest import first_chunk_rows, parse_subjects_row_by_row, write_counts_csv
 
 
-@pytest.fixture(params=[1, 2, 3, 7, fileio._CHUNK_ROWS], ids=["1", "2", "3", "7", "default"])
-def chunk_rows(request, monkeypatch):
-    """Read files in chunks of this many rows, down to one row a chunk."""
-    monkeypatch.setattr(fileio, "_CHUNK_ROWS", request.param)
+DEFAULT_CHUNK_BYTES = fileio._CHUNK_BYTES
+
+
+@pytest.fixture(params=[8, 16, 24, 56, DEFAULT_CHUNK_BYTES], ids=["1", "2", "3", "7", "default"])
+def chunk_bytes(request, monkeypatch):
+    """Read files in chunks of this many characters of line text: the
+    text of 1, 2, 3 or 7 lines of 8 characters, down to one line a chunk
+    for longer lines, or the default."""
+    monkeypatch.setattr(fileio, "_CHUNK_BYTES", request.param)
     return request.param
 
 
@@ -254,7 +259,7 @@ def tally_paths(monkeypatch):
     return paths
 
 
-def test_tally_matches_row_by_row_reference(tmp_path, chunk_rows):
+def test_tally_matches_row_by_row_reference(tmp_path, chunk_bytes):
     rng = np.random.default_rng(5)
     outcomes = set()
     for trial in range(300):
@@ -265,7 +270,7 @@ def test_tally_matches_row_by_row_reference(tmp_path, chunk_rows):
     assert outcomes == {"error", "warned", "clean"}
 
 
-def test_line_text_tally_matches_row_by_row_reference(tmp_path, chunk_rows, tally_paths):
+def test_line_text_tally_matches_row_by_row_reference(tmp_path, chunk_bytes, tally_paths):
     rng = np.random.default_rng(8)
     outcomes = set()
     for trial in range(300):
@@ -276,18 +281,19 @@ def test_line_text_tally_matches_row_by_row_reference(tmp_path, chunk_rows, tall
     assert outcomes == {"error", "warned", "clean"}
     # with a chunk smaller than a file, a row that is not clean can first
     # turn up past the first chunk
-    paths = {"lines", "csv", "switched"} if chunk_rows < 40 else {"lines", "csv"}
+    small = chunk_bytes < DEFAULT_CHUNK_BYTES
+    paths = {"lines", "csv", "switched"} if small else {"lines", "csv"}
     assert set(tally_paths) == paths
 
 
-def test_lines_past_the_field_limit_take_the_csv_path(tmp_path, chunk_rows, tally_paths):
+def test_lines_past_the_field_limit_take_the_csv_path(tmp_path, chunk_bytes, tally_paths):
     limit = csv.field_size_limit(64)
     try:
         # line 5 is longer than the limit, each of its cells shorter
         rows = [f"s{k},{k % 2},{k % 3}" for k in range(8)]
         rows[3] = "s" + "x" * 40 + ",1," + " " * 40 + "2"
-        path = subjects(tmp_path, "sample_id,status,m1\n" + "\n".join(rows) + "\n")
-        assert _matches_reference(path, 0.01) == "clean"
+        clean = subjects(tmp_path, "sample_id,status,m1\n" + "\n".join(rows) + "\n")
+        assert _matches_reference(clean, 0.01) == "clean"
         # a cell past the limit is invalid input naming its line, read as rows
         rows[5] = "s5,1," + "1" * 80
         path = subjects(tmp_path, "sample_id,status,m1\n" + "\n".join(rows) + "\n", "long.csv")
@@ -296,10 +302,12 @@ def test_lines_past_the_field_limit_take_the_csv_path(tmp_path, chunk_rows, tall
     finally:
         csv.field_size_limit(limit)
     assert str(caught.value) == f"{path}: line 7: field larger than field limit (64)"
-    assert set(tally_paths) == ({"switched"} if chunk_rows < 4 else {"csv"})
+    # the first long line is the fourth row of both files
+    first = max(first_chunk_rows(p.read_text().splitlines(True), chunk_bytes) for p in (clean, path))
+    assert set(tally_paths) == ({"switched"} if first < 4 else {"csv"})
 
 
-def test_a_nul_in_a_line_leaves_its_chunk_to_the_csv_module(tmp_path, chunk_rows, tally_paths,
+def test_a_nul_in_a_line_leaves_its_chunk_to_the_csv_module(tmp_path, chunk_bytes, tally_paths,
                                                            monkeypatch):
     # the csv module rejects a NUL before Python 3.11 and keeps it since;
     # the id cell is never parsed on the line-text path, so a NUL there
@@ -316,12 +324,14 @@ def test_a_nul_in_a_line_leaves_its_chunk_to_the_csv_module(tmp_path, chunk_rows
         return [str(g) for g in counts.genotypes], counts.n_case.tolist(), report
 
     got = parse()
-    assert set(tally_paths) == ({"switched"} if chunk_rows < 6 else {"csv"})
+    # the NUL is in the sixth row
+    first = first_chunk_rows(path.read_text().splitlines(True), chunk_bytes)
+    assert set(tally_paths) == ({"switched"} if first < 6 else {"csv"})
     monkeypatch.setattr(fileio, "_tally_lines", lambda lines, *args: (0, []))
     assert got == parse()
 
 
-def test_header_below_more_skipped_lines_than_a_chunk(tmp_path, chunk_rows):
+def test_header_below_more_skipped_lines_than_a_chunk(tmp_path, chunk_bytes):
     # comment and blank lines never reach a chunk; rows of blank cells do,
     # so the header here sits past the first chunk for every small size
     text = "# note\n\n   \n" * 10 + ",,\n , \n" * 5 + "sample_id,status,snp1\ns1,1,0\ns2,0,1\n"
@@ -335,7 +345,7 @@ def test_header_below_more_skipped_lines_than_a_chunk(tmp_path, chunk_rows):
     assert [str(g) for g in want.genotypes] == ["0", "1"]
 
 
-def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_rows):
+def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_bytes):
     text = (
         "sample_id,status,snp1\n"
         "s1,1,0\n"
@@ -376,7 +386,7 @@ def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_rows):
     ],
     ids=["ragged", "duplicate", "non-integer", "negative"],
 )
-def test_counts_errors_name_the_same_line_in_any_chunk(tmp_path, chunk_rows, row, message):
+def test_counts_errors_name_the_same_line_in_any_chunk(tmp_path, chunk_bytes, row, message):
     # line numbers are file lines: the comments, blank line and blank-cell
     # row above the bad row are counted
     text = "# provenance\ngenotype_id,n_case,n_control\ng0,5,45\n\n,,\ng1,6,24\n# note\ng2,1,1\n"
@@ -386,7 +396,7 @@ def test_counts_errors_name_the_same_line_in_any_chunk(tmp_path, chunk_rows, row
     assert str(caught.value) == f"{path}: {message}"
 
 
-def test_warnings_name_file_lines(tmp_path, chunk_rows):
+def test_warnings_name_file_lines(tmp_path, chunk_bytes):
     # comment and blank lines are counted, and a row spanning lines is
     # named by the line it starts on
     text = (
@@ -422,7 +432,7 @@ def test_warnings_name_file_lines(tmp_path, chunk_rows):
     ],
     ids=["subjects", "counts"],
 )
-def test_unclosed_quote_is_invalid_input_naming_its_line(tmp_path, chunk_rows, parse, header):
+def test_unclosed_quote_is_invalid_input_naming_its_line(tmp_path, chunk_bytes, parse, header):
     # the open quote takes every later line into one cell, past the csv
     # module's field limit
     rows = "".join(f"g{k},0,1\n" for k in range(20000))
@@ -455,7 +465,7 @@ def test_non_utf8_error_names_the_offset_in_the_file(tmp_path, bom, parse):
     [(parse_subject_file, b"g0,1,1\n"), (parse_counts_file, b"g0,1\n")],
     ids=["header", "row"],
 )
-def test_non_utf8_outranks_a_header_or_row_fault_in_any_chunk(tmp_path, chunk_rows, parse, body):
+def test_non_utf8_outranks_a_header_or_row_fault_in_any_chunk(tmp_path, chunk_bytes, parse, body):
     # a counts header lacks 'status'; a ragged counts row is at line 2; the
     # bad byte lies past the decoder's first read buffer
     rows = b"".join(b"g%d,1,1\n" % k for k in range(1, 3000))
@@ -524,9 +534,30 @@ def test_parse_memory_does_not_grow_with_rows(tmp_path):
         path.write_text("sample_id,status,m1,m2,m3,m4,m5\n" + rows + "\n")
         del rows
         peaks.append(_parse_peak_mib(path))
-    assert n > 2 * fileio._CHUNK_ROWS
+    assert path.stat().st_size > 2 * fileio._CHUNK_BYTES
     assert abs(peaks[1] - peaks[0]) < 1.0, peaks
     assert max(peaks) < 16.0, peaks
+
+
+def test_parse_memory_does_not_grow_with_row_width(tmp_path):
+    # 5 and 200 markers over the same 486 distinct rows (the markers past
+    # the fifth are 0): a chunk of a fixed line count holds 40 times the
+    # text of the wide file, a chunk of a fixed byte budget the same text
+    rng = np.random.default_rng(4)
+    peaks = []
+    for n_markers in (5, 200):
+        pool = [
+            f"s,{k % 2}," + ",".join(str(k // 2 // 3**j % 3) for j in range(n_markers))
+            for k in range(486)
+        ]
+        path = tmp_path / f"m{n_markers}.csv"
+        header = ",".join(["sample_id", "status"] + [f"m{j}" for j in range(n_markers)])
+        rows = "\n".join(map(pool.__getitem__, rng.integers(0, len(pool), size=40_000)))
+        path.write_text(header + "\n" + rows + "\n")
+        del rows
+        peaks.append(_parse_peak_mib(path))
+    assert path.stat().st_size > 20 * fileio._CHUNK_BYTES
+    assert abs(peaks[1] - peaks[0]) < 1.0, peaks
 
 
 def test_counts_roundtrip_with_provenance(tmp_path):

@@ -1,16 +1,19 @@
 """Tests for population models, sampling, and the bias/coverage harness."""
 
+import functools
+import itertools
 import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from predictu import NumericError, ValidationError
-from predictu import inference, parallel
+from predictu import parallel
 from predictu import simulate as sim
 from predictu.risk_model import (
     GenotypeId,
@@ -127,6 +130,14 @@ def test_four_loci_grid_size():
     assert sim.genotype_matrix(4).shape == (81, 4)
     assert len(model.genotype_labels) == 81
     assert model.genotype_labels[0] == "0/0/0/0"
+
+
+@pytest.mark.parametrize("n_loci", range(1, 9))
+def test_genotype_matrix_is_the_product_order(n_loci):
+    grid = sim.genotype_matrix(n_loci)
+    want = np.array(list(itertools.product((0, 1, 2), repeat=n_loci)), dtype=np.int64)
+    assert grid.dtype == want.dtype and grid.flags.c_contiguous
+    assert np.array_equal(grid, want)
 
 
 def test_penetrance_model_hits_prevalence():
@@ -539,46 +550,53 @@ def test_isotonic_harness_matches_row_by_row_refit(monkeypatch, indices, band):
 
 
 def _recorded_replicates(monkeypatch, populations, kwargs):
-    """Reports of one harness run and, per replicate, the bootstrap rows,
-    plug-in curves and refit it worked on."""
-    group, plugin, refit = inference._bootstrap_group, sim._plugin_rows, sim.pava_rows
+    """Reports of one harness run and, per replicate, the count rows,
+    plug-in curves and refit it worked on, each joined over the blocks it
+    drew, and the number of those blocks."""
+    plugin, refit = sim._plugin_rows, sim.pava_rows
     rows = []
-
-    def record_group(*args):
-        out = group(*args)
-        rows.append({"boot": out})
-        return out
 
     def record_plugin(case, control, rho):
         p, r = plugin(case, control, rho)
         if np.ndim(case) == 2:
-            rows[-1].update(p=p.copy(), r=r.copy())
+            for name, block in (("case", case), ("control", control), ("p", p), ("r", r)):
+                rows[-1].setdefault(name, []).append(block.copy())
+        elif not rows or "case" in rows[-1]:
+            rows.append({})  # the training sample's curve opens a replicate
         return p, r
 
     def record_refit(risks, weights):
-        rows[-1]["fit"] = refit(risks, weights).copy()
+        rows[-1].setdefault("fit", []).append(refit(risks, weights).copy())
         return risks
 
     with monkeypatch.context() as patch:
-        patch.setattr(inference, "_bootstrap_group", record_group)
         patch.setattr(sim, "_plugin_rows", record_plugin)
         patch.setattr(sim, "pava_rows", record_refit)
         reports = sim.run_bias_coverage(populations, **kwargs)
-    return reports, rows
+    joined = [
+        {name: np.vstack(blocks) for name, blocks in rep.items()} | {"blocks": len(rep["case"])}
+        for rep in rows
+    ]
+    return reports, joined
 
 
 def test_harness_matches_the_parent_replicate_draws(monkeypatch):
     # a replicate keeps the order positions its test sample observed and
     # the last one; the reference keeps the whole grid, whose dropped
-    # columns are 0 in every row, so only the index sums regroup
+    # columns are 0 in every row, so only the index sums regroup; blocks
+    # of one row, of seven or more (81 genotypes at most) and the default
+    # draw and evaluate the same rows as the reference's one stack
     populations = [sim.preset("sim1_h005"), sim.preset("sim2_rr6")]
     base = dict(n_replicates=10, n_cases=300, n_controls=150, seed=23, n_bootstrap=40, workers=1)
     runs = [
-        dict(base),
-        dict(base, isotonic=True),
-        dict(base, indices=INDEX_TOKENS, band=(0.8, 1.0), isotonic=True),
+        (cells, dict(base, **extra))
+        for cells in (1, 7 * 81, sim._BLOCK_CELLS)
+        for extra in (
+            dict(), dict(isotonic=True), dict(indices=INDEX_TOKENS, band=(0.8, 1.0), isotonic=True)
+        )
     ]
-    for kwargs in runs:
+    for cells, kwargs in runs:
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
         reports, rows = _recorded_replicates(monkeypatch, populations, kwargs)
         refs = [
             replicate_rows_reference(
@@ -592,10 +610,9 @@ def test_harness_matches_the_parent_replicate_draws(monkeypatch):
             keep = case_b[0] + ctrl_b[0] > 0
             keep[-1] = True
             assert keep.sum() < keep.size
-            for drawn, full in zip(got["boot"], (case_b[1:], ctrl_b[1:])):
-                assert np.array_equal(drawn, full[:, keep])
-                assert not full[:, ~keep].any()
-            for name, full in (("p", p), ("r", r), ("fit", fit)):
+            step = max(1, cells // keep.sum())
+            assert got["blocks"] == -(-41 // step)
+            for name, full in (("case", case_b), ("control", ctrl_b), ("p", p), ("r", r), ("fit", fit)):
                 if full is None:
                     assert name not in got
                     continue
@@ -610,6 +627,54 @@ def test_harness_matches_the_parent_replicate_draws(monkeypatch):
                 b.model, b.index_name, b.true_value, b.pct_coverage, b.n_replicates
             )
             np.testing.assert_allclose([a.mean, a.sd, a.pct_bias], [b.mean, b.sd, b.pct_bias], rtol=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cells", [1, 7 * 81, sim._BLOCK_CELLS], ids=["1-row", "7-row", "default"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(), dict(isotonic=True), dict(indices=INDEX_TOKENS, band=(0.8, 1.0), isotonic=True)],
+    ids=["plain", "isotonic", "band"],
+)
+def test_block_wise_harness_equals_the_one_stack_harness(monkeypatch, kwargs, cells, workers):
+    populations = [sim.preset("sim1_h005"), sim.preset("sim2_rr6")]
+    kwargs = dict(kwargs, n_replicates=6, n_cases=300, n_controls=150, seed=29, n_bootstrap=40)
+    with monkeypatch.context() as patch:
+        one_stack = functools.partial(replicate_chunk_reference, observed=True)
+        patch.setattr(sim, "_replicate_chunk", one_stack)
+        want = sim.run_bias_coverage(populations, workers=1, **kwargs)
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+    assert sim.run_bias_coverage(populations, workers=workers, **kwargs) == want
+
+
+def _harness_peak_bytes(population, n_bootstrap) -> int:
+    tracemalloc.start()
+    try:
+        sim.run_bias_coverage(
+            [population], n_replicates=1, n_cases=2000, n_controls=2000,
+            n_bootstrap=n_bootstrap, seed=5, workers=1,
+        )
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_harness_memory_grows_only_by_the_case_draw():
+    # seven additive loci, 2,187 genotypes: a 4,000-subject test sample
+    # observes hundreds, so 800 bootstrap rows span many blocks; only the
+    # (B, G_e) case draw may grow with B, by 8 bytes a cell
+    mafs = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5)
+    rrs = (1.3, 1.25, 1.2, 1.15, 1.1, 1.3, 1.2)
+    snps = [sim.SnpSpec(maf, rr=rr) for maf, rr in zip(mafs, rrs)]
+    population = sim.build_population(sim.penetrance_model(snps, target_rho=0.05))
+    rng = np.random.default_rng([5, 0, 0, 1])
+    observed = np.count_nonzero(
+        rng.multinomial(2000, population.cond_case) + rng.multinomial(2000, population.cond_control)
+    )
+    assert observed * 100 > sim._BLOCK_CELLS
+    small, large = (_harness_peak_bytes(population, b) for b in (100, 800))
+    extra_case_rows = 700 * (observed + 1) * 8
+    assert large - small <= 1.5 * extra_case_rows, (small, large, extra_case_rows)
 
 
 def test_zero_categories_before_the_last_consume_no_multinomial_draw():
