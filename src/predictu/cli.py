@@ -182,6 +182,17 @@ def _load_counts(path, rho, max_bad_rows):
     return counts, report
 
 
+def _warn_unused_band(args, bootstrap: int | None = None) -> None:
+    """One stderr line when ``--band`` moves no output: ``--indices`` names
+    no partial token and ``bootstrap``, ``summarize``'s replicate count
+    (None where the band feeds no interval), is 0."""
+    partial = [t for t in INDEX_TOKENS if INDICES[t].needs_band]
+    if args.band is None or bootstrap or any(t in partial for t in args.indices):
+        return
+    need = " or ".join(partial) + " in --indices" + ("" if bootstrap is None else " or --bootstrap")
+    print(f"warning: --band changes no index without {need}", file=sys.stderr)
+
+
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -217,6 +228,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    _warn_unused_band(args, args.bootstrap)
     workers = args.workers or available_cpus()
     counts, report = _load_counts(args.input, args.rho, args.max_bad_rows)
     table = estimate_risk_table(counts, laplace=args.laplace)
@@ -285,6 +297,7 @@ def cmd_links(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _warn_unused_band(args)
     train_counts, _ = _load_counts(args.train, args.rho, args.max_bad_rows)
     test_counts, _ = _load_counts(args.test, args.rho, args.max_bad_rows)
     train_table = estimate_risk_table(train_counts, laplace=args.laplace)
@@ -319,6 +332,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _warn_unused_band(args)
     model = preset(args.preset) if args.preset else load_model_spec(args.model)
     population = build_population(model)
     reports = run_bias_coverage(

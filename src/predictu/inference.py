@@ -25,12 +25,14 @@ sampling (permutation, equivalent to permuting labels).  The unit of
 resampling is a fixed group of ``_GROUP`` (8) replicates: group k draws
 from its own stream ``[seed, tag, k]``, all its case rows in one call
 and then all its control rows in one call, and is evaluated at once, so
-a group's draw depends on nothing but the plan and its index.  Groups
-run on ``workers`` threads of the calling process (default 1; the
-draws release the interpreter lock) and return only their replicate
-values (or permutation hits), joined in group order.  Memory per thread
-is a few (8, G) arrays beyond the B-length results, flat in the
-replicate count, and no result depends on the thread count.
+a group's draw depends on nothing but the plan and its index.  One
+group loop, ``_over_groups``, serves both passes: it splits the groups
+into contiguous ranges on ``workers`` threads of the calling process
+(default 1; the draws release the interpreter lock) and hands each
+range's pass one generator per group.  A pass returns only its
+replicate values (or permutation hits), joined in group order.  Memory
+per thread is a few (8, G) arrays beyond the B-length results, flat in
+the replicate count, and no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -227,29 +229,36 @@ def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
     return replace(estimate, ci=ci)
 
 
-def _n_groups(n_replicates: int) -> int:
-    return -(-n_replicates // _GROUP)
+def _over_groups(plan: ResamplePlan, tag: int, workers, run) -> list:
+    """``run`` over the plan's replicate groups, one call per worker range.
 
+    Group k holds ``min(_GROUP, B - k _GROUP)`` replicates drawn from the
+    stream ``[seed, tag, k]``.  Each worker's contiguous range of groups
+    is one ``run(groups)`` call, ``groups`` yielding one ``(rng, rows)``
+    pair per group; the results come back in group order.
+    """
+    n = plan.n_replicates
 
-def _group_size(n_replicates: int, group: int) -> int:
-    return min(_GROUP, n_replicates - group * _GROUP)
+    def over_range(lo: int, hi: int):
+        return run(
+            (np.random.default_rng([plan.seed, tag, k]), min(_GROUP, n - k * _GROUP))
+            for k in range(lo, hi)
+        )
+
+    return parallel.map_ranges(over_range, -(-n // _GROUP), workers)
 
 
 def _bootstrap_group(
-    case: np.ndarray, control: np.ndarray, stream, n_rows: int
+    case: np.ndarray, control: np.ndarray, rng: np.random.Generator, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified bootstrap count rows of one replicate group.
 
     Resampling subjects with replacement within an arm is equivalent to
     a multinomial draw over that arm's genotype frequencies, here taken
-    along the order.  A generator seeded with the entropy ``stream``
-    draws the ``n_rows`` case rows in one call, then the control rows.
-    ``summarize`` passes ``[seed, _TAG_BOOTSTRAP, group]``.  The
-    simulation harness draws its rows the same way from ``[seed,
-    population, replicate, 2]``, the control rows a block at a time
-    (``simulate._replicate_chunk``).
+    along the order.  ``rng`` draws the ``n_rows`` case rows in one call,
+    then the control rows; ``bootstrap_estimates`` passes each group's
+    generator from ``_over_groups``.
     """
-    rng = np.random.default_rng(stream)
     boot_case = rng.multinomial(case.sum(), case / case.sum(), size=n_rows)
     return boot_case, rng.multinomial(control.sum(), control / control.sum(), size=n_rows)
 
@@ -290,37 +299,6 @@ def _replicate_values(stacks, rho: float, tokens, band, laplace: float):
             p, r = _plugin_rows(case, control, rho, laplace)
             out.update(_index_rows(p, r, rho, rest, band))
         yield {t: out[t] for t in tokens}
-
-
-def _bootstrap_values(
-    case: np.ndarray, control: np.ndarray, rho: float, tokens: tuple[str, ...], band,
-    laplace: float, seed: int, n_replicates: int, lo: int, hi: int
-) -> dict[str, np.ndarray]:
-    """Each token's replicate values over groups lo..hi-1, drawn one group at a time."""
-    stacks = (
-        _bootstrap_group(case, control, [seed, _TAG_BOOTSTRAP, g], _group_size(n_replicates, g))
-        for g in range(lo, hi)
-    )
-    parts = list(_replicate_values(stacks, rho, tokens, band, laplace))
-    return {t: np.concatenate([part[t] for part in parts]) for t in tokens}
-
-
-def _permutation_hits(
-    pooled: np.ndarray, n_d: int, observed: int, seed: int, n_replicates: int, lo: int, hi: int
-) -> int:
-    """Permuted replicates of groups lo..hi-1 with |case' phi control| >= observed.
-
-    Group k draws its case rows from the stream ``[seed,
-    _TAG_PERMUTATION, k]`` in one call and counts them.
-    """
-    hits = 0
-    for group in range(lo, hi):
-        rng = np.random.default_rng([seed, _TAG_PERMUTATION, group])
-        n_rows = _group_size(n_replicates, group)
-        perm_case = rng.multivariate_hypergeometric(pooled, n_d, size=n_rows)
-        stats = np.abs(_contract(perm_case, pooled[None, :] - perm_case))
-        hits += int(np.count_nonzero(stats >= observed))
-    return hits
 
 
 def _percentile_ci(values: np.ndarray, level: float) -> ConfidenceInterval:
@@ -397,10 +375,18 @@ def permutation_test(
         )
     case, control = _align_counts(counts, order)
     observed = abs(int(_contract(case, control)))
-    args = (case + control, counts.n_cases, observed, plan.seed, plan.n_replicates)
-    n_groups = _n_groups(plan.n_replicates)
-    hits = parallel.map_ranges(_permutation_hits, n_groups, workers, *args)
-    return (1 + sum(hits)) / (1 + plan.n_replicates)
+    totals = case + control
+
+    def hits(groups) -> int:
+        # permuted replicates with |case' phi control| >= observed, in int64
+        found = 0
+        for rng, rows in groups:
+            perm_case = rng.multivariate_hypergeometric(totals, counts.n_cases, size=rows)
+            stats = np.abs(_contract(perm_case, totals[None, :] - perm_case))
+            found += int(np.count_nonzero(stats >= observed))
+        return found
+
+    return (1 + sum(_over_groups(plan, _TAG_PERMUTATION, workers, hits))) / (1 + plan.n_replicates)
 
 
 def bootstrap_estimates(
@@ -435,8 +421,11 @@ def bootstrap_estimates(
     laplace = _check_laplace(laplace)
     case, control = _align_counts(counts, order)
 
-    args = (case, control, counts.rho, tokens, band, laplace, plan.seed, plan.n_replicates)
-    parts = parallel.map_ranges(_bootstrap_values, _n_groups(plan.n_replicates), workers, *args)
+    def replicates(groups) -> list[dict]:
+        stacks = (_bootstrap_group(case, control, rng, rows) for rng, rows in groups)
+        return list(_replicate_values(stacks, counts.rho, tokens, band, laplace))
+
+    parts = sum(_over_groups(plan, _TAG_BOOTSTRAP, workers, replicates), [])
     (point,) = _replicate_values([(case[None], control[None])], counts.rho, tokens, band, laplace)
     estimates = {}
     for token in tokens:

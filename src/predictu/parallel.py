@@ -2,11 +2,12 @@
 
 The simulation harness and the resampling routines split their work
 into contiguous ranges of independent units (harness replicates,
-resampling groups), one range per worker, and map one function over
-the ranges on threads of the calling process.  Every unit derives its
-random stream from its own index, never from the worker that runs it,
-and the results come back in range order, so results do not depend on
-the worker count.
+resampling groups), one range per worker, and map one function
+``fn(lo, hi)`` of a range over the ranges on threads of the calling
+process; a caller binds anything else ``fn`` needs in a closure.  Every
+unit derives its random stream from its own index, never from the
+worker that runs it, and the results come back in range order, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def map_ranges(fn, n_items: int, workers: int | None, *args) -> list:
-    """``fn(*args, lo, hi)`` over contiguous ranges that cover ``range(n_items)``.
+def map_ranges(fn, n_items: int, workers: int | None) -> list:
+    """``fn(lo, hi)`` over contiguous ranges that cover ``range(n_items)``.
 
     There is one range per worker, ``workers`` being 1 when None, at
     most ``n_items`` and at most ``available_cpus()`` (so no caller
@@ -45,11 +46,11 @@ def map_ranges(fn, n_items: int, workers: int | None, *args) -> list:
     bounds = np.linspace(0, n_items, n_jobs + 1).astype(int)
     ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(ranges) <= 1:
-        return [fn(*args, lo, hi) for lo, hi in ranges]
+        return [fn(lo, hi) for lo, hi in ranges]
     # imported only where a pool starts, so a run on one worker never loads it
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(len(ranges) - 1) as pool:
-        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in ranges[1:]]
-        first = fn(*args, *ranges[0])
+        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges[1:]]
+        first = fn(*ranges[0])
         return [first] + [future.result() for future in futures]

@@ -552,21 +552,10 @@ def run_bias_coverage(
     for model_idx, pop in enumerate(populations):
         population = build_population(pop) if isinstance(pop, DiseaseModel) else pop
         truth = _true_values(population, tokens, band)
+        args = (population, tokens, band, n_cases, n_controls, isotonic, n_bootstrap, level,
+                truth, seed, model_idx)
         parts = parallel.map_ranges(
-            _replicate_chunk,
-            n_replicates,
-            workers,
-            population,
-            tokens,
-            band,
-            n_cases,
-            n_controls,
-            isotonic,
-            n_bootstrap,
-            level,
-            truth,
-            seed,
-            model_idx,
+            lambda lo, hi: _replicate_chunk(*args, lo, hi), n_replicates, workers
         )
         values = np.concatenate([part[0] for part in parts], axis=0)
         covered = np.concatenate([part[1] for part in parts], axis=0)

@@ -314,6 +314,41 @@ def test_invalid_band_is_rejected_without_partial_indices(argv, counts_file, tmp
     assert not out.exists()
 
 
+UNUSED_BAND = "warning: --band changes no index without upartial or upartialstd in --indices"
+BAND_RUNS = {
+    "summarize": ["summarize", "{counts}", "--rho", "0.21"],
+    "validate": ["validate", "--train", "{counts}", "--test", "{counts}", "--rho", "0.21"],
+    "simulate": ["simulate", "--preset", "smoke", "--replicates", "2", "--n-cases", "50",
+                 "--n-controls", "50", "--bootstrap", "5"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, artifact, also",
+    [("summarize", "inference.json", " or --bootstrap"), ("validate", "validate.json", ""),
+     ("simulate", "eval.csv", "")],
+)
+def test_a_band_that_moves_no_index_is_named_once(command, artifact, also, counts_file,
+                                                  tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = [a.format(counts=counts_file) for a in BAND_RUNS[command]]
+    assert main(argv + ["--band", "0.5:1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [UNUSED_BAND + also]
+    assert (out / artifact).exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("summarize", ["--bootstrap", "20"]), ("summarize", ["--indices", "u,upartial"]),
+     ("validate", ["--indices", "u,upartialstd"]), ("simulate", ["--indices", "upartial"])],
+    ids=["summarize-bootstrap", "summarize-partial", "validate", "simulate"],
+)
+def test_a_band_in_use_is_not_warned_about(command, extra, counts_file, tmp_path, capsys):
+    argv = [a.format(counts=counts_file) for a in BAND_RUNS[command]]
+    assert main(argv + extra + ["--band", "0.5:1", "--out", str(tmp_path)]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -26,9 +26,7 @@ from predictu.inference import (
     ResamplePlan,
     _align_counts,
     _bootstrap_group,
-    _bootstrap_values,
     _contract,
-    _permutation_hits,
     bootstrap_ci,
     bootstrap_estimates,
     permutation_test,
@@ -67,8 +65,8 @@ def _group_draws(counts, order, plan):
     got_case, got_control = [], []
     for k, start in enumerate(range(0, plan.n_replicates, group)):
         n_rows = min(group, plan.n_replicates - start)
-        stream = [plan.seed, _TAG_BOOTSTRAP, k]
-        boot_case, boot_control = _bootstrap_group(case, control, stream, n_rows)
+        rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP, k])
+        boot_case, boot_control = _bootstrap_group(case, control, rng, n_rows)
         assert boot_case.shape == boot_control.shape == (n_rows, len(order))
         got_case.append(boot_case)
         got_control.append(boot_control)
@@ -120,13 +118,23 @@ def _check_case(counts, order, rng, seed):
         lo = int(rng.integers(0, n_groups))
         hi = int(rng.integers(lo + 1, n_groups + 1))
         rows = slice(lo * group, min(hi * group, n_replicates))
-        hits = _permutation_hits(
-            case + control, counts.n_cases, observed, seed, n_replicates, lo, hi
-        )
+        ran = []
+
+        def one_range(fn, n_items, workers):
+            # the pool runs only groups lo..hi-1 and records their result
+            assert n_items == n_groups
+            ran.append(fn(lo, hi))
+            return ran[-1:]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "map_ranges", one_range)
+            permutation_test(counts, order, plan)
+            bootstrap_estimates(counts, order, plan, ("u",))
+        hits, parts = ran
         assert hits == int(np.count_nonzero(perm_stats[rows] >= observed))
-        values = _bootstrap_values(case, control, rho, ("u",), None, 0.0, seed, n_replicates, lo, hi)
-        assert list(values) == ["u"]
-        np.testing.assert_array_equal(values["u"], boot_values[rows])
+        assert all(list(part) == ["u"] for part in parts)
+        values = np.concatenate([part["u"] for part in parts])
+        np.testing.assert_array_equal(values, boot_values[rows])
 
 
 def _boundary_case(n_cases, spread):
@@ -174,7 +182,8 @@ def test_held_case_dtype_boundary(group_rows, n_cases, spread):
     assert np.min_scalar_type(-n_cases - 1) == (np.int8 if n_cases == 127 else np.int16)
     case, control = _align_counts(counts, order)
     for k in range(3):
-        boot_case, _ = _bootstrap_group(case, control, [n_cases, _TAG_BOOTSTRAP, k], group_rows)
+        rng = np.random.default_rng([n_cases, _TAG_BOOTSTRAP, k])
+        boot_case, _ = _bootstrap_group(case, control, rng, group_rows)
         np.testing.assert_array_equal(boot_case.sum(axis=1), n_cases)
         if not spread:
             np.testing.assert_array_equal(boot_case[:, -1], n_cases)
