@@ -301,10 +301,11 @@ def _replicate_values(stacks, rho: float, tokens, band, laplace: float):
         yield {t: out[t] for t in tokens}
 
 
-def _percentile_ci(values: np.ndarray, level: float) -> ConfidenceInterval:
+def _percentiles(values: np.ndarray, level: float) -> np.ndarray:
+    """Lower and upper equal-tailed ``level`` percentiles of ``values``
+    along its last axis: one row-wise call serves a whole stack of rows."""
     tail = 100.0 * (1.0 - level) / 2.0
-    lower, upper = np.percentile(values, [tail, 100.0 - tail])
-    return ConfidenceInterval(float(lower), float(upper), level)
+    return np.percentile(values, [tail, 100.0 - tail], axis=-1)
 
 
 def _replicate_estimate(
@@ -313,11 +314,12 @@ def _replicate_estimate(
     """Point estimate with the variance and percentile interval of its
     (finite) replicate values."""
     variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+    lower, upper = _percentiles(values, level)
     return UEstimate(
         u_hat=point,
         variance=variance,
         method=Method.BOOTSTRAP,
-        ci=_percentile_ci(values, level),
+        ci=ConfidenceInterval(float(lower), float(upper), level),
         n_replicates=plan.n_replicates,
         seed=plan.seed,
         n_finite=int(values.size),

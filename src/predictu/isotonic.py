@@ -50,7 +50,8 @@ def pava(risks, weights) -> IsotonicFit:
     risks : array_like
         Values to project, in evaluation order.
     weights : array_like
-        Strictly positive weights, same length.
+        Finite, strictly positive weights, same length.  Non-finite risks
+        or weights raise ``ValidationError``.
 
     Returns
     -------
@@ -84,14 +85,17 @@ def pava_rows(risks: np.ndarray, weights) -> np.ndarray:
     per round) finishes on the sequential block stack over its merged
     blocks.  Blocks are summed in order within their row, so a row's fit
     depends on that row alone.  Zero-weight cells, and rows with at most
-    one positive-weight cell, keep their input values.
+    one positive-weight cell, keep their input values.  The rounds work
+    on the positive-weight cells by flat index and carry only each
+    block's first cell, so a round's work shrinks with its block count;
+    any memory layout of ``risks`` refits to the same bits.
 
     Parameters
     ----------
     risks : ndarray of float64, shape (B, G)
-        Overwritten with the fit.
+        Finite values, overwritten with the fit.
     weights : array_like, shape (B, G)
-        Nonnegative weights; zero marks a cell the fit skips.
+        Finite nonnegative weights; zero marks a cell the fit skips.
 
     Returns
     -------
@@ -104,15 +108,27 @@ def pava_rows(risks: np.ndarray, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if r.ndim != 2 or r.shape != w.shape:
         raise ValidationError("risks and weights must be 2-d arrays of one shape")
+    if not np.isfinite(w).all():
+        raise ValidationError("weights must be finite")
     if not np.all(w >= 0):
         raise ValidationError("weights must be nonnegative")
+    if not np.isfinite(r).all():
+        raise ValidationError("risks must be finite")
 
-    rows, cols = np.nonzero(w > 0)
-    # the blocks, flattened in row-major order: row id, weighted sum and
-    # weight of each, and the block of each positive-weight cell
-    row, wtot = rows, w[rows, cols]
-    wsum = r[rows, cols] * wtot
-    block = np.arange(rows.size)
+    # the positive-weight cells by flat index, into a C-ordered copy of
+    # ``risks`` when it is laid out otherwise; the copy's fit is copied back
+    out = r if r.flags.c_contiguous else np.ascontiguousarray(r)
+    positive = w > 0
+    cells = np.flatnonzero(positive)
+    # a row's only positive-weight cell keeps its value: r w / w need not be r
+    lone = np.flatnonzero(np.count_nonzero(positive, axis=1) == 1)
+    kept = out[lone]
+    # the blocks, in row-major order: row id, weighted sum, weight and
+    # first cell of each
+    row = cells // r.shape[1]
+    wtot = w.ravel()[cells]
+    wsum = out.ravel()[cells] * wtot
+    start = np.arange(cells.size)
     for k in count():
         merge = row[1:] == row[:-1]
         merge &= wsum[:-1] * wtot[1:] >= wsum[1:] * wtot[:-1]
@@ -122,11 +138,15 @@ def pava_rows(risks: np.ndarray, weights) -> np.ndarray:
         if k >= _ROUNDS:
             _stack(first, row, wsum, wtot, np.unique(row[1:][merge]))
         ids = np.cumsum(first) - 1
-        block, row = ids[block], row[first]
+        # integer gathers: a boolean mask of random runs compresses slower
+        heads = np.flatnonzero(first)
+        start, row = start[heads], row[heads]
         wsum, wtot = np.bincount(ids, wsum), np.bincount(ids, wtot)
 
-    refit = np.bincount(rows, minlength=r.shape[0])[rows] > 1
-    r[rows[refit], cols[refit]] = (wsum / wtot)[block[refit]]
+    out.ravel()[cells] = np.repeat(wsum / wtot, np.diff(start, append=cells.size))
+    out[lone] = kept
+    if out is not r:
+        r[...] = out
     return r
 
 

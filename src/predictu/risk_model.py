@@ -297,8 +297,9 @@ def _sorted_table(genotypes, p, r, rho: float, dropped) -> RiskTable:
 
 def _bayes(a, b, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Bayes' rule per cell: p = a rho + b (1 - rho), r = a rho / p (0 where p = 0)."""
-    p = a * rho + b * (1.0 - rho)
-    r = np.divide(a * rho, p, out=np.zeros_like(p), where=p > 0)
+    case = a * rho
+    p = case + b * (1.0 - rho)
+    r = np.divide(case, p, out=np.zeros_like(p), where=p > 0)
     return p, r
 
 

@@ -22,6 +22,8 @@ and work only on the genotypes their test sample observed, not all 3^L.
 A replicate's (B + 1)-row bootstrap stack is drawn and evaluated in
 blocks of at most ``_BLOCK_CELLS`` cells, so a thread holds one block
 and the (B, G_e) case draw, not the whole stack and its temporaries.
+Index values wait in a stack of at most ``_BLOCK_CELLS`` values until
+one row-wise percentile call takes the intervals of all its replicates.
 """
 
 from __future__ import annotations
@@ -388,7 +390,15 @@ def sample_case_control(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Bias and coverage of one index on one population."""
+    """Bias and coverage of one index on one population.
+
+    ``mean`` and ``sd`` are taken over every replicate's point value, so
+    one non-finite point value makes both NaN (``U_partial_std`` is NaN
+    on a test curve whose band standardiser is not positive).  Each
+    replicate's percentile interval is taken over its finite bootstrap
+    values alone, and a replicate with no finite bootstrap value counts
+    as not covered in ``pct_coverage``.
+    """
 
     model: str
     index_name: str
@@ -442,9 +452,17 @@ def _replicate_chunk(
     rho = population.rho
     n_tokens = len(tokens)
     values = np.empty((rep_hi - rep_lo, n_tokens))
-    covered = np.zeros((rep_hi - rep_lo, n_tokens), dtype=bool)
+    covered = np.empty((rep_hi - rep_lo, n_tokens), dtype=bool)
+    target = np.array([truth[token] for token in tokens])
+    # the index values of up to ``group`` replicates, token by row: each
+    # test curve, then its bootstrap replicates; one percentile call
+    # takes a whole group's intervals, and a group holds at most
+    # _BLOCK_CELLS values
+    group = max(1, _BLOCK_CELLS // (n_tokens * (n_bootstrap + 1)))
+    stack = np.empty((group, n_tokens, n_bootstrap + 1))
 
     for row, k in enumerate(range(rep_lo, rep_hi)):
+        slot = row % group
         case_t, ctrl_t = _draw_arms(population, n_cases, n_controls, [seed, model_idx, k, 0])
         case_s, ctrl_s = _draw_arms(population, n_cases, n_controls, [seed, model_idx, k, 1])
 
@@ -468,7 +486,6 @@ def _replicate_chunk(
         rng = np.random.default_rng([seed, model_idx, k, 2])
         boot_case = rng.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)
         step = max(1, _BLOCK_CELLS // cols.size)
-        parts = []
         for lo in range(0, n_bootstrap + 1, step):
             hi = min(lo + step, n_bootstrap + 1)
             case_b = boot_case[max(lo - 1, 0):hi - 1]
@@ -485,16 +502,34 @@ def _replicate_chunk(
             del case_b, ctrl_b
             if isotonic:
                 pava_rows(r, p)
-            parts.append(_index_rows(p, r, rho, tokens, band))
-        stack = {t: np.concatenate([part[t] for part in parts]) for t in tokens}
-        for t, token in enumerate(tokens):
-            values[row, t] = stack[token][0]
-            reps = stack[token][1:]
-            reps = reps[np.isfinite(reps)]
-            if reps.size:
-                ci = inference._percentile_ci(reps, level)
-                covered[row, t] = ci.lower <= truth[token] <= ci.upper
+            block = _index_rows(p, r, rho, tokens, band)
+            for t, token in enumerate(tokens):
+                stack[slot, t, lo:hi] = block[token]
+        if slot == group - 1 or k == rep_hi - 1:
+            held = stack[:slot + 1]
+            bounds = _coverage_bounds(held[:, :, 1:].reshape(-1, n_bootstrap), level)
+            lower, upper = bounds.reshape(2, slot + 1, n_tokens)
+            values[row - slot:row + 1] = held[:, :, 0]
+            covered[row - slot:row + 1] = (lower <= target) & (target <= upper)
     return values, covered
+
+
+def _coverage_bounds(reps: np.ndarray, level: float) -> np.ndarray:
+    """Percentile interval of each row's finite replicates, (2, rows).
+
+    One row-wise call covers the rows with no non-finite replicate; each
+    other row is filtered on its own, and one with no finite replicate
+    gets NaN bounds, which cover nothing.
+    """
+    finite = np.isfinite(reps)
+    whole = finite.all(axis=1)
+    if whole.all():
+        return inference._percentiles(reps, level)
+    bounds = np.full((2, reps.shape[0]), np.nan)
+    bounds[:, whole] = inference._percentiles(reps[whole], level)
+    for i in np.flatnonzero(~whole & finite.any(axis=1)):
+        bounds[:, i] = inference._percentiles(reps[i, finite[i]], level)
+    return bounds
 
 
 def run_bias_coverage(

@@ -171,9 +171,12 @@ def total_gain_statistic(p, r) -> np.ndarray | float:
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
     """x ln x, exactly 0 at x = 0 and NaN for NaN or negative x."""
-    # the log of a negative cell is NaN; no other cell can warn
+    # ln 1 = 0 stands in at x = 0; an unmasked log runs several times
+    # faster than one with ``where``.  The log of a negative cell is NaN;
+    # no other cell can warn
+    out = np.where(x != 0, x, 1.0)
     with np.errstate(invalid="ignore"):
-        out = np.log(x, out=np.zeros_like(x), where=x != 0)
+        np.log(out, out=out)
     out *= x
     return out
 

@@ -1,15 +1,17 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
-from predictu import inference
+from predictu import isotonic
 from predictu.errors import NumericError, ValidationError
 from predictu.fileio import ParseReport, _sniff_delimiter, write_csv
 from predictu.inference import (
     _GROUP,
     _TAG_BOOTSTRAP,
     _TAG_PERMUTATION,
+    ConfidenceInterval,
     ResamplePlan,
     _align_counts,
     _contract,
@@ -151,6 +153,32 @@ def pava_stack(risks, weights) -> np.ndarray:
     for (start, wsum, wtot), end in zip(stack, ends):
         fitted[start:end] = wsum / wtot
     return fitted
+
+
+def pava_rows_2d_reference(risks: np.ndarray, weights) -> np.ndarray:
+    """Former ``pava_rows`` body: the same merge rounds on (row, column)
+    index pairs, with every cell's block remapped each round.  The flat
+    rounds must equal it bit for bit."""
+    r, w = risks, np.asarray(weights, dtype=float)
+    rows, cols = np.nonzero(w > 0)
+    row, wtot = rows, w[rows, cols]
+    wsum = r[rows, cols] * wtot
+    block = np.arange(rows.size)
+    for k in itertools.count():
+        merge = row[1:] == row[:-1]
+        merge &= wsum[:-1] * wtot[1:] >= wsum[1:] * wtot[:-1]
+        if not merge.any():
+            break
+        first = np.concatenate(([True], ~merge))
+        if k >= isotonic._ROUNDS:
+            isotonic._stack(first, row, wsum, wtot, np.unique(row[1:][merge]))
+        ids = np.cumsum(first) - 1
+        block, row = ids[block], row[first]
+        wsum, wtot = np.bincount(ids, wsum), np.bincount(ids, wtot)
+
+    refit = np.bincount(rows, minlength=r.shape[0])[rows] > 1
+    r[rows[refit], cols[refit]] = (wsum / wtot)[block[refit]]
+    return r
 
 
 def refit_rows_one_by_one(p, r, fit=lambda risks, weights: pava(risks, weights).fitted):
@@ -570,6 +598,15 @@ def replicate_rows_reference(
     return case_b, ctrl_b, p, r, fit
 
 
+def percentile_ci(values, level: float) -> ConfidenceInterval:
+    """Former ``inference._percentile_ci``: one token's percentile
+    interval from one call, the oracle of the row-wise
+    ``inference._percentiles``."""
+    tail = 100.0 * (1.0 - level) / 2.0
+    lower, upper = np.percentile(values, [tail, 100.0 - tail])
+    return ConfidenceInterval(float(lower), float(upper), level)
+
+
 def replicate_chunk_reference(
     population,
     tokens,
@@ -615,6 +652,6 @@ def replicate_chunk_reference(
             reps = stack[token][1:]
             reps = reps[np.isfinite(reps)]
             if reps.size:
-                ci = inference._percentile_ci(reps, level)
+                ci = percentile_ci(reps, level)
                 covered[row, t] = ci.lower <= truth[token] <= ci.upper
     return values, covered

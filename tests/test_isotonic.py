@@ -9,7 +9,7 @@ from predictu.isotonic import pava, pava_rows
 from predictu.risk_model import build_risk_table
 from predictu.summary_indices import u_statistic
 
-from conftest import pava_stack, refit_rows_one_by_one
+from conftest import pava_rows_2d_reference, pava_stack, refit_rows_one_by_one
 
 
 def brute_force_isotonic(y, w):
@@ -123,6 +123,13 @@ def test_rejects_nonpositive_weights():
         pava(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
     with pytest.raises(ValidationError):
         pava(np.array([0.1, 0.2]), np.array([1.0]))
+    # a non-finite weight or risk would pool to NaN or infinity
+    for weights in ([np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            pava([0.2, 0.1], weights)
+    for risks in ([np.inf, 0.1], [0.2, -np.inf], [np.nan, 0.1]):
+        with pytest.raises(ValidationError, match="risks must be finite"):
+            pava(risks, [1.0, 1.0])
 
 
 def random_stack(rng):
@@ -238,3 +245,35 @@ def test_row_fit_rejects_bad_input():
         pava_rows(np.zeros((2, 3)), np.array([[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]]))
     with pytest.raises(ValidationError):
         pava_rows(np.zeros((2, 3), dtype=int), np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="risks must be finite"):
+        pava_rows(np.array([[0.3, np.nan, 0.1]]), np.ones((1, 3)))
+    with pytest.raises(ValidationError, match="risks must be finite"):
+        pava_rows(np.array([[0.3, 0.2, 0.1], [0.1, np.inf, 0.2]]), np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            pava_rows(np.array([[0.3, 0.2, 0.1]]), np.array([[1.0, bad, 1.0]]))
+    with pytest.raises(ValidationError, match="weights must be nonnegative"):
+        pava_rows(np.array([[0.3, 0.2, 0.1]]), np.array([[1.0, -1.0, 1.0]]))
+
+
+def test_flat_rounds_equal_the_two_index_rounds():
+    # the former body on (row, column) pairs: same sums in the same order
+    for risks, weights in stacks(410, 200):
+        expected = pava_rows_2d_reference(risks.copy(), weights)
+        assert np.array_equal(pava_rows(risks.copy(), weights), expected)
+
+
+def test_row_fit_in_place_on_any_layout():
+    # a Fortran-ordered stack and a strided column view refit in place to
+    # the bits of a C-ordered copy; the cells a view skips stay as they are
+    for risks, weights in stacks(411, 50):
+        expected = pava_rows(risks.copy(), weights)
+        fortran = np.array(risks, order="F")
+        assert pava_rows(fortran, weights) is fortran
+        assert np.array_equal(fortran, expected)
+        big = np.repeat(risks, 2, axis=1)
+        view = big[:, ::2]
+        assert not view.flags.c_contiguous
+        assert pava_rows(view, weights) is view
+        assert np.array_equal(big[:, ::2], expected)
+        assert np.array_equal(big[:, 1::2], risks)

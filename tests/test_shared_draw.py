@@ -23,7 +23,6 @@ from predictu.inference import (
     _align_counts,
     _bootstrap_group,
     _contract,
-    _percentile_ci,
     _replicate_values,
     bootstrap_ci,
     bootstrap_estimates,
@@ -42,7 +41,7 @@ from predictu.summary_indices import (
     u_statistic,
 )
 
-from conftest import bootstrap_counts_reference, random_case, same
+from conftest import bootstrap_counts_reference, percentile_ci, random_case, same
 
 
 def old_bootstrap_ci(counts, order, plan, level=0.95):
@@ -53,7 +52,7 @@ def old_bootstrap_ci(counts, order, plan, level=0.95):
     boot_case, boot_control = bootstrap_counts_reference(counts, order, plan)
     values = scale * _contract(boot_case, boot_control)
     variance = float(np.var(values, ddof=1)) if plan.n_replicates > 1 else 0.0
-    return UEstimate(point, variance, Method.BOOTSTRAP, _percentile_ci(values, level),
+    return UEstimate(point, variance, Method.BOOTSTRAP, percentile_ci(values, level),
                      plan.n_replicates, plan.seed, plan.n_replicates)
 
 
@@ -82,7 +81,7 @@ def old_partial_u_variance(counts, order, band, plan, level=0.95, standardized=F
     if values.size == 0:
         raise NumericError("no finite bootstrap replicate for the partial U")
     variance = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
-    return UEstimate(point, variance, Method.BOOTSTRAP, _percentile_ci(values, level),
+    return UEstimate(point, variance, Method.BOOTSTRAP, percentile_ci(values, level),
                      plan.n_replicates, plan.seed, int(values.size))
 
 

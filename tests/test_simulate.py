@@ -647,6 +647,39 @@ def test_block_wise_harness_equals_the_one_stack_harness(monkeypatch, kwargs, ce
     assert sim.run_bias_coverage(populations, workers=workers, **kwargs) == want
 
 
+@pytest.mark.parametrize(
+    "seed, finite_counts, coverage",
+    [(1, [14, 20, 0, 20, 16], 40.0), (3, [19, 16, 18, 11, 17], 100.0)],
+)
+def test_row_wise_coverage_equals_the_per_token_intervals_with_non_finite_replicates(
+    monkeypatch, seed, finite_counts, coverage
+):
+    # a band of the top 1% of mass on 20 + 20 subjects: many bootstrap
+    # curves have no mass there, so U_partial_std is NaN; the finite
+    # replicates alone give the interval, and a replicate with none is
+    # not covered
+    kwargs = dict(indices=("u", "upartialstd"), band=(0.99, 1.0), n_replicates=5, n_cases=20,
+                  n_controls=20, n_bootstrap=20, seed=seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_replicate_chunk", functools.partial(replicate_chunk_reference,
+                                                                 observed=True))
+        want = sim.run_bias_coverage([sim.preset("smoke")], **kwargs)
+    finite = []
+    bounds = sim._coverage_bounds
+
+    def recorded(reps, level):
+        finite.extend(np.isfinite(reps).sum(axis=1).tolist())
+        return bounds(reps, level)
+
+    monkeypatch.setattr(sim, "_coverage_bounds", recorded)
+    got = sim.run_bias_coverage([sim.preset("smoke")], **kwargs)
+    assert repr(got) == repr(want)
+    # replicate by replicate, the finite bootstrap values of U and U_partial_std
+    assert finite == [n for count in finite_counts for n in (20, count)]
+    assert got[1].pct_coverage == coverage
+    assert np.isnan(got[1].mean) == (seed == 1)
+
+
 def _harness_peak_bytes(population, n_bootstrap) -> int:
     tracemalloc.start()
     try:

@@ -10,6 +10,7 @@ from predictu.risk_model import RiskTable, build_risk_table
 from predictu.summary_indices import (
     INDEX_TOKENS,
     _index_results,
+    _xlogx,
     average_entropy,
     binary_entropy,
     clipped_band_masses,
@@ -155,6 +156,28 @@ def test_binary_entropy_edges_are_exact_and_silent():
         out = binary_entropy(np.array([0.2, np.nan, -1.0, 0.7]))
     assert np.array_equal(np.isnan(out), [False, True, True, False])
     assert out[0] == binary_entropy(0.2) and out[3] == binary_entropy(0.7)
+
+
+def xlogx_masked_reference(x):
+    """Former ``_xlogx``: the log taken only where x != 0, into zeros."""
+    with np.errstate(invalid="ignore"):
+        out = np.log(x, out=np.zeros_like(x), where=x != 0)
+    out *= x
+    return out
+
+
+def test_xlogx_equals_the_masked_log_bit_for_bit():
+    # ln 1 = 0 in place of the mask: the same bits, signed zeros and NaN too
+    rng = np.random.default_rng(24)
+    x = rng.random((201, 64))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[0, :10] = [-0.0, 1.0, -0.5, np.nan, np.inf, 5e-324, 1e-300, 1.0 - 1e-16, 2.0, -np.inf]
+    for values in (x, x[:, ::3], x.T, x[5, 7], 0.0, -0.0):
+        values = np.asarray(values)
+        got, want = _xlogx(values), xlogx_masked_reference(values)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_binary_entropy_holds_three_stacks_at_once():
