@@ -1,4 +1,4 @@
-"""Reading subject and count files, writing result artifacts.
+r"""Reading subject and count files, writing result artifacts.
 
 Two input layouts are understood.  Format A is per-subject: a header
 row with ``sample_id``, ``status`` and one column per marker, one row
@@ -10,14 +10,17 @@ in both.  Warnings and errors name the file line on which the offending
 row starts.
 
 Both layouts are read as UTF-8 (a leading byte-order mark is dropped)
-by one line reader that streams the file.  A subject file is tallied
-in chunks of about ``_CHUNK_BYTES`` of line text, each chunk's line
-count that budget over the mean length of the lines read so far, so
-parsing holds one chunk plus the distinct genotypes, however long the
-file and however wide its rows.  While its chunks are
-clean (no quote, no NUL, every distinct row well formed), lines are
-counted by their text and each distinct text is parsed once; from the
-first chunk that is not clean on, the csv module reads every row.
+from one stream.  Below its header, a subject file is read in blocks
+of about ``_CHUNK_BYTES`` characters, each completed to a line end, so
+parsing holds one block plus the distinct genotypes, however long the
+file and however wide its rows.  While the blocks are clean, their lines
+are counted by their text into one running Counter and each distinct
+text is parsed once; one search per block tells whether it may hold a
+blank or comment line, and only such a block is filtered line by line.
+A block is not clean when it holds a quote, a NUL, a ``\r`` outside a
+``\r\n`` or a line as long as the csv field limit, or when a line text
+it adds is malformed; from that block on, the csv module reads every
+row, in chunks of about the same text.
 
 All writers embed a provenance block (tool version, configuration
 hash, seed) and produce deterministic bytes for fixed inputs: no
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import re
 from collections import Counter, deque
@@ -46,8 +50,8 @@ __all__ = [
 ]
 
 _DELIMITERS = ",\t;"
-# characters of line text held at once while a subject file is read:
-# about 8,000 lines of 7 markers, 500 of 200
+# characters of line text in a block or chunk of a subject file, held at
+# once while it is read: about 8,000 lines of 7 markers, 500 of 200
 _CHUNK_BYTES = 200_000
 _SKIP_LINE = re.compile(r"\s*(?:#|$)").match
 
@@ -128,8 +132,8 @@ def _is_counts_file(path) -> bool:
 
 
 class _ChunkSize:
-    """Lines per chunk of a subject file: ``_CHUNK_BYTES`` over the mean
-    length of the lines read so far, one line at least."""
+    """Lines per chunk of csv rows: ``_CHUNK_BYTES`` over the mean length
+    of the lines read so far, one line at least."""
 
     def __init__(self, head):
         self.chars, self.lines = sum(map(len, head)), len(head)
@@ -143,18 +147,53 @@ class _ChunkSize:
 
 
 def _kept_lines(lines):
-    r"""The lines of ``lines`` that are not blank or ``#`` comments, the
-    delimiter sniffed from the first 50 of them, and a ``_ChunkSize``
-    that starts from those 50: (delimiter, lines, chunk size).
+    r"""The first 50 lines of ``lines`` that are not blank or ``#``
+    comments, and the delimiter sniffed from them: (delimiter, head).
+    No line past the 50th kept one is read.
 
     Lines end only at ``\n``, ``\r`` or ``\r\n``, as the csv module
-    reads them; this is the one line reader behind both the csv rows and
-    the line-text tally of a subject file.
+    reads them; this is the one line reader behind the csv rows of both
+    layouts.
     """
-    lines = filterfalse(_SKIP_LINE, lines)
-    head = list(islice(lines, 50))
+    head = list(islice(filterfalse(_SKIP_LINE, lines), 50))
     sample = "\n".join(line.rstrip("\r\n") for line in head)[:8192]
-    return _sniff_delimiter(sample), chain(head, lines), _ChunkSize(head)
+    return _sniff_delimiter(sample), head
+
+
+class _Below:
+    """What lies below a header: the kept lines of the head not yet
+    read, then the rest of the open file, read as kept lines or as
+    blocks of text, and the ``_ChunkSize`` to read csv rows in."""
+
+    def __init__(self, head, fh):
+        self.chunk_size = _ChunkSize(head)
+        self.head, self.fh = iter(head), fh
+
+    def lines(self):
+        """The kept lines not yet read, one at a time."""
+        return chain(self.head, filterfalse(_SKIP_LINE, self.fh))
+
+    def blocks(self):
+        """The text not yet read, in blocks that end at a line end: each
+        is the fewest lines whose text passes ``_CHUNK_BYTES`` characters,
+        or the rest of the file.
+
+        The head's kept lines are grouped first, and the last of them open
+        the first block read from the file: ``_CHUNK_BYTES`` characters
+        less theirs, completed to a line end.  Left unfinished, the
+        generator leaves every line it has not yielded to ``lines``.
+        """
+        block, size = [], 0
+        for line in self.head:
+            block.append(line)
+            size += len(line)
+            if size > _CHUNK_BYTES:
+                yield "".join(block)
+                block, size = [], 0
+        text = "".join(block)
+        while text := text + self.fh.read(_CHUNK_BYTES - len(text)) + self.fh.readline():
+            yield text
+            text = ""
 
 
 def _has_text(row) -> bool:
@@ -163,23 +202,23 @@ def _has_text(row) -> bool:
 
 @contextmanager
 def _open_rows(path):
-    """Open ``path`` and yield its stripped header, its delimiter, an
-    iterator over the kept lines below the header and the ``_ChunkSize``
-    to read them in.
+    """Open ``path`` and yield its stripped header, its delimiter and the
+    ``_Below`` that reads what lies below the header.
 
     The header is the first row with a non-blank cell.  The file stays
-    open inside the block, so a caller that walks the lines in chunks
-    holds one chunk at a time, never the whole file.  A row the csv
-    module cannot read, in the header or inside the block, is invalid
-    input, named by its file line.
+    open inside the block, so a caller that reads below the header in
+    chunks or blocks holds one at a time, never the whole file.  A row
+    the csv module cannot read, in the header or inside the block, is
+    invalid input, named by its file line.
     """
     with _open_text(path) as fh:
-        sep, lines, chunk_size = _kept_lines(fh)
+        sep, head = _kept_lines(fh)
+        below = _Below(head, fh)
         try:
-            header = next(filter(_has_text, csv.reader(lines, delimiter=sep)), None)
+            header = next(filter(_has_text, csv.reader(below.lines(), delimiter=sep)), None)
             if header is None:
                 raise ValidationError(f"{path}: file is empty")
-            yield [cell.strip() for cell in header], sep, lines, chunk_size
+            yield [cell.strip() for cell in header], sep, below
         except csv.Error as exc:
             line = deque(_row_starts(path), maxlen=1).pop()
             raise ValidationError(f"{path}: line {line}: {exc}") from exc
@@ -202,8 +241,9 @@ def _row_starts(path):
             yield line
 
     with _open_text(path) as fh:
-        sep, lines, _ = _kept_lines(numbered(fh))
-        reader = csv.reader(lines, delimiter=sep)
+        lines = numbered(fh)
+        sep, head = _kept_lines(lines)
+        reader = csv.reader(chain(head, filterfalse(_SKIP_LINE, lines)), delimiter=sep)
         taken = 0
         try:
             for row in reader:
@@ -231,48 +271,93 @@ def _file_lines(path, ordinals) -> dict[int, int]:
     return lines
 
 
-def _tally_lines(lines, chunk_size, sep, id_first: bool, width: int, cols, tally: Counter):
-    """Tally the rows of ``lines`` by their text while the chunks are clean.
+def _may_skip(text: str) -> bool:
+    r"""Whether a line of ``text``, whose line ends are ``\n`` or
+    ``\r\n``, may be one that ``_SKIP_LINE`` matches: the first line or
+    one after a ``\n`` is empty or starts with whitespace or ``#``."""
+    return bool(_SKIP_LINE(text, 0, 1) or re.search(r"\n[\s#]", text))
 
-    A chunk of ``chunk_size()`` lines is clean when no line holds a quote
-    or a NUL or is as long as the csv field limit, so that each line is
-    one row, and when every distinct line text parses to ``width``
-    cells (the id cell first when ``id_first``) with status 0 or 1.  A
-    clean chunk is counted by the text after the id cell; each distinct
-    text is parsed once by the csv module, and its raw cells at ``cols``
-    are added to ``tally`` with its count.
 
-    Returns the number of rows tallied and the first chunk that is not
-    clean, untallied (empty when the file ended clean).
+def _lines_are_rows(text: str, lines, limit: int) -> bool:
+    r"""Whether each of ``lines``, the lines of the block ``text`` split at
+    ``\n``, is one csv row: the text holds no quote, no NUL and no ``\r``
+    outside a ``\r\n``, and no line is ``limit`` characters long.
+
+    A line that long spans a whole aligned window of ``limit // 2``
+    characters with no line end, so the line lengths are taken only when
+    some window has none.
     """
-    limit = csv.field_size_limit()
+    if '"' in text or "\0" in text:
+        return False
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return False
+    step = max(limit // 2, 1)
+    if all(text.find("\n", i, i + step) >= 0 for i in range(0, len(text), step)):
+        return True
+    return max(map(len, lines), default=0) < limit
+
+
+def _tally_lines(blocks, sep, id_first: bool, width: int, cols, tally: Counter):
+    r"""Tally the rows of ``blocks`` by their text while the blocks are clean.
+
+    A block is clean when its lines split at ``\n`` are one row each
+    (``_lines_are_rows``) and when each line text it adds parses to
+    ``width`` cells (the id cell first when ``id_first``) with status 0
+    or 1.  One search per block (``_may_skip``) looks for a line that is
+    empty or starts with whitespace or ``#``; only a block it flags is
+    filtered of blank and comment lines.  Every clean block is counted
+    into one running Counter of the line texts after the id cell; the
+    texts a block adds are the Counter's last keys, and one csv reader
+    parses them.  A block with a malformed text is subtracted back out.
+    At the end each distinct text's raw cells at ``cols`` are added to
+    ``tally`` with its count.
+
+    Returns the number of rows tallied and the kept lines of the first
+    block that is not clean, untallied and split at ``\n``, ``\r`` and
+    ``\r\n`` as the file reader splits them (empty when the file ended
+    clean).
+    """
+    limit = csv.field_size_limit() - 1  # the line end is not in the line
     key = itemgetter(*(c - id_first for c in cols))
-    status = cols[0] - id_first
-    parsed: dict[str, tuple] = {}  # distinct line text -> its raw cells at cols
+    status = itemgetter(cols[0] - id_first)
+    counted: Counter = Counter()  # line text after the id cell -> rows
+    parsed: dict[str, tuple] = {}  # line text -> its raw cells at cols
     n_rows = 0
-    while chunk := list(islice(lines, chunk_size())):
-        text = "".join(chunk)
-        if '"' in text or "\0" in text or max(map(len, chunk)) >= limit:
-            return n_rows, chunk
+
+    def texts(lines):
         if id_first:
-            counted = Counter(map(itemgetter(2), map(str.partition, chunk, repeat(sep))))
-        else:
-            counted = Counter(chunk)
-        for line in counted.keys() - parsed.keys():
-            try:
-                cells = next(csv.reader([line], delimiter=sep))
-            except csv.Error:
-                return n_rows, chunk
-            # a status of 0 or 1 is not blank, so no row of only blank
-            # cells (which the csv path drops) is counted here
-            if len(cells) + id_first != width or cells[status].strip() not in ("0", "1"):
-                return n_rows, chunk
-            parsed[line] = key(cells)
-        for line, n in counted.items():
-            tally[parsed[line]] += n
-        n_rows += len(chunk)
-        chunk_size.add(len(text), len(chunk))
-    return n_rows, []
+            return map(itemgetter(2), map(str.partition, lines, repeat(sep)))
+        return lines
+
+    def well_formed(rows) -> bool:
+        # a status of 0 or 1 is not blank, so no row of only blank cells
+        # (which the csv path drops) is counted here
+        return set(map(len, rows)) <= {width - id_first} and all(
+            raw.strip() in ("0", "1") for raw in set(map(status, rows))
+        )
+
+    for text in blocks:
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        if _may_skip(text):
+            lines = list(filterfalse(_SKIP_LINE, lines))
+        if not _lines_are_rows(text, lines, limit):
+            break
+        before = len(counted)
+        counted.update(texts(lines))
+        new = list(islice(reversed(counted), len(counted) - before))
+        rows = list(csv.reader(new, delimiter=sep))
+        if not well_formed(rows):
+            counted -= Counter(texts(lines))
+            break
+        parsed.update(zip(new, map(key, rows)))
+        n_rows += len(lines)
+    else:
+        text = ""  # the file ended clean
+    for line, n in counted.items():
+        tally[parsed[line]] += n
+    return n_rows, list(filterfalse(_SKIP_LINE, io.StringIO(text, newline="")))
 
 
 def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
@@ -298,7 +383,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         Genotypes are labelled by the ``/``-joined marker tuple and
         indexed in sorted-label order.
     """
-    with _open_rows(path) as (header, sep, lines, chunk_size):
+    with _open_rows(path) as (header, sep, below):
         lowered = [h.lower() for h in header]
         if "status" not in lowered:
             raise _input_error(path, "missing required column 'status'")
@@ -315,15 +400,16 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         n_rows, pending = 0, []
         if id_col in (0, None):
             n_rows, pending = _tally_lines(
-                lines, chunk_size, sep, id_col == 0, width, (status_col, *marker_cols), tally
+                below.blocks(), sep, id_col == 0, width, (status_col, *marker_cols), tally
             )
 
-        # from the first chunk that is not clean on, tally the raw cells of
+        # from the first block that is not clean on, tally the raw cells of
         # each chunk of csv rows at C speed; walk a chunk row by row only to
         # word its warnings
         key = itemgetter(status_col, *marker_cols)
-        rows = filter(_has_text, csv.reader(chain(pending, lines), delimiter=sep))
+        rows = filter(_has_text, csv.reader(chain(pending, below.lines()), delimiter=sep))
         del pending  # the chain frees it once its lines are read
+        chunk_size = below.chunk_size
         bad: list[tuple[int, str]] = []  # (kept-row ordinal, the header 0; problem)
         while chunk := list(islice(rows, chunk_size())):
             # a row's line is about its cells, their delimiters and a line end
@@ -355,7 +441,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         status = raw.strip()
         if status not in ("0", "1"):
             continue
-        label = "/".join(cell.strip() for cell in cells)
+        label = "/".join(map(str.strip, cells))
         bucket = cases if status == "1" else controls
         bucket[label] = bucket.get(label, 0) + n
 
@@ -393,14 +479,14 @@ def parse_counts_file(path, rho: float):
     def error(ordinal, problem):
         return _input_error(path, f"line {_file_lines(path, [ordinal])[ordinal]}: {problem}")
 
-    with _open_rows(path) as (header, sep, lines, _):
+    with _open_rows(path) as (header, sep, below):
         lowered = [h.lower() for h in header]
         required = ("genotype_id", "n_case", "n_control")
         missing = [c for c in required if c not in lowered]
         if missing:
             raise _input_error(path, f"missing required columns {missing}")
         cols = [lowered.index(c) for c in required]
-        rows = filter(_has_text, csv.reader(lines, delimiter=sep))
+        rows = filter(_has_text, csv.reader(below.lines(), delimiter=sep))
         for ordinal, row in enumerate(rows, start=1):
             if len(row) != len(header):
                 raise error(ordinal, "wrong column count")

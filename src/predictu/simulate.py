@@ -149,6 +149,22 @@ class DiseaseModel:
         return tuple("/".join(str(c) for c in row) for row in grid)
 
 
+# the most genotypes a model may enumerate: building a model and its
+# population holds about 470 bytes a genotype (236 MiB at 12 loci), so
+# 13 loci take about 0.7 GiB and 14 would take about 2 GiB
+_MAX_GENOTYPES = 3**13
+
+
+def _check_grid(n_loci: int) -> None:
+    """Too many loci to enumerate their 3**n_loci genotypes is invalid
+    input, named before any grid is built."""
+    if 3**n_loci > _MAX_GENOTYPES:
+        raise ValidationError(
+            f"{n_loci} loci give 3**{n_loci} = {3**n_loci} genotypes, more than "
+            f"the {_MAX_GENOTYPES} a model may enumerate"
+        )
+
+
 def _check_loci(interactions, n_loci: int) -> None:
     for inter in interactions:
         if not (0 <= inter.a < n_loci and 0 <= inter.b < n_loci):
@@ -224,6 +240,7 @@ def penetrance_model(
     """
     snps = tuple(snps if isinstance(snps, (list, tuple)) else [snps])
     interactions = tuple(interactions)
+    _check_grid(len(snps))
     _check_loci(interactions, len(snps))
     grid = genotype_matrix(len(snps))
     x = _exposures(snps, grid)

@@ -383,11 +383,15 @@ def permutation_test_reference(counts, order, plan):
 
 
 def first_chunk_rows(lines, chunk_bytes) -> int:
-    """Rows in the first chunk of a subject file whose lines, header first
-    and none blank or a comment, are ``lines``, each with its line end:
-    the byte budget over the mean length of the first 50."""
-    head = lines[:50]
-    return max(1, chunk_bytes * len(head) // sum(map(len, head)))
+    """Rows in the first block of a subject file whose lines, header first
+    and none blank or a comment, are ``lines``, each with its line end,
+    the rows repeated as often as needed: the rows below the header up to
+    the one that takes their text past the byte budget."""
+    size = 0
+    for k, line in enumerate(itertools.cycle(lines[1:]), start=1):
+        size += len(line)
+        if size > chunk_bytes:
+            return k
 
 
 def write_counts_csv(path, counts: CaseControlCounts, provenance: dict | None = None) -> None:

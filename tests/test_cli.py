@@ -986,6 +986,30 @@ def test_simulate_rejects_bad_model_files(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+def test_a_model_too_large_to_enumerate_exits_2(tmp_path, capsys, monkeypatch):
+    from predictu import simulate
+
+    monkeypatch.setattr(simulate, "_MAX_GENOTYPES", 9)
+    model = tmp_path / "model.yaml"
+    model.write_text("target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}]\n")
+    assert main(["simulate", "--model", str(model), "--replicates", "2", "--n-cases", "20",
+                 "--n-controls", "20", "--bootstrap", "10", "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+
+    def enumerated(n_loci):
+        raise AssertionError(f"a {n_loci}-locus grid was built")
+
+    monkeypatch.setattr(simulate, "genotype_matrix", enumerated)
+    model.write_text("target_rho: 0.05\nsnps: [{maf: 0.3}, {maf: 0.2}, {maf: 0.1}]\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", str(model), "--replicates", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: model file {model}: 3 loci give 3**3 = 27 genotypes, more than the 9 "
+        "a model may enumerate\n"
+    )
+    assert not out.exists()
+
+
 def test_report_merges_and_reruns_identically(counts_file, tmp_path):
     idx = tmp_path / "idx"
     sim = tmp_path / "sim"

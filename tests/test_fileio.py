@@ -286,6 +286,104 @@ def test_line_text_tally_matches_row_by_row_reference(tmp_path, chunk_bytes, tal
     assert set(tally_paths) == paths
 
 
+# lines that _SKIP_LINE matches, some led by whitespace that is not ASCII
+_SKIPPED = ["", "   ", "# note", "  # indented", "\f", "\v", "\u00a0", "\f# c", "\v \t", "\u00a0#"]
+
+
+def random_block_subjects(rng) -> tuple[str, bool]:
+    """A subject file of 70 to 160 rows, so that it spans the head and
+    then blocks read from the file at every chunk size, with blank,
+    comment and whitespace-only lines between rows, rows led by
+    whitespace, and LF, CRLF, mixed or lone-CR line ends.  In half the
+    files a malformed row whose text no earlier row has (a bad status or
+    a wrong cell count) first turns up past the 60th row.  Returns the
+    text and whether it has that row."""
+    sep = str(rng.choice([",", "\t", ";"]))
+    columns = ["status"] + [f"m{k}" for k in range(int(rng.integers(1, 4)))]
+    columns = [columns[i] for i in rng.permutation(len(columns))]
+    if rng.random() < 0.6:
+        columns.insert(0, "sample_id")
+    status_col = columns.index("status")
+    n_rows = int(rng.integers(70, 160))
+    bad_at = int(rng.integers(60, n_rows)) if rng.random() < 0.5 else None
+    lines = [sep.join(columns)]
+    for k in range(n_rows):
+        if k == bad_at:
+            cells = ["7"] * len(columns)  # no other row has a 7
+            if rng.random() < 0.5:
+                cells.append("7")
+            else:
+                cells[status_col] = "2"
+            lines.append(sep.join(cells))
+        cells = []
+        for name in columns:
+            if name == "status":
+                cells.append(str(rng.choice(["0", "1", " 1"])))
+            elif name == "sample_id":
+                cells.append(f"s{k}")
+            else:
+                cells.append(str(rng.choice(["0", "1", "2"])))
+        line = sep.join(cells)
+        if rng.random() < 0.05:
+            line = str(rng.choice([" ", "\u00a0", "\f"])) + line
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(_SKIPPED)))
+    kind = int(rng.integers(0, 4))
+    if kind < 3:
+        end = ("\n", "\r\n", None)[kind]
+        text = "".join(line + (end or str(rng.choice(["\n", "\r\n"]))) for line in lines)
+    else:
+        text = "".join(line + str(rng.choice(["\n", "\r\n", "\r"], p=[0.45, 0.45, 0.1]))
+                       for line in lines)
+    return text, bad_at is not None
+
+
+def test_block_tally_matches_row_by_row_reference(tmp_path, chunk_bytes, tally_paths):
+    rng = np.random.default_rng(12)
+    outcomes, late_bad = set(), []
+    for trial in range(120):
+        text, bad = random_block_subjects(rng)
+        path = tmp_path / f"s{trial}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes.add(_matches_reference(path, float(rng.choice([0.01, 1.0]))))
+        if bad and "\r" not in text.replace("\r\n", ""):
+            late_bad.append(tally_paths[-1])
+    assert outcomes == {"error", "warned", "clean"}
+    # a malformed row past the 60th, in a file of LF and CRLF ends only,
+    # hands its block, subtracted back out, to the csv path after the
+    # earlier blocks were tallied by line text; a whole file fits in one
+    # block of the default size
+    small = chunk_bytes < DEFAULT_CHUNK_BYTES
+    assert late_bad and set(late_bad) == ({"switched"} if small else {"csv"})
+
+
+def test_skip_test_flags_every_block_with_a_skipped_line():
+    rng = np.random.default_rng(13)
+    chars = [" ", "\t", "\f", "\v", "\x1c", "\x1f", "\x85", "\u00a0", "\u2000", "\u3000",
+             "#", "a", ",", "1"]
+    flagged = 0
+    for _ in range(3000):
+        lines = [
+            "".join(rng.choice(chars, size=int(rng.integers(0, 4)))) for _ in range(rng.integers(1, 6))
+        ]
+        ends = rng.choice(["\n", "\r\n"], size=len(lines))
+        text = "".join(map(str.__add__, lines, ends))
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")
+        if any(fileio._SKIP_LINE(line) for line in io.StringIO(text, newline="")):
+            flagged += 1
+            assert fileio._may_skip(text), repr(text)
+    assert flagged > 1000
+
+
+def test_a_clean_crlf_file_is_tallied_by_line_text(tmp_path, chunk_bytes, tally_paths):
+    rows = [f"s{k},{k % 2},{k % 3},{k % 5 % 3}" for k in range(120)]
+    path = subjects(tmp_path, "sample_id,status,m1,m2\r\n" + "\r\n".join(rows) + "\r\n")
+    assert _matches_reference(path, 0.01) == "clean"
+    assert tally_paths == ["lines"]
+
+
 def test_lines_past_the_field_limit_take_the_csv_path(tmp_path, chunk_bytes, tally_paths):
     limit = csv.field_size_limit(64)
     try:
