@@ -22,7 +22,7 @@ from . import __version__
 from .curve_links import check_lorenz_identity, check_roc_identity, lorenz_from_table, roc_from_table
 from .errors import NumericError, ValidationError
 from .fileio import (
-    _is_counts_file,
+    _open_rows,
     curve_metadata,
     parse_counts_file,
     parse_subject_file,
@@ -169,14 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_counts(path, rho, max_bad_rows):
     """Auto-detect subject versus pre-aggregated layout by header (the
-    first row with a non-blank cell, as the parsers read it).
+    first row with a non-blank cell), opening the file once: the parser
+    of that layout reads on below the header.
 
     Parse warnings go to stderr, prefixed with the file they came from.
     """
-    if _is_counts_file(path):
-        counts, report = parse_counts_file(path, rho=rho)
-    else:
-        counts, report = parse_subject_file(path, rho=rho, max_bad_rows=max_bad_rows)
+    with _open_rows(path) as opened:
+        if "genotype_id" in (cell.lower() for cell in opened[0]):
+            counts, report = parse_counts_file(path, rho=rho, opened=opened)
+        else:
+            counts, report = parse_subject_file(path, rho, max_bad_rows, opened=opened)
     for warning in report.warnings:
         print(f"warning: {path}: {warning}", file=sys.stderr)
     return counts, report

@@ -35,7 +35,7 @@ import io
 import json
 import re
 from collections import Counter, deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
@@ -123,12 +123,6 @@ def _check_arms(path, n_cases: int, n_controls: int, unit: str) -> None:
         raise _input_error(
             path, f"no {' and no '.join(empty)} {unit}: need at least one case and one control"
         )
-
-
-def _is_counts_file(path) -> bool:
-    """Whether the header the parsers read has a ``genotype_id`` cell."""
-    with _open_rows(path) as (header, *_):
-        return "genotype_id" in (cell.lower() for cell in header)
 
 
 class _ChunkSize:
@@ -360,7 +354,7 @@ def _tally_lines(blocks, sep, id_first: bool, width: int, cols, tally: Counter):
     return n_rows, list(filterfalse(_SKIP_LINE, io.StringIO(text, newline="")))
 
 
-def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
+def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01, *, opened=None):
     """Aggregate a per-subject genotype file into case-control counts.
 
     Parameters
@@ -376,6 +370,9 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         Maximum tolerated fraction of malformed rows.  Malformed rows
         are dropped with a warning; beyond the threshold the parse
         fails instead.
+    opened : tuple, optional
+        What ``_open_rows(path)`` yielded, inside its block: the file is
+        then read on from there, not opened again.
 
     Returns
     -------
@@ -383,7 +380,7 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
         Genotypes are labelled by the ``/``-joined marker tuple and
         indexed in sorted-label order.
     """
-    with _open_rows(path) as (header, sep, below):
+    with nullcontext(opened) if opened else _open_rows(path) as (header, sep, below):
         lowered = [h.lower() for h in header]
         if "status" not in lowered:
             raise _input_error(path, "missing required column 'status'")
@@ -468,8 +465,9 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01):
     return counts, report
 
 
-def parse_counts_file(path, rho: float):
-    """Read pre-aggregated counts: ``genotype_id, n_case, n_control``."""
+def parse_counts_file(path, rho: float, *, opened=None):
+    """Read pre-aggregated counts: ``genotype_id, n_case, n_control``;
+    ``opened`` as in ``parse_subject_file``."""
     labels: list[str] = []
     seen: set[str] = set()
     n_case: list[int] = []
@@ -479,7 +477,7 @@ def parse_counts_file(path, rho: float):
     def error(ordinal, problem):
         return _input_error(path, f"line {_file_lines(path, [ordinal])[ordinal]}: {problem}")
 
-    with _open_rows(path) as (header, sep, below):
+    with nullcontext(opened) if opened else _open_rows(path) as (header, sep, below):
         lowered = [h.lower() for h in header]
         required = ("genotype_id", "n_case", "n_control")
         missing = [c for c in required if c not in lowered]

@@ -22,17 +22,18 @@ exist only as test references.
 Resampling is stratified within arms (bootstrap) or redraws the case
 counts from the pooled genotype totals by multivariate hypergeometric
 sampling (permutation, equivalent to permuting labels).  The unit of
-resampling is a fixed group of ``_GROUP`` (8) replicates: group k draws
-from its own stream ``[seed, tag, k]``, all its case rows in one call
-and then all its control rows in one call, and is evaluated at once, so
-a group's draw depends on nothing but the plan and its index.  One
-group loop, ``_over_groups``, serves both passes: it splits the groups
-into contiguous ranges on ``workers`` threads of the calling process
-(default 1; the draws release the interpreter lock) and hands each
-range's pass one generator per group.  A pass returns only its
-replicate values (or permutation hits), joined in group order.  Memory
-per thread is a few (8, G) arrays beyond the B-length results, flat in
-the replicate count, and no result depends on the thread count.
+resampling is a group of max(``_GROUP``, ``_GROUP_CELLS`` // G)
+replicates at G genotypes: group g of a stream key draws from ``[*key,
+g]``, all its case rows in one call and then all its control rows in
+one call, and is evaluated at once.  One group loop, ``_over_groups``,
+serves both passes: it splits the groups into contiguous ranges on
+``workers`` threads of the calling process (default 1; the draws
+release the interpreter lock) and hands each range's pass one generator
+per group.  ``_bootstrap_values`` is the one bootstrap pass, of
+``summarize`` and of each simulation harness replicate alike.  Memory
+per thread is a few arrays of a group's rows beyond the B-length
+results, flat in the replicate count, and no result depends on the
+thread count.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ __all__ = [
 # stream tags keep bootstrap and permutation draws decoupled per seed
 _TAG_BOOTSTRAP = 101
 _TAG_PERMUTATION = 211
-# replicates per group, the unit of resampling: a fixed constant, so the
-# streams depend on neither G nor the worker count, and a group's working
-# set is a few (_GROUP, G) arrays
+# a replicate group, the unit of resampling, holds max(_GROUP, _GROUP_CELLS
+# // G) rows: a working set of a few arrays of about 2**14 cells, 8 rows at
+# any G past 1,820; its streams depend on G, never on the worker count
 _GROUP = 8
+_GROUP_CELLS = 1 << 14
 
 
 class Method(enum.Enum):
@@ -229,38 +231,56 @@ def asymptotic_ci(estimate: UEstimate, level: float = 0.95) -> UEstimate:
     return replace(estimate, ci=ci)
 
 
-def _over_groups(plan: ResamplePlan, tag: int, workers, run) -> list:
-    """``run`` over the plan's replicate groups, one call per worker range.
+def _over_groups(key, n: int, width: int, workers, run) -> list:
+    """``run`` over the groups of ``n`` replicates of ``width`` genotypes.
 
-    Group k holds ``min(_GROUP, B - k _GROUP)`` replicates drawn from the
-    stream ``[seed, tag, k]``.  Each worker's contiguous range of groups
-    is one ``run(groups)`` call, ``groups`` yielding one ``(rng, rows)``
-    pair per group; the results come back in group order.
+    Group g holds R = max(``_GROUP``, ``_GROUP_CELLS`` // ``width``)
+    replicates (the last group the rest) drawn from the stream ``[*key,
+    g]``.  Each worker's contiguous range of groups is one ``run(groups)``
+    call, ``groups`` yielding one ``(g, rng, rows)`` triple per group; the
+    results come back in group order.
     """
-    n = plan.n_replicates
+    size = max(_GROUP, _GROUP_CELLS // width)
 
     def over_range(lo: int, hi: int):
         return run(
-            (np.random.default_rng([plan.seed, tag, k]), min(_GROUP, n - k * _GROUP))
-            for k in range(lo, hi)
+            (g, np.random.default_rng([*key, g]), min(size, n - g * size)) for g in range(lo, hi)
         )
 
-    return parallel.map_ranges(over_range, -(-n // _GROUP), workers)
+    return parallel.map_ranges(over_range, -(-n // size), workers)
 
 
 def _bootstrap_group(
-    case: np.ndarray, control: np.ndarray, rng: np.random.Generator, n_rows: int
+    case: np.ndarray, control: np.ndarray, rng: np.random.Generator, n_rows: int, lead=False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified bootstrap count rows of one replicate group.
 
     Resampling subjects with replacement within an arm is equivalent to
     a multinomial draw over that arm's genotype frequencies, here taken
     along the order.  ``rng`` draws the ``n_rows`` case rows in one call,
-    then the control rows; ``bootstrap_estimates`` passes each group's
-    generator from ``_over_groups``.
+    then the control rows.  With ``lead``, the counts themselves lead the
+    rows as row 0.
     """
-    boot_case = rng.multinomial(case.sum(), case / case.sum(), size=n_rows)
-    return boot_case, rng.multinomial(control.sum(), control / control.sum(), size=n_rows)
+    arms = case, control
+    drawn = [rng.multinomial(arm.sum(), arm / arm.sum(), size=n_rows) for arm in arms]
+    return tuple(np.vstack([arm, rows]) for arm, rows in zip(arms, drawn)) if lead else tuple(drawn)
+
+
+def _bootstrap_values(
+    case, control, key, n: int, rho: float, tokens, band, laplace=0.0, refit=None, workers=None,
+    hold=None,
+) -> dict[str, np.ndarray]:
+    """Each requested index of the counts ``case`` and ``control`` along
+    the order (entry 0), then of their ``n`` stratified bootstrap
+    replicates, drawn group by group from the stream ``key``, the counts
+    leading group 0: the one producer of bootstrap rows."""
+
+    def replicates(groups) -> list[dict]:
+        stacks = (_bootstrap_group(case, control, rng, rows, g == 0) for g, rng, rows in groups)
+        return list(_replicate_values(stacks, rho, tokens, band, laplace, refit, hold))
+
+    parts = sum(_over_groups(key, n, case.size, workers, replicates), [])
+    return {token: np.concatenate([part[token] for part in parts]) for token in tokens}
 
 
 def _smoothed_kernel(case: np.ndarray, control: np.ndarray, laplace: float):
@@ -277,27 +297,36 @@ def _smoothed_kernel(case: np.ndarray, control: np.ndarray, laplace: float):
     return kernel, n_d * n_dbar
 
 
-def _replicate_values(stacks, rho: float, tokens, band, laplace: float):
+def _replicate_values(stacks, rho: float, tokens, band, laplace: float, refit=None, hold=None):
     """Each requested index of each row, for each (case, control) pair of
     (B, G) count stacks along the order: one dict per pair.
 
     ``u`` and ``ustd`` = U / (2 rho (1 - rho)) come from the exact
     ``_smoothed_kernel``; any other token is ``_index_rows`` on the rows'
-    plug-in curve from ``laplace``-smoothed frequencies.  A generator, so a
-    pair's arrays live until the next pair's are built: freed sooner, they
-    let the heap be trimmed and re-faulted every group (45,000 minor
-    faults, not 300, at B = 2,000 and G = 1,953).
+    plug-in curve from ``laplace``-smoothed frequencies; a ``refit``
+    (``isotonic.pava_rows``) refits that curve in place, and then every
+    token is read from it.  A generator, so a pair's arrays live until
+    the next pair's are built: freed sooner, they let the heap be trimmed
+    and re-faulted every group (45,000 minor faults, not 300, at B =
+    2,000 and G = 1,953).  A ``hold`` list keeps the first pair's counts
+    and curves until the next pass handed it has built its own, as the
+    harness does replicate after replicate (8,000 minor faults, not
+    30,000, over 150 sim1_h005 isotonic replicates at B = 400).
     """
-    for case, control in stacks:
+    for i, (case, control) in enumerate(stacks):
         out = {}
-        if "u" in tokens or "ustd" in tokens:
+        if refit is None and ("u" in tokens or "ustd" in tokens):
             kernel, pairs = _smoothed_kernel(case, control, laplace)
             out["u"] = _u_scale(rho) / pairs * kernel
             out["ustd"] = out["u"] / _u_scale(rho)
         rest = [t for t in tokens if t not in out]
         if rest:
             p, r = _plugin_rows(case, control, rho, laplace)
+            if refit is not None:
+                refit(r, p)
             out.update(_index_rows(p, r, rho, rest, band))
+            if hold is not None and i == 0:
+                hold[:] = case, control, p, r
         yield {t: out[t] for t in tokens}
 
 
@@ -382,13 +411,14 @@ def permutation_test(
     def hits(groups) -> int:
         # permuted replicates with |case' phi control| >= observed, in int64
         found = 0
-        for rng, rows in groups:
+        for _, rng, rows in groups:
             perm_case = rng.multivariate_hypergeometric(totals, counts.n_cases, size=rows)
             stats = np.abs(_contract(perm_case, totals[None, :] - perm_case))
             found += int(np.count_nonzero(stats >= observed))
         return found
 
-    return (1 + sum(_over_groups(plan, _TAG_PERMUTATION, workers, hits))) / (1 + plan.n_replicates)
+    found = _over_groups((plan.seed, _TAG_PERMUTATION), plan.n_replicates, totals.size, workers, hits)
+    return (1 + sum(found)) / (1 + plan.n_replicates)
 
 
 def bootstrap_estimates(
@@ -422,18 +452,14 @@ def bootstrap_estimates(
         raise ValidationError(f"confidence level must lie in [0, 1), got {level}")
     laplace = _check_laplace(laplace)
     case, control = _align_counts(counts, order)
-
-    def replicates(groups) -> list[dict]:
-        stacks = (_bootstrap_group(case, control, rng, rows) for rng, rows in groups)
-        return list(_replicate_values(stacks, counts.rho, tokens, band, laplace))
-
-    parts = sum(_over_groups(plan, _TAG_BOOTSTRAP, workers, replicates), [])
-    (point,) = _replicate_values([(case[None], control[None])], counts.rho, tokens, band, laplace)
+    key, rho = (plan.seed, _TAG_BOOTSTRAP), counts.rho
+    values = _bootstrap_values(case, control, key, plan.n_replicates, rho, tokens, band, laplace,
+                               workers=workers)
     estimates = {}
     for token in tokens:
-        values = np.concatenate([part[token] for part in parts])
-        values = values[np.isfinite(values)]
-        if values.size == 0:
+        point, replicates = values[token][0], values[token][1:]
+        finite = replicates[np.isfinite(replicates)]
+        if finite.size == 0:
             raise NumericError(f"no finite bootstrap replicate for {INDICES[token].name}")
-        estimates[token] = _replicate_estimate(float(point[token][0]), values, plan, level)
+        estimates[token] = _replicate_estimate(float(point), finite, plan, level)
     return estimates

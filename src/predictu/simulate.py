@@ -19,11 +19,12 @@ the competitor indices interesting: the test curve is non-monotone, a
 plug-in R or AE inflates under noise, while the pairwise structure of U
 absorbs most of it.  Replicates run on threads (``parallel.map_ranges``)
 and work only on the genotypes their test sample observed, not all 3^L.
-A replicate's (B + 1)-row bootstrap stack is drawn and evaluated in
-blocks of at most ``_BLOCK_CELLS`` cells, so a thread holds one block
-and the (B, G_e) case draw, not the whole stack and its temporaries.
-Index values wait in a stack of at most ``_BLOCK_CELLS`` values until
-one row-wise percentile call takes the intervals of all its replicates.
+A replicate's test curve and bootstrap replicates are those of
+``summarize``: ``inference._bootstrap_values`` draws and evaluates them
+in groups of about ``inference._GROUP_CELLS`` cells, so a thread holds
+one group whatever B is.  Index values wait in a stack of at most as
+many values until one row-wise percentile call takes the intervals of
+all its replicates.
 """
 
 from __future__ import annotations
@@ -439,11 +440,6 @@ class EvalReport:
         }
 
 
-# cells (rows x genotypes) in one evaluation block of a replicate's
-# bootstrap stack: the stack's working set is one block, whatever B is
-_BLOCK_CELLS = 1 << 16
-
-
 def _true_values(population: Population, tokens, band) -> dict[str, float]:
     p, r = population.table.p, population.table.r
     values = _index_rows(p, r, population.rho, tokens, band)
@@ -471,12 +467,13 @@ def _replicate_chunk(
     values = np.empty((rep_hi - rep_lo, n_tokens))
     covered = np.empty((rep_hi - rep_lo, n_tokens), dtype=bool)
     target = np.array([truth[token] for token in tokens])
-    # the index values of up to ``group`` replicates, token by row: each
-    # test curve, then its bootstrap replicates; one percentile call
-    # takes a whole group's intervals, and a group holds at most
-    # _BLOCK_CELLS values
-    group = max(1, _BLOCK_CELLS // (n_tokens * (n_bootstrap + 1)))
-    stack = np.empty((group, n_tokens, n_bootstrap + 1))
+    # the bootstrap values of up to ``group`` replicates, token by row: one
+    # percentile call takes a whole group's intervals, and a group holds
+    # at most inference._GROUP_CELLS values
+    group = max(1, inference._GROUP_CELLS // (n_tokens * n_bootstrap))
+    stack = np.empty((group, n_tokens, n_bootstrap))
+    refit = pava_rows if isotonic else None
+    hold = []  # a replicate's first bootstrap group, alive until the next one's is built
 
     for row, k in enumerate(range(rep_lo, rep_hi)):
         slot = row % group
@@ -493,40 +490,16 @@ def _replicate_chunk(
         # category draws nothing unless it is last, so every draw is kept
         keep = (case_s + ctrl_s)[order] > 0
         keep[-1] = True
-        cols = order[keep]
-        case_e, ctrl_e = case_s[cols], ctrl_s[cols]
-        # row 0 is the test curve, rows 1.. its bootstrap replicates: all B
-        # case rows in one draw, then the control rows a block at a time from
-        # the same stream, whose consecutive calls give the rows of one call;
-        # each block of at most _BLOCK_CELLS cells is evaluated row-wise
-        # before the next is drawn
-        rng = np.random.default_rng([seed, model_idx, k, 2])
-        boot_case = rng.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)
-        step = max(1, _BLOCK_CELLS // cols.size)
-        for lo in range(0, n_bootstrap + 1, step):
-            hi = min(lo + step, n_bootstrap + 1)
-            case_b = boot_case[max(lo - 1, 0):hi - 1]
-            ctrl_b = rng.multinomial(n_controls, ctrl_e / n_controls, size=hi - max(lo, 1))
-            if lo == 0:
-                case_b, ctrl_b = np.vstack([case_e, case_b]), np.vstack([ctrl_e, ctrl_b])
-            if hi > n_bootstrap:
-                del boot_case  # the last block: free every count row before the refit
-            # p and r stay bound until the next replicate's first block: freed
-            # sooner, they let the heap be trimmed and re-faulted every
-            # replicate (29,900 minor faults, not 5,400, over 150 sim1_h005
-            # replicates at B = 400)
-            p, r = _plugin_rows(case_b, ctrl_b, rho)
-            del case_b, ctrl_b
-            if isotonic:
-                pava_rows(r, p)
-            block = _index_rows(p, r, rho, tokens, band)
-            for t, token in enumerate(tokens):
-                stack[slot, t, lo:hi] = block[token]
+        # the test curve, then its bootstrap replicates, as summarize draws them
+        case_e, ctrl_e = case_s[order[keep]], ctrl_s[order[keep]]
+        boot = inference._bootstrap_values(case_e, ctrl_e, (seed, model_idx, k, 2), n_bootstrap,
+                                           rho, tokens, band, refit=refit, hold=hold)
+        for t, token in enumerate(tokens):
+            values[row, t] = boot[token][0]
+            stack[slot, t] = boot[token][1:]
         if slot == group - 1 or k == rep_hi - 1:
-            held = stack[:slot + 1]
-            bounds = _coverage_bounds(held[:, :, 1:].reshape(-1, n_bootstrap), level)
+            bounds = _coverage_bounds(stack[:slot + 1].reshape(-1, n_bootstrap), level)
             lower, upper = bounds.reshape(2, slot + 1, n_tokens)
-            values[row - slot:row + 1] = held[:, :, 0]
             covered[row - slot:row + 1] = (lower <= target) & (target <= upper)
     return values, covered
 

@@ -8,7 +8,6 @@ from predictu import isotonic
 from predictu.errors import NumericError, ValidationError
 from predictu.fileio import ParseReport, _sniff_delimiter, write_csv
 from predictu.inference import (
-    _GROUP,
     _TAG_BOOTSTRAP,
     _TAG_PERMUTATION,
     ConfidenceInterval,
@@ -20,6 +19,8 @@ from predictu.inference import (
 from predictu.isotonic import pava, pava_rows
 from predictu.simulate import (
     DiseaseModel,
+    _coverage_bounds,
+    _draw_arms,
     _exposures,
     genotype_matrix,
     genotype_probabilities,
@@ -28,6 +29,7 @@ from predictu.risk_model import (
     CaseControlCounts,
     GenotypeId,
     _plugin_rows,
+    _trained_order,
     build_risk_table,
 )
 from predictu.summary_indices import (
@@ -296,37 +298,46 @@ def pair_kernel(n: int) -> np.ndarray:
     return np.sign(pos[:, None] - pos[None, :]).astype(float)
 
 
-# The resampling streams written out one group at a time: group k of
-# _GROUP replicates draws from its own stream [seed, tag, k], all its rows
-# of an arm in one call.  The references the group routines (on any
-# number of worker processes) must equal exactly.
+# The resampling streams written out one group at a time: at G genotypes a
+# group holds R(G) = max(GROUP_ROWS, GROUP_CELLS // G) replicates, and group
+# g of the stream key draws from [*key, g], all its rows of an arm in one
+# call.  The references the group routines (on any number of worker
+# threads) must equal exactly; a test that patches the group size of
+# ``inference`` patches these two as well.
+GROUP_ROWS = 8
+GROUP_CELLS = 1 << 14
 
 
-def _groups(plan: ResamplePlan):
-    """(stream, rows) of each replicate group, in order."""
-    for k, start in enumerate(range(0, plan.n_replicates, _GROUP)):
-        yield k, min(_GROUP, plan.n_replicates - start)
+def group_sizes(n: int, width: int):
+    """(index, rows) of each group of ``n`` replicates of ``width`` genotypes."""
+    size = max(GROUP_ROWS, GROUP_CELLS // width)
+    for g, start in enumerate(range(0, n, size)):
+        yield g, min(size, n - start)
+
+
+def bootstrap_rows_reference(case, control, key, n: int, width=None):
+    """``n`` stratified bootstrap count rows of the stream ``key``, in
+    groups of R(``width``), by default R(G) of the G columns: each group
+    draws its case rows, then its control rows, in one call each.
+
+    Resampling subjects with replacement within an arm is equivalent to
+    a multinomial draw over that arm's genotype frequencies.
+    """
+    boot_case, boot_control = [], []
+    for g, rows in group_sizes(n, width or case.size):
+        rng = np.random.default_rng([*key, g])
+        boot_case.append(rng.multinomial(case.sum(), case / case.sum(), size=rows))
+        boot_control.append(rng.multinomial(control.sum(), control / control.sum(), size=rows))
+    return np.concatenate(boot_case), np.concatenate(boot_control)
 
 
 def bootstrap_counts_reference(
     counts: CaseControlCounts, order, plan: ResamplePlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stratified bootstrap count matrices along the order, one replicate
-    per row.
-
-    Resampling subjects with replacement within an arm is equivalent to
-    a multinomial draw over that arm's genotype frequencies.  Each group
-    draws its case rows, then its control rows, in one call each.
-    """
+    per row."""
     case, control = _align_counts(counts, order)
-    boot_case, boot_control = [], []
-    for k, rows in _groups(plan):
-        rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP, k])
-        boot_case.append(rng.multinomial(counts.n_cases, case / counts.n_cases, size=rows))
-        boot_control.append(
-            rng.multinomial(counts.n_controls, control / counts.n_controls, size=rows)
-        )
-    return np.concatenate(boot_case), np.concatenate(boot_control)
+    return bootstrap_rows_reference(case, control, (plan.seed, _TAG_BOOTSTRAP), plan.n_replicates)
 
 
 def bootstrap_estimates_reference(
@@ -366,7 +377,7 @@ def permutation_draws_reference(counts, order, plan):
         np.random.default_rng([plan.seed, _TAG_PERMUTATION, k]).multivariate_hypergeometric(
             case + control, counts.n_cases, size=n
         )
-        for k, n in _groups(plan)
+        for k, n in group_sizes(plan.n_replicates, case.size)
     ]
     return np.concatenate(rows)
 
@@ -562,13 +573,13 @@ def replicate_rows_reference(
 ):
     """One replicate of the former ``simulate._replicate_chunk`` over the
     whole genotype grid: the count stacks (row 0 the test sample in the
-    trained order, rows 1.. its stratified bootstrap from ``rng_boot``),
-    the plug-in masses and risks, and the isotonic fit (None without
-    ``isotonic``)."""
+    trained order, rows 1.. its stratified bootstrap from the stream key
+    ``(seed, model_idx, k, 2)`` in groups of R(G_e), G_e the order
+    positions the test sample observed and the last one), the plug-in
+    masses and risks, and the isotonic fit (None without ``isotonic``)."""
     rho = population.rho
     rng_train = np.random.default_rng([seed, model_idx, k, 0])
     rng_test = np.random.default_rng([seed, model_idx, k, 1])
-    rng_boot = np.random.default_rng([seed, model_idx, k, 2])
 
     case_t = rng_train.multinomial(n_cases, population.cond_case)
     ctrl_t = rng_train.multinomial(n_controls, population.cond_control)
@@ -591,12 +602,11 @@ def replicate_rows_reference(
 
     case_e = case_s[order]
     ctrl_e = ctrl_s[order]
-    case_b = np.vstack(
-        [case_e, rng_boot.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)]
+    observed = np.count_nonzero(case_e + ctrl_e) + int(case_e[-1] + ctrl_e[-1] == 0)
+    boot_case, boot_ctrl = bootstrap_rows_reference(
+        case_e, ctrl_e, (seed, model_idx, k, 2), n_bootstrap, width=observed
     )
-    ctrl_b = np.vstack(
-        [ctrl_e, rng_boot.multinomial(n_controls, ctrl_e / n_controls, size=n_bootstrap)]
-    )
+    case_b, ctrl_b = np.vstack([case_e, boot_case]), np.vstack([ctrl_e, boot_ctrl])
     p, r = _plugin_rows(case_b, ctrl_b, rho)
     fit = pava_rows(r.copy(), p) if isotonic else None
     return case_b, ctrl_b, p, r, fit
@@ -627,13 +637,14 @@ def replicate_chunk_reference(
     rep_hi,
     observed=False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Former ``simulate._replicate_chunk``, which drew its own stratified
-    bootstrap rows from ``rng_boot`` and evaluated every column of the
-    grid: the reference whose coverage the harness must equal and whose
-    means it must match to rounding.  With ``observed``, it evaluates its
-    whole stack at once over the order positions the test sample
-    observed and the last one, as the harness does in blocks: then the
-    harness must equal it bit for bit."""
+    """A whole-stack ``simulate._replicate_chunk`` on the rows of
+    ``replicate_rows_reference``, each index evaluated in float on every
+    column of the grid: the reference whose coverage the harness must
+    equal and whose means it must match to rounding.  With ``observed``,
+    it evaluates its whole stack at once over the order positions the
+    test sample observed and the last one, as the harness does group by
+    group: then the harness must equal it bit for bit, bar U and U_std
+    without a refit, which the harness takes from the integer kernel."""
     rho = population.rho
     n_tokens = len(tokens)
     values = np.empty((rep_hi - rep_lo, n_tokens))
@@ -658,4 +669,70 @@ def replicate_chunk_reference(
             if reps.size:
                 ci = percentile_ci(reps, level)
                 covered[row, t] = ci.lower <= truth[token] <= ci.upper
+    return values, covered
+
+
+def replicate_chunk_blocks_reference(
+    population,
+    tokens,
+    band,
+    n_cases,
+    n_controls,
+    isotonic,
+    n_bootstrap,
+    level,
+    truth,
+    seed,
+    model_idx,
+    rep_lo,
+    rep_hi,
+    stream=lambda seed, model_idx, k: [seed, model_idx, k, 2],
+    block_cells=1 << 16,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Former ``simulate._replicate_chunk``, which drew its own bootstrap
+    rows: all B case rows of a replicate in one call from ``stream``, then
+    its control rows from the same stream a block of at most
+    ``block_cells`` cells at a time, each block (row 0 the test curve)
+    evaluated by the float index rows before the next was drawn.
+
+    At one block its rows are those of one replicate group, so handed a
+    group's stream it is the oracle of the harness: every index but U and
+    U_std equal bit for bit, and U and U_std (which the harness now takes
+    from the integer kernel unless it refits) equal to rounding.
+    """
+    rho = population.rho
+    n_tokens = len(tokens)
+    values = np.empty((rep_hi - rep_lo, n_tokens))
+    covered = np.empty((rep_hi - rep_lo, n_tokens), dtype=bool)
+    target = np.array([truth[token] for token in tokens])
+    stack = np.empty((n_tokens, n_bootstrap + 1))
+    for row, k in enumerate(range(rep_lo, rep_hi)):
+        case_t, ctrl_t = _draw_arms(population, n_cases, n_controls, [seed, model_idx, k, 0])
+        case_s, ctrl_s = _draw_arms(population, n_cases, n_controls, [seed, model_idx, k, 1])
+        _, r_train = _plugin_rows(case_t, ctrl_t, rho)
+        _, r_test = _plugin_rows(case_s, ctrl_s, rho)
+        seen = np.flatnonzero(case_t + ctrl_t)
+        order = _trained_order(seen[np.argsort(r_train[seen], kind="stable")], r_test)
+        keep = (case_s + ctrl_s)[order] > 0
+        keep[-1] = True
+        cols = order[keep]
+        case_e, ctrl_e = case_s[cols], ctrl_s[cols]
+        rng = np.random.default_rng(stream(seed, model_idx, k))
+        boot_case = rng.multinomial(n_cases, case_e / n_cases, size=n_bootstrap)
+        step = max(1, block_cells // cols.size)
+        for lo in range(0, n_bootstrap + 1, step):
+            hi = min(lo + step, n_bootstrap + 1)
+            case_b = boot_case[max(lo - 1, 0):hi - 1]
+            ctrl_b = rng.multinomial(n_controls, ctrl_e / n_controls, size=hi - max(lo, 1))
+            if lo == 0:
+                case_b, ctrl_b = np.vstack([case_e, case_b]), np.vstack([ctrl_e, ctrl_b])
+            p, r = _plugin_rows(case_b, ctrl_b, rho)
+            if isotonic:
+                pava_rows(r, p)
+            block = _index_rows(p, r, rho, tokens, band)
+            for t, token in enumerate(tokens):
+                stack[t, lo:hi] = block[token]
+        lower, upper = _coverage_bounds(stack[:, 1:], level)
+        values[row] = stack[:, 0]
+        covered[row] = (lower <= target) & (target <= upper)
     return values, covered

@@ -15,7 +15,7 @@ from predictu.cli import main
 from predictu.fileio import parse_subject_file, read_json, run_provenance, write_json
 from predictu.risk_model import CaseControlCounts, GenotypeId
 
-from conftest import first_chunk_rows, write_counts_csv
+from conftest import first_chunk_rows, group_sizes, write_counts_csv
 
 COUNTS = "genotype_id,n_case,n_control\ng0,5,45\ng1,6,24\ng2,10,10\n"
 SUBJECTS = (
@@ -421,8 +421,11 @@ def test_summarize_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
     path = tmp_path / "counts.csv"
     rows = [f"g{i},{3 + (7 * i) % 11},{2 + (5 * i) % 13}" for i in range(30)]
     path.write_text("genotype_id,n_case,n_control\n" + "\n".join(rows) + "\n")
-    args = ["summarize", str(path), "--rho", "0.1", "--indices", "u,upartialstd",
-            "--band", "0.8:1", "--bootstrap", "100", "--permutation", "99", "--seed", "4"]
+    # six groups of R(30) = 546 replicates, the last short: two a thread on three
+    n = 2780
+    assert len(list(group_sizes(n, 30))) == len(list(group_sizes(n - 1, 30))) == 6
+    args = ["summarize", str(path), "--rho", "0.1", "--indices", "u,upartialstd", "--band", "0.8:1",
+            "--bootstrap", str(n), "--permutation", str(n - 1), "--seed", "4"]
     names = ("indices.json", "inference.json", "curve.csv")
 
     def run(tag, *extra):
@@ -451,7 +454,8 @@ def test_workers_are_capped_at_the_available_cpus(monkeypatch):
     assert parallel.map_ranges(record, 1, 10**6) == [(0, 1)]
 
 
-_SUMMARIZE = ["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "20", "--permutation", "19"]
+# two groups of R(3) = 5,461 replicates each pass, so two workers start a thread
+_SUMMARIZE = ["summarize", "{counts}", "--rho", "0.21", "--bootstrap", "6000", "--permutation", "5999"]
 _SIMULATE = ["simulate", "--preset", "smoke", "--replicates", "6", "--n-cases", "60",
              "--n-controls", "60", "--bootstrap", "20", "--isotonic", "--workers", "2"]
 

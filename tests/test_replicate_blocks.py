@@ -2,10 +2,10 @@
 
 The references in conftest draw all rows of an arm of each replicate
 group in one call.  The group routines must reproduce their draws,
-estimates and p-values exactly, over any range of groups, at the fixed
-group size and at groups of one and three rows, and at any worker
-count; their memory must neither grow with B nor exceed a fixed bound
-at large G.
+estimates and p-values exactly, over any range of groups, at the
+default group size R(G) and at groups of one and three rows, and at any
+worker count; their memory must neither grow with B nor exceed a fixed
+bound at large G.
 """
 
 import os
@@ -22,10 +22,12 @@ from predictu import inference, parallel
 from predictu.errors import NumericError, ValidationError
 from predictu.inference import (
     _GROUP,
+    _GROUP_CELLS,
     _TAG_BOOTSTRAP,
     ResamplePlan,
     _align_counts,
     _bootstrap_group,
+    _bootstrap_values,
     _contract,
     bootstrap_ci,
     bootstrap_estimates,
@@ -36,6 +38,7 @@ from predictu.risk_model import CaseControlCounts, GenotypeId
 from conftest import (
     bootstrap_counts_reference,
     bootstrap_estimates_reference,
+    group_sizes,
     permutation_draws_reference,
     permutation_test_reference,
     random_case,
@@ -53,18 +56,18 @@ def group_rows(request, monkeypatch):
     REPLICATES; groups of one row make every replicate its own stream.
     """
     rows = 3 if request.param == "three_rows" else 1
-    monkeypatch.setattr(inference, "_GROUP", rows)
-    monkeypatch.setattr(conftest, "_GROUP", rows)
+    for module, size, cells in ((inference, "_GROUP", "_GROUP_CELLS"),
+                                (conftest, "GROUP_ROWS", "GROUP_CELLS")):
+        monkeypatch.setattr(module, size, rows)
+        monkeypatch.setattr(module, cells, 1)
     return rows
 
 
 def _group_draws(counts, order, plan):
     """Every group's rows from ``_bootstrap_group``, concatenated."""
     case, control = _align_counts(counts, order)
-    group = inference._GROUP
     got_case, got_control = [], []
-    for k, start in enumerate(range(0, plan.n_replicates, group)):
-        n_rows = min(group, plan.n_replicates - start)
+    for k, n_rows in group_sizes(plan.n_replicates, len(order)):
         rng = np.random.default_rng([plan.seed, _TAG_BOOTSTRAP, k])
         boot_case, boot_control = _bootstrap_group(case, control, rng, n_rows)
         assert boot_case.shape == boot_control.shape == (n_rows, len(order))
@@ -78,7 +81,7 @@ def _check_case(counts, order, rng, seed):
     rho = counts.rho
     scale = 2.0 * rho * (1.0 - rho) / (counts.n_cases * counts.n_controls)
     observed = abs(int(_contract(case, control)))
-    group = inference._GROUP
+    group = max(inference._GROUP, inference._GROUP_CELLS // len(order))
     for n_replicates in REPLICATES:
         plan = ResamplePlan(n_replicates, seed=seed)
         want_case, want_control = bootstrap_counts_reference(counts, order, plan)
@@ -110,7 +113,8 @@ def _check_case(counts, order, rng, seed):
         )
 
         # a worker's range of groups covers exactly the reference rows of
-        # those groups, whichever groups it starts and ends at
+        # those groups, whichever groups it starts and ends at, led by the
+        # point when it starts at group 0
         n_groups = -(-n_replicates // group)
         perm_case = permutation_draws_reference(counts, order, plan)
         perm_stats = np.abs(_contract(perm_case, (case + control)[None, :] - perm_case))
@@ -129,12 +133,13 @@ def _check_case(counts, order, rng, seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parallel, "map_ranges", one_range)
             permutation_test(counts, order, plan)
-            bootstrap_estimates(counts, order, plan, ("u",))
+            values = _bootstrap_values(case, control, (seed, _TAG_BOOTSTRAP), n_replicates, rho,
+                                       ("u",), None)
         hits, parts = ran
         assert hits == int(np.count_nonzero(perm_stats[rows] >= observed))
         assert all(list(part) == ["u"] for part in parts)
-        values = np.concatenate([part["u"] for part in parts])
-        np.testing.assert_array_equal(values, boot_values[rows])
+        point = [scale * int(_contract(case, control))] if lo == 0 else []
+        np.testing.assert_array_equal(values["u"], np.concatenate([point, boot_values[rows]]))
 
 
 def _boundary_case(n_cases, spread):
@@ -244,6 +249,12 @@ def test_resampling_memory_is_bounded_at_large_g():
     assert peak < 2 * 16 * 2**20, f"peak {peak / 2**20:.1f} MiB on two threads"
 
 
+# at G = 40 a group holds R(40) = 409 replicates; 16 groups give each of
+# up to eight threads two groups, and the last group is short
+INVARIANCE_GROUPS = 16
+INVARIANCE_REPLICATES = (INVARIANCE_GROUPS - 1) * max(_GROUP, _GROUP_CELLS // 40) + 5
+
+
 def _invariance_case():
     rng = np.random.default_rng(29)
     g = 40
@@ -253,7 +264,9 @@ def _invariance_case():
         n_control=rng.integers(0, 30, g),
         rho=0.1,
     )
-    return counts, counts.genotypes[::-1], ResamplePlan(4 * _GROUP + 5, seed=8)
+    plan = ResamplePlan(INVARIANCE_REPLICATES, seed=8)
+    assert len(list(group_sizes(plan.n_replicates, g))) == INVARIANCE_GROUPS
+    return counts, counts.genotypes[::-1], plan
 
 
 def _results(counts, order, plan, workers):
@@ -296,7 +309,7 @@ def test_threaded_resampling_runs_from_a_script_on_stdin():
         "counts = CaseControlCounts(\n"
         "    genotypes=tuple(GenotypeId(i, f'g{i}') for i in range(40)),\n"
         "    n_case=rng.integers(0, 30, 40), n_control=rng.integers(0, 30, 40), rho=0.1)\n"
-        f"plan = ResamplePlan({4 * _GROUP + 5}, seed=8)\n"
+        f"plan = ResamplePlan({INVARIANCE_REPLICATES}, seed=8)\n"
         "print(repr(bootstrap_ci(counts, counts.genotypes[::-1], plan, workers=2)))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))

@@ -16,7 +16,6 @@ from predictu import cli, inference
 from predictu.errors import NumericError
 from predictu.fileio import parse_counts_file, read_json
 from predictu.inference import (
-    _GROUP,
     Method,
     ResamplePlan,
     UEstimate,
@@ -41,7 +40,7 @@ from predictu.summary_indices import (
     u_statistic,
 )
 
-from conftest import bootstrap_counts_reference, percentile_ci, random_case, same
+from conftest import bootstrap_counts_reference, group_sizes, percentile_ci, random_case, same
 
 
 def old_bootstrap_ci(counts, order, plan, level=0.95):
@@ -131,7 +130,7 @@ def test_summarize_draws_once(monkeypatch, tmp_path):
     assert code == 0
     # each replicate group is drawn once, for the global and the partial U
     # (groups on different threads may record their streams in any order)
-    assert sorted(calls) == [[3, 101, g] for g in range(-(-50 // _GROUP))]
+    assert sorted(calls) == [[3, 101, g] for g, _ in group_sizes(50, 3)]
     doc = read_json(out / "inference.json")
     counts, _ = parse_counts_file(path, rho=0.21)
     order = estimate_risk_table(counts).genotypes
@@ -200,9 +199,9 @@ def test_every_token_is_the_index_of_the_drawn_smoothed_rows(laplace):
                 bootstrap_estimates(counts, order, plan, INDEX_TOKENS, band, laplace=laplace)
             except NumericError:
                 pass  # a token with no finite replicate; its values were recorded
-        # every pass but the last, which is the point
-        parts = [part for rows in passes[:-1] for part in rows]
-        got = {token: np.concatenate([part[token] for part in parts]) for token in INDEX_TOKENS}
+        # every row but the first, which is the point
+        parts = [part for rows in passes for part in rows]
+        got = {token: np.concatenate([part[token] for part in parts])[1:] for token in INDEX_TOKENS}
 
         boot_case, boot_control = bootstrap_counts_reference(counts, order, plan)
         g = len(order)

@@ -7,13 +7,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import conftest
 from predictu import NumericError, ValidationError
-from predictu import parallel
+from predictu import inference, parallel
 from predictu import simulate as sim
 from predictu.risk_model import (
     GenotypeId,
@@ -22,6 +24,7 @@ from predictu.risk_model import (
     estimate_risk_table,
 )
 from predictu.summary_indices import (
+    _DEFAULT_TOKENS,
     INDEX_TOKENS,
     average_entropy,
     partial_u,
@@ -37,6 +40,7 @@ from conftest import (
     penetrance_model_reference,
     recentred_reference,
     refit_rows_one_by_one,
+    replicate_chunk_blocks_reference,
     replicate_chunk_reference,
     replicate_rows_reference,
 )
@@ -549,69 +553,99 @@ def test_isotonic_harness_matches_row_by_row_refit(monkeypatch, indices, band):
     assert batched == sim.run_bias_coverage(populations, **kwargs)
 
 
-def _recorded_replicates(monkeypatch, populations, kwargs):
-    """Reports of one harness run and, per replicate, the count rows,
-    plug-in curves and refit it worked on, each joined over the blocks it
-    drew, and the number of those blocks."""
-    plugin, refit = sim._plugin_rows, sim.pava_rows
-    rows = []
+def _group_rows(patch, rows):
+    """Replicate groups of ``rows`` rows in the harness and the references
+    alike; None keeps the default R(G_e)."""
+    if rows is not None:
+        for module, size, cells in ((inference, "_GROUP", "_GROUP_CELLS"),
+                                    (conftest, "GROUP_ROWS", "GROUP_CELLS")):
+            patch.setattr(module, size, rows)
+            patch.setattr(module, cells, 1)
 
-    def record_plugin(case, control, rho):
-        p, r = plugin(case, control, rho)
-        if np.ndim(case) == 2:
-            for name, block in (("case", case), ("control", control), ("p", p), ("r", r)):
-                rows[-1].setdefault(name, []).append(block.copy())
-        elif not rows or "case" in rows[-1]:
-            rows.append({})  # the training sample's curve opens a replicate
+
+def _assert_same_reports(got, want, isotonic):
+    """Equal reports, but without a refit the harness takes U and U_std from
+    the integer kernel and the references from the float index rows, so
+    their mean, sd and bias agree to rounding."""
+    for a, b in zip(got, want, strict=True):
+        if isotonic or a.index_name not in ("U", "U_std"):
+            assert repr(a) == repr(b)  # NaN fields compare equal
+            continue
+        assert replace(a, mean=b.mean, sd=b.sd, pct_bias=b.pct_bias) == b
+        np.testing.assert_allclose([a.mean, a.sd], [b.mean, b.sd], rtol=1e-12)
+        np.testing.assert_allclose(a.pct_bias, b.pct_bias, rtol=1e-9)
+
+
+def _recorded_replicates(monkeypatch, populations, kwargs):
+    """Reports of one harness run; per replicate, the count rows, plug-in
+    curves and refit it evaluated, row 0 its test curve and rows 1.. its
+    bootstrap replicates; and the rows of every bootstrap group drawn."""
+    plugin, refit, draw = inference._plugin_rows, sim.pava_rows, inference._bootstrap_group
+    rows = {name: [] for name in ("case", "control", "p", "r", "fit")}
+    groups = []
+
+    def record_plugin(case, control, rho, laplace):
+        p, r = plugin(case, control, rho, laplace)
+        for name, block in (("case", case), ("control", control), ("p", p), ("r", r)):
+            rows[name].extend(block.copy())
         return p, r
 
     def record_refit(risks, weights):
-        rows[-1].setdefault("fit", []).append(refit(risks, weights).copy())
+        rows["fit"].extend(refit(risks, weights).copy())
         return risks
 
+    def record_draw(case, control, rng, n_rows, lead):
+        groups.append(n_rows)
+        return draw(case, control, rng, n_rows, lead)
+
     with monkeypatch.context() as patch:
-        patch.setattr(sim, "_plugin_rows", record_plugin)
+        patch.setattr(inference, "_plugin_rows", record_plugin)
+        patch.setattr(inference, "_bootstrap_group", record_draw)
         patch.setattr(sim, "pava_rows", record_refit)
         reports = sim.run_bias_coverage(populations, **kwargs)
+    n = kwargs["n_bootstrap"] + 1
     joined = [
-        {name: np.vstack(blocks) for name, blocks in rep.items()} | {"blocks": len(rep["case"])}
-        for rep in rows
+        {name: np.array(kind[i:i + n]) for name, kind in rows.items() if kind}
+        for i in range(0, len(rows["case"]), n)
     ]
-    return reports, joined
+    return reports, joined, groups
 
 
 def test_harness_matches_the_parent_replicate_draws(monkeypatch):
     # a replicate keeps the order positions its test sample observed and
     # the last one; the reference keeps the whole grid, whose dropped
-    # columns are 0 in every row, so only the index sums regroup; blocks
-    # of one row, of seven or more (81 genotypes at most) and the default
-    # draw and evaluate the same rows as the reference's one stack
+    # columns are 0 in every row, so only the index sums regroup; groups
+    # of one row, of seven and the default draw the reference's rows
     populations = [sim.preset("sim1_h005"), sim.preset("sim2_rr6")]
     base = dict(n_replicates=10, n_cases=300, n_controls=150, seed=23, n_bootstrap=40, workers=1)
     runs = [
-        (cells, dict(base, **extra))
-        for cells in (1, 7 * 81, sim._BLOCK_CELLS)
+        (size, dict(base, **extra))
+        for size in (1, 7, None)
         for extra in (
             dict(), dict(isotonic=True), dict(indices=INDEX_TOKENS, band=(0.8, 1.0), isotonic=True)
         )
     ]
-    for cells, kwargs in runs:
-        monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
-        reports, rows = _recorded_replicates(monkeypatch, populations, kwargs)
-        refs = [
-            replicate_rows_reference(
-                sim.build_population(pop), 300, 150, kwargs.get("isotonic", False), 40, 23, m, k
-            )
-            for m, pop in enumerate(populations)
-            for k in range(10)
-        ]
+    for size, kwargs in runs:
+        isotonic = kwargs.get("isotonic", False)
+        with monkeypatch.context() as patch:
+            _group_rows(patch, size)
+            reports, rows, groups = _recorded_replicates(monkeypatch, populations, kwargs)
+            refs = [
+                replicate_rows_reference(sim.build_population(pop), 300, 150, isotonic, 40, 23, m, k)
+                for m, pop in enumerate(populations)
+                for k in range(10)
+            ]
+            sizes = []
+            for ref in refs:
+                keep = ref[0][0] + ref[1][0] > 0
+                keep[-1] = True
+                sizes += [n for _, n in conftest.group_sizes(40, int(keep.sum()))]
+        assert groups == sizes
         assert len(rows) == len(refs)
         for got, (case_b, ctrl_b, p, r, fit) in zip(rows, refs):
             keep = case_b[0] + ctrl_b[0] > 0
             keep[-1] = True
             assert keep.sum() < keep.size
-            step = max(1, cells // keep.sum())
-            assert got["blocks"] == -(-41 // step)
             for name, full in (("case", case_b), ("control", ctrl_b), ("p", p), ("r", r), ("fit", fit)):
                 if full is None:
                     assert name not in got
@@ -620,6 +654,7 @@ def test_harness_matches_the_parent_replicate_draws(monkeypatch):
                 assert not full[:, ~keep].any()
 
         with monkeypatch.context() as patch:
+            _group_rows(patch, size)
             patch.setattr(sim, "_replicate_chunk", replicate_chunk_reference)
             want = sim.run_bias_coverage(populations, **kwargs)
         for a, b in zip(reports, want, strict=True):
@@ -629,27 +664,59 @@ def test_harness_matches_the_parent_replicate_draws(monkeypatch):
             np.testing.assert_allclose([a.mean, a.sd, a.pct_bias], [b.mean, b.sd, b.pct_bias], rtol=1e-12)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("cells", [1, 7 * 81, sim._BLOCK_CELLS], ids=["1-row", "7-row", "default"])
-@pytest.mark.parametrize(
+_HARNESS_INPUTS = pytest.mark.parametrize(
     "kwargs",
     [dict(), dict(isotonic=True), dict(indices=INDEX_TOKENS, band=(0.8, 1.0), isotonic=True)],
     ids=["plain", "isotonic", "band"],
 )
-def test_block_wise_harness_equals_the_one_stack_harness(monkeypatch, kwargs, cells, workers):
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("size", [1, 7, None], ids=["1-row", "7-row", "default"])
+@_HARNESS_INPUTS
+def test_block_wise_harness_equals_the_one_stack_harness(monkeypatch, kwargs, size, workers):
+    # the harness evaluates a replicate group by group; the reference draws
+    # the same groups and evaluates the whole stack at once
     populations = [sim.preset("sim1_h005"), sim.preset("sim2_rr6")]
     kwargs = dict(kwargs, n_replicates=6, n_cases=300, n_controls=150, seed=29, n_bootstrap=40)
+    _group_rows(monkeypatch, size)
     with monkeypatch.context() as patch:
         one_stack = functools.partial(replicate_chunk_reference, observed=True)
         patch.setattr(sim, "_replicate_chunk", one_stack)
         want = sim.run_bias_coverage(populations, workers=1, **kwargs)
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
-    assert sim.run_bias_coverage(populations, workers=workers, **kwargs) == want
+    got = sim.run_bias_coverage(populations, workers=workers, **kwargs)
+    _assert_same_reports(got, want, kwargs.get("isotonic", False))
+
+
+@pytest.mark.parametrize("block_cells", [1, 7 * 81, 1 << 16], ids=["1-row", "7-row", "one"])
+@_HARNESS_INPUTS
+def test_harness_equals_the_former_block_loop_on_its_group_stream(kwargs, block_cells):
+    # B = 40 bootstrap rows of at most 81 genotypes fit one group, whose
+    # stream the former block loop draws its case rows, then its control
+    # rows, from; at any block size it must give the harness's values and
+    # coverage bits, U and U_std to rounding where the harness takes them
+    # from the integer kernel
+    tokens = kwargs.get("indices", _DEFAULT_TOKENS)
+    band, isotonic = kwargs.get("band"), kwargs.get("isotonic", False)
+    for m, name in enumerate(("sim1_h005", "sim2_rr6")):
+        population = sim.build_population(sim.preset(name))
+        args = (population, tokens, band, 300, 150, isotonic, 40, 0.95,
+                sim._true_values(population, tokens, band), 31, m, 0, 12)
+        values, covered = sim._replicate_chunk(*args)
+        want_values, want_covered = replicate_chunk_blocks_reference(
+            *args, stream=lambda seed, m, k: [seed, m, k, 2, 0], block_cells=block_cells
+        )
+        assert np.array_equal(covered, want_covered)
+        for t, token in enumerate(tokens):
+            if isotonic or token not in ("u", "ustd"):
+                assert np.array_equal(values[:, t], want_values[:, t]), token
+            else:
+                np.testing.assert_allclose(values[:, t], want_values[:, t], rtol=1e-13)
 
 
 @pytest.mark.parametrize(
     "seed, finite_counts, coverage",
-    [(1, [14, 20, 0, 20, 16], 40.0), (3, [19, 16, 18, 11, 17], 100.0)],
+    [(301, [14, 20, 16, 20, 0], 60.0), (3, [19, 11, 15, 15, 17], 100.0)],
 )
 def test_row_wise_coverage_equals_the_per_token_intervals_with_non_finite_replicates(
     monkeypatch, seed, finite_counts, coverage
@@ -673,18 +740,18 @@ def test_row_wise_coverage_equals_the_per_token_intervals_with_non_finite_replic
 
     monkeypatch.setattr(sim, "_coverage_bounds", recorded)
     got = sim.run_bias_coverage([sim.preset("smoke")], **kwargs)
-    assert repr(got) == repr(want)
+    _assert_same_reports(got, want, isotonic=False)
     # replicate by replicate, the finite bootstrap values of U and U_partial_std
     assert finite == [n for count in finite_counts for n in (20, count)]
     assert got[1].pct_coverage == coverage
-    assert np.isnan(got[1].mean) == (seed == 1)
+    assert np.isnan(got[1].mean) == (seed == 301)
 
 
 def _harness_peak_bytes(population, n_bootstrap) -> int:
     tracemalloc.start()
     try:
         sim.run_bias_coverage(
-            [population], n_replicates=1, n_cases=2000, n_controls=2000,
+            [population], n_replicates=1, n_cases=2000, n_controls=2000, isotonic=True,
             n_bootstrap=n_bootstrap, seed=5, workers=1,
         )
         return tracemalloc.get_traced_memory()[1]
@@ -692,22 +759,23 @@ def _harness_peak_bytes(population, n_bootstrap) -> int:
         tracemalloc.stop()
 
 
-def test_harness_memory_grows_only_by_the_case_draw():
-    # seven additive loci, 2,187 genotypes: a 4,000-subject test sample
-    # observes hundreds, so 800 bootstrap rows span many blocks; only the
-    # (B, G_e) case draw may grow with B, by 8 bytes a cell
-    mafs = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5)
-    rrs = (1.3, 1.25, 1.2, 1.15, 1.1, 1.3, 1.2)
+def test_harness_memory_is_flat_in_the_bootstrap_count():
+    # nine additive loci, 19,683 genotypes: a 4,000-subject test sample
+    # observes thousands, so a replicate draws 8-row groups, and its peak
+    # must not grow with B; drawing all B case rows at once, as the block
+    # loop did, would add 1,200 rows of G_e cells, 8 bytes each: 20 MiB
+    mafs = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.35, 0.45)
+    rrs = (1.3, 1.25, 1.2, 1.15, 1.1, 1.3, 1.2, 1.3, 1.1)
     snps = [sim.SnpSpec(maf, rr=rr) for maf, rr in zip(mafs, rrs)]
     population = sim.build_population(sim.penetrance_model(snps, target_rho=0.05))
     rng = np.random.default_rng([5, 0, 0, 1])
     observed = np.count_nonzero(
         rng.multinomial(2000, population.cond_case) + rng.multinomial(2000, population.cond_control)
     )
-    assert observed * 100 > sim._BLOCK_CELLS
-    small, large = (_harness_peak_bytes(population, b) for b in (100, 800))
-    extra_case_rows = 700 * (observed + 1) * 8
-    assert large - small <= 1.5 * extra_case_rows, (small, large, extra_case_rows)
+    assert inference._GROUP_CELLS // observed <= inference._GROUP
+    _harness_peak_bytes(population, 2)  # first-call set-up stays out of the comparison
+    small, large = (_harness_peak_bytes(population, b) for b in (400, 1600))
+    assert abs(large - small) <= 2**20, (small, large, observed)
 
 
 def test_zero_categories_before_the_last_consume_no_multinomial_draw():
