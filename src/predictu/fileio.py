@@ -30,7 +30,7 @@ timestamps, no environment-dependent fields.
 from __future__ import annotations
 
 import csv
-import hashlib
+import importlib
 import io
 import json
 import re
@@ -524,6 +524,26 @@ def parse_counts_file(path, rho: float, *, opened=None):
 # provenance
 
 
+def _builtin_sha256():
+    """CPython's own SHA-256 constructor, ``hashlib.sha256`` only without it.
+
+    ``hashlib`` maps OpenSSL's libcrypto (about 3.5 MiB of RSS) to hash a
+    config of a few hundred bytes; the interpreter's built-in module
+    (``_sha2`` from 3.12, ``_sha256`` before) gives the same digest.
+    """
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+
+    return sha256
+
+
+_SHA256 = _builtin_sha256()
+
+
 def run_provenance(config: dict, seed: int | None) -> dict:
     """Provenance block for output artifacts.
 
@@ -539,7 +559,7 @@ def run_provenance(config: dict, seed: int | None) -> dict:
         for k, v in sorted(config.items())
         if k not in ("out", "command", "workers") and v is not None
     }
-    digest = hashlib.sha256(
+    digest = _SHA256(
         json.dumps(reduced, sort_keys=True, default=str).encode()
     ).hexdigest()
     return {

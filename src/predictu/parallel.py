@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = ["available_cpus", "map_ranges"]
@@ -42,9 +40,9 @@ def map_ranges(fn, n_items: int, workers: int | None) -> list:
     workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
-    n_jobs = min(workers, n_items, available_cpus())
-    bounds = np.linspace(0, n_items, n_jobs + 1).astype(int)
-    ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    n_jobs = max(1, min(workers, n_items, available_cpus()))
+    bounds = [n_items * k // n_jobs for k in range(n_jobs + 1)]
+    ranges = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
     # imported only where a pool starts, so a run on one worker never loads it

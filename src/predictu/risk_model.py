@@ -40,14 +40,15 @@ MASS_TOL = 1e-9
 _COUNT_LIMIT = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenotypeId:
     """Identifier for one multi-locus genotype.
 
     ``index`` is a small integer assigned at table construction;
     ``label`` carries the genotype spelling (e.g. ``"0/1/2/0"``) when one
     is known.  Matching across datasets, equality and hashing use
-    ``key``: the label when present, otherwise the index.
+    ``key``: the label when present, otherwise the index.  A table holds
+    one per genotype, so it is slotted: no per-instance dict.
     """
 
     index: int

@@ -30,9 +30,11 @@ all its replicates.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import count
 
 import numpy as np
 
@@ -282,14 +284,45 @@ def heritability(model: DiseaseModel) -> float:
     return _h2(genotype_probabilities(model.snps), model.penetrance)
 
 
+def _clip_shift(base: np.ndarray, probs: np.ndarray, target: float) -> float:
+    """The shift d with sum(probs clip(base + d, 0, 1)) = target, up to rounding.
+
+    The sum is nondecreasing and piecewise linear in d, with a knot where
+    an entry leaves 0 (d = -base) and where it reaches 1 (d = 1 - base):
+    one sweep over the sorted knots finds the piece that crosses the target.
+    """
+    knots = np.concatenate([-base, 1.0 - base])
+    order = np.argsort(knots, kind="stable")
+    t = knots[order]
+    slope = np.cumsum(np.concatenate([probs, -probs])[order])
+    at_knots = np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(t))])
+    j = min(max(int(np.searchsorted(at_knots, target)) - 1, 0), t.size - 2)
+    return float(t[j] + (target - at_knots[j]) / slope[j]) if slope[j] > 0 else float(t[j])
+
+
 def _recentred(pen0: np.ndarray, probs: np.ndarray, rho: float, s: float) -> np.ndarray:
-    """Penetrance spread scaled by s around rho, clipped, mean pinned to rho."""
+    """Penetrance spread scaled by s around rho, clipped, mean pinned to rho.
+
+    The shift is the bisection's on [-1 - |s|, 1 + |s|], to the bit, with
+    few evaluations.  ``below`` is monotone, so once ``below(a)`` and not
+    ``below(b)`` hold, every step outside (a, b) is known.  [a, b] starts
+    one ulp of the sweep's shift plus one of rho (the scale of the rounding
+    of the mean) either side of it and widens 16-fold until it holds; a
+    shift outside the bracket, or not finite, starts it at 0.
+    """
     base = rho + s * (pen0 - rho)
-    lo, hi = _bisect(
-        lambda delta: float(probs @ np.clip(base + delta, 0.0, 1.0)) < rho,
-        -1.0 - abs(s),
-        1.0 + abs(s),
-    )
+
+    def below(delta: float) -> bool:
+        return float(probs @ np.clip(base + delta, 0.0, 1.0)) < rho
+
+    lo, hi = -1.0 - abs(s), 1.0 + abs(s)
+    guess = _clip_shift(base, probs, rho)
+    if not lo < guess < hi:
+        guess = 0.0
+    unit = math.ulp(guess) + math.ulp(rho)
+    a = next(x for x in (guess - unit * 16.0**k for k in count()) if x <= lo or below(x))
+    b = next(x for x in (guess + unit * 16.0**k for k in count()) if x >= hi or not below(x))
+    lo, hi = _bisect(lambda delta: delta <= a or (delta < b and below(delta)), lo, hi)
     return np.clip(base + 0.5 * (lo + hi), 0.0, 1.0)
 
 
@@ -318,14 +351,15 @@ def calibrate_heritability(model: DiseaseModel, target_h2: float) -> DiseaseMode
     def h2_at(s: float) -> float:
         return _h2(probs, _recentred(pen0, probs, rho, s))
 
-    hi = 1.0
-    while h2_at(hi) < target_h2:
-        if h2_at(2.0 * hi) - h2_at(hi) < 1e-12:
+    hi, h2_hi = 1.0, h2_at(1.0)
+    while h2_hi < target_h2:
+        h2_next = h2_at(2.0 * hi)
+        if h2_next - h2_hi < 1e-12:
             raise NumericError(
                 f"heritability target {target_h2} unreachable; "
-                f"clipping saturates near {h2_at(hi):.6g}"
+                f"clipping saturates near {h2_hi:.6g}"
             )
-        hi *= 2.0
+        hi, h2_hi = 2.0 * hi, h2_next
     lo, hi = _bisect(lambda s: h2_at(s) < target_h2, 0.0, hi)
     s = 0.5 * (lo + hi)
     return replace(model, penetrance=_recentred(pen0, probs, rho, s), target_h2=float(target_h2))

@@ -237,27 +237,62 @@ def test_cli_import_and_curve_leave_scipy_special_unloaded(counts_file, tmp_path
     assert res.stdout.splitlines()[-1] == "[False, False, False]"
 
 
-def test_curve_leaves_the_modules_of_other_subcommands_unloaded(counts_file, tmp_path):
-    # yaml serves simulate, the pool modules more than one worker and
-    # statistics the asymptotic interval; every layer module still loads
-    # with predictu.cli, where an in-process tracer looks them up
-    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = ["curve", counts_file, "--rho", "0.21", "--out", str(tmp_path / "run")]
-    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "predictu.cli", *argv],
-                         env=env, capture_output=True, text=True, check=True)
-    loaded = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
-              if line.startswith("import time:")}
-    assert {"numpy", "predictu.fileio"} <= loaded
-    assert not loaded & {"yaml", "multiprocessing", "concurrent.futures", "statistics"}
+# yaml serves simulate, the pool modules more than one worker, statistics
+# the asymptotic interval and _hashlib (OpenSSL's libcrypto) numpy.random's
+# seeding; a subcommand that resamples nothing needs none of them, as the
+# provenance digest is CPython's own SHA-256
+_RESAMPLING_MODULES = {"yaml", "multiprocessing", "concurrent.futures", "statistics", "_hashlib"}
 
+
+def _modules_loaded_by(argv):
+    """The modules ``python -m predictu.cli *argv`` imports, from -X importtime."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "predictu.cli", *argv],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True)
+    return {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_curve_leaves_the_modules_of_other_subcommands_unloaded(counts_file, tmp_path):
+    # every layer module still loads with predictu.cli, where an in-process
+    # tracer looks them up
+    loaded = _modules_loaded_by(["curve", counts_file, "--rho", "0.21", "--out",
+                                 str(tmp_path / "run")])
+    assert {"numpy", "predictu.fileio"} <= loaded
+    assert not loaded & _RESAMPLING_MODULES
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(predictu.__file__)))
     layers = ["cli", "fileio", "risk_model", "summary_indices", "curve_links",
               "inference", "isotonic", "simulate"]
     code = ("import sys, predictu.cli\n"
             f"print([m for m in {layers!r} if 'predictu.' + m not in sys.modules])")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["version", "links", "validate", "report"])
+def test_other_runs_without_resampling_leave_those_modules_unloaded(command, counts_file,
+                                                                     tmp_path):
+    out = str(tmp_path / command)
+    argv = {
+        "version": ["--version"],
+        "links": ["links", counts_file, "--rho", "0.21", "--out", out],
+        "validate": ["validate", "--train", counts_file, "--test", counts_file, "--rho", "0.21",
+                     "--isotonic", "--out", out],
+        "report": ["report", str(tmp_path / "plain" / "indices.json"),
+                   str(tmp_path / "sim" / "eval.json"), "--out", out],
+    }[command]
+    if command == "report":
+        assert main(["summarize", counts_file, "--rho", "0.21", "--out",
+                     str(tmp_path / "plain")]) == 0
+        assert main(["simulate", "--preset", "smoke", "--replicates", "2", "--n-cases", "50",
+                     "--n-controls", "50", "--bootstrap", "10", "--format", "json",
+                     "--out", str(tmp_path / "sim")]) == 0
+    loaded = _modules_loaded_by(argv)
+    assert {"numpy", "predictu.fileio"} <= loaded
+    assert not loaded & _RESAMPLING_MODULES
 
 
 def test_every_subcommand_runs_with_scipy_blocked(subject_file, tmp_path):

@@ -1,9 +1,12 @@
 """Tests for subject/count parsing, provenance, and result writers."""
 
 import csv
+import hashlib
 import io
 import json
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -722,6 +725,45 @@ def test_provenance_hash_is_order_and_output_insensitive():
     assert same["config_sha256"] == base["config_sha256"]
     other = run_provenance({"rho": 0.3, "indices": "u,r"}, seed=3)
     assert other["config_sha256"] != base["config_sha256"]
+
+
+@pytest.mark.parametrize("config", [
+    {},
+    {"rho": 0.21, "indices": "u,ustd", "band": None, "laplace": 0.5},
+    {"model": "h\u00e9ritabilit\u00e9_\u03bc.yaml", "label": "\u65e5\u672c", "seed": None},
+    {"command": "summarize", "rho": 0.21, "out": "runs/a", "workers": 4, "bootstrap": 2000},
+    {"train": "a.csv", "test": "b.csv", "isotonic": True, "permutation": None},
+], ids=["empty", "none-value", "non-ascii", "out-workers-command", "flags"])
+def test_provenance_digest_is_hashlib_sha256(config):
+    # the interpreter's own SHA-256 gives hashlib's (OpenSSL's) digest of
+    # the same JSON: the config without out, command, workers and None values
+    reduced = {k: v for k, v in config.items()
+               if k not in ("out", "command", "workers") and v is not None}
+    text = json.dumps(reduced, sort_keys=True, default=str)
+    want = hashlib.sha256(text.encode()).hexdigest()
+    assert run_provenance(config, seed=1)["config_sha256"] == want
+
+
+def test_provenance_digest_is_pinned():
+    config = {"command": "summarize", "rho": 0.21, "indices": "u,ustd", "band": "0.9:1",
+              "bootstrap": 2000, "seed": 7, "out": "run", "workers": 2}
+    assert run_provenance(config, seed=7)["config_sha256"] == (
+        "e8e94aedd6b4e55ff4193c057b2a5bb855ef56d85832318838af68c73b40301b"
+    )
+
+
+def test_sha256_prefers_the_interpreters_own_module(monkeypatch):
+    # _sha2 (3.12 on), then _sha256 (3.10, 3.11), then hashlib; a None
+    # entry in sys.modules makes an import fail as an absent module would
+    for name in ("_sha2", "_sha256"):
+        stand_in = types.ModuleType(name)
+        stand_in.sha256 = name
+        monkeypatch.setitem(sys.modules, name, stand_in)
+    assert fileio._builtin_sha256() == "_sha2"
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    assert fileio._builtin_sha256() == "_sha256"
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert fileio._builtin_sha256() is hashlib.sha256
 
 
 def test_write_json_deterministic_layout(tmp_path):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -24,6 +27,27 @@ from conftest import (
     plugin_rows_reference,
     random_sorted_table,
 )
+
+
+@pytest.mark.parametrize("gid", [GenotypeId(3, "0/1/2"), GenotypeId(4)], ids=["label", "index"])
+def test_genotype_id_is_slotted_and_keeps_its_value_behaviour(gid):
+    assert not hasattr(gid, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gid.index = 9
+    # equality and hashing follow the key: the label, else the index
+    same = GenotypeId(gid.index + 100, gid.label) if gid.label else GenotypeId(gid.index)
+    assert gid == same and hash(gid) == hash(same) == hash(gid.key)
+    assert {gid: 1}[same] == 1
+    assert gid != GenotypeId(gid.index, "other")
+    assert str(gid) == (gid.label or f"g{gid.index}")
+    moved = dataclasses.replace(gid, index=11)
+    assert (moved.index, moved.label) == (11, gid.label)
+    for copied in (copy.copy(gid), copy.deepcopy(gid),
+                   *(pickle.loads(pickle.dumps(gid, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert type(copied) is GenotypeId
+        assert (copied.index, copied.label) == (gid.index, gid.label)
+        assert copied == gid and hash(copied) == hash(gid)
 
 
 def test_build_single_genotype_degenerate():

@@ -298,7 +298,7 @@ def test_presets_match_the_200_step_bisections():
 def test_bisections_match_the_200_step_versions_on_random_models():
     rng = np.random.default_rng(17)
     modes = list(sim.Mode)
-    clipped = calibrated = 0
+    clipped = calibrated = recentred_clipped = 0
     for trial in range(30):
         n_loci = int(rng.integers(1, 4))
         snps = [
@@ -321,10 +321,11 @@ def test_bisections_match_the_200_step_versions_on_random_models():
         clipped += bool(np.max(model.penetrance) == 1.0)
 
         probs = sim.genotype_probabilities(model.snps)
-        for scale in (0.0, 1e-300, 1e-9, float(rng.uniform(0.0, 3.0)), 50.0):
+        for scale in (0.0, 1e-300, 1e-9, float(rng.uniform(0.0, 3.0)), 1.0, 7.5, 50.0):
             got = sim._recentred(model.penetrance, probs, target_rho, scale)
             want = recentred_reference(model.penetrance, probs, target_rho, scale)
             assert got.tobytes() == want.tobytes(), (snps, target_rho, scale)
+            recentred_clipped += bool(np.any(got == 0.0) or np.any(got == 1.0))
 
         # the 200-step calibration is slow: one target per model, a third
         # of the models, the targets near 0 among them
@@ -341,9 +342,32 @@ def test_bisections_match_the_200_step_versions_on_random_models():
         want = calibrated_penetrance_reference(model, target_h2)
         assert got.tobytes() == want.tobytes(), (snps, target_rho, target_h2)
         calibrated += 1
-    # clipping binds in some models, and most targets are reachable
+    # clipping binds in some models and recentrings, and most targets are
+    # reachable
     assert 0 < clipped < 30
+    assert recentred_clipped >= 30
     assert calibrated >= 8
+
+
+def test_clip_shift_solves_the_clipped_mean():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        g = int(rng.integers(1, 40))
+        probs = rng.dirichlet(np.ones(g))
+        # spreads from none to far past [0, 1], so clipping binds at both ends
+        base = rng.uniform(-1.0, 1.0) + rng.uniform(0.0, 5.0) * rng.normal(size=g)
+        target = float(rng.uniform(0.001, 0.999))
+        shift = sim._clip_shift(base, probs, target)
+        assert float(probs @ np.clip(base + shift, 0.0, 1.0)) == pytest.approx(target, abs=1e-12)
+
+
+def test_preset_calibration_takes_few_recentring_evaluations(monkeypatch):
+    # the nested bisection clipped 4,175 penetrance vectors per sim1_h005 load
+    calls = []
+    clip = np.clip
+    monkeypatch.setattr(np, "clip", lambda *a, **k: calls.append(1) or clip(*a, **k))
+    sim.preset("sim1_h005")
+    assert len(calls) < 1_000
 
 
 def test_a_preset_is_a_named_disease_model():
