@@ -16,11 +16,11 @@ to the two within-arm genotype distributions.
 import numpy as np
 
 from predictu import build_risk_table, estimate_risk_table
-from predictu.risk_model import CaseControlCounts, GenotypeId
+from predictu.risk_model import CaseControlCounts
 
 # A three-genotype study: 21 cases and 79 controls, prevalence 21%.
 counts = CaseControlCounts(
-    genotypes=tuple(GenotypeId(i, label) for i, label in enumerate(["aa", "aA", "AA"])),
+    genotypes=("aa", "aA", "AA"),
     n_case=np.array([5, 6, 10]),
     n_control=np.array([45, 24, 10]),
     rho=0.21,
@@ -29,7 +29,7 @@ counts = CaseControlCounts(
 table = estimate_risk_table(counts)
 print("genotype  mass p_g  risk r_g")
 for g, p, r in zip(table.genotypes, table.p, table.r):
-    print(f"{str(g):>8s}  {p:8.3f}  {r:8.3f}")
+    print(f"{g:>8s}  {p:8.3f}  {r:8.3f}")
 print(f"prevalence check: sum p_g r_g = {float(table.p @ table.r):.3f} (rho = {table.rho})")
 
 # The curve pairs each genotype with the right endpoint of its mass

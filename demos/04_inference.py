@@ -19,9 +19,9 @@ from predictu.inference import (
     permutation_test,
     two_sample_u,
 )
-from predictu.risk_model import CaseControlCounts, GenotypeId, estimate_risk_table
+from predictu.risk_model import CaseControlCounts, estimate_risk_table
 
-genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(["aa", "aA", "AA"]))
+genotypes = ("aa", "aA", "AA")
 counts = CaseControlCounts(
     genotypes=genotypes,
     n_case=np.array([50, 60, 100]),
@@ -48,7 +48,7 @@ print(f"permutation p-value under H0 U=0: {p:.4f}")
 # the null test rejects far too often.  200 null datasets, both arms
 # drawn from one genotype law:
 q = np.array([0.4, 0.3, 0.2, 0.1])
-null_genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(4))
+null_genotypes = ("g0", "g1", "g2", "g3")
 rng = np.random.default_rng(14)
 reject_fixed = reject_sorted = 0
 for k in range(200):

@@ -42,16 +42,16 @@ print(f"test curve monotone: {curve.monotone}")
 
 print("\ntest risks in the trained order:")
 for g, r in zip(curve.genotypes, curve.r):
-    print(f"  {str(g):>6s}  {r:.4f}")
+    print(f"  {g:>6s}  {r:.4f}")
 
 # the refit projects the test risks onto the nearest nondecreasing
 # sequence, weighting by genotype mass
-refit = replace(curve, r=pava(curve.r, curve.p).fitted)
+refit = replace(curve, r=pava(curve.r, curve.p))
 refit_u = float(u_statistic(refit.p, refit.r))
 print(f"\nisotonic refit U = {refit_u:.4f}")
 print("refitted risks (ties are merged blocks):")
 for g, r in zip(refit.genotypes, refit.r):
-    print(f"  {str(g):>6s}  {r:.4f}")
+    print(f"  {g:>6s}  {r:.4f}")
 
 # mass-weighted mean risk is preserved by the projection
 assert abs(float(curve.p @ curve.r) - float(refit.p @ refit.r)) < 1e-12

@@ -310,11 +310,11 @@ def cmd_validate(args) -> int:
         "test": {
             "indices": [r.to_dict() for r in _index_results(test_curve, args.indices, args.band)],
             "monotone": test_curve.monotone,
-            "unseen": [str(g) for g in test_curve.unseen],
+            "unseen": list(test_curve.unseen),
         },
     }
     if args.isotonic:
-        refit = replace(test_curve, r=pava(test_curve.r, test_curve.p).fitted)
+        refit = replace(test_curve, r=pava(test_curve.r, test_curve.p))
         doc["refit"] = {"indices": [r.to_dict() for r in _index_results(refit, args.indices, args.band)]}
     out = _outdir(args)
     prov = _provenance(args)

@@ -43,7 +43,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ValidationError
-from .risk_model import _COUNT_LIMIT, CaseControlCounts, GenotypeId, RiskTable
+from .risk_model import _COUNT_LIMIT, CaseControlCounts, RiskTable
 
 __all__ = [
     "ParseReport", "parse_subject_file", "parse_counts_file", "run_provenance",
@@ -455,9 +455,8 @@ def parse_subject_file(path, rho: float, max_bad_rows: float = 0.01, *, opened=N
     if not labels:
         raise ValidationError(f"{path}: no usable subject rows")
     _check_arms(path, sum(cases.values()), sum(controls.values()), "rows")
-    genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
     counts = CaseControlCounts(
-        genotypes=genotypes,
+        genotypes=tuple(labels),
         n_case=np.array([cases.get(l, 0) for l in labels], dtype=np.int64),
         n_control=np.array([controls.get(l, 0) for l in labels], dtype=np.int64),
         rho=rho,
@@ -489,6 +488,8 @@ def parse_counts_file(path, rho: float, *, opened=None):
             if len(row) != len(header):
                 raise error(ordinal, "wrong column count")
             label = row[cols[0]].strip()
+            if not label:
+                raise error(ordinal, "blank genotype_id")
             if label in seen:
                 raise error(ordinal, f"duplicate genotype_id {label!r}")
             try:
@@ -507,9 +508,8 @@ def parse_counts_file(path, rho: float, *, opened=None):
             n_case.append(a)
             n_control.append(b)
     _check_arms(path, *totals, "counts")
-    genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
     counts = CaseControlCounts(
-        genotypes=genotypes,
+        genotypes=tuple(labels),
         n_case=np.array(n_case, dtype=np.int64),
         n_control=np.array(n_control, dtype=np.int64),
         rho=rho,
@@ -589,7 +589,7 @@ def curve_metadata(table: RiskTable) -> dict:
     return {
         "rho": table.rho,
         "n_genotypes": table.n_genotypes,
-        "dropped": [str(g) for g in table.dropped],
+        "dropped": list(table.dropped),
         "boundary_risks": bool(table.boundary_risks.any()),
     }
 

@@ -164,9 +164,10 @@ def two_sample_u(counts: CaseControlCounts, order, laplace: float = 0.0) -> UEst
     Parameters
     ----------
     counts : CaseControlCounts
-    order : sequence of GenotypeId
-        Evaluation order, lowest risk first.  Typically the sorted
-        order of a training table.
+    order : sequence of str
+        Genotype labels in evaluation order, lowest risk first, matched
+        to ``counts.genotypes`` by label.  Typically the sorted order of
+        a training table.
 
     Returns
     -------

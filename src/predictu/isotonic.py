@@ -17,30 +17,19 @@ on its own or inside any stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
 
 from .errors import ValidationError
-from .risk_model import _fields_equal
 
-__all__ = ["IsotonicFit", "pava", "pava_rows"]
+__all__ = ["pava", "pava_rows"]
 
 # merge rounds before the rows that still violate finish on the block stack
 _ROUNDS = 32
 
 
-@dataclass(frozen=True)
-class IsotonicFit:
-    """Result of a PAVA projection."""
-
-    fitted: np.ndarray
-
-    __eq__ = _fields_equal
-
-
-def pava(risks, weights) -> IsotonicFit:
+def pava(risks, weights) -> np.ndarray:
     """Weighted least-squares isotonic fit, nondecreasing.
 
     The one-row view of ``pava_rows``.
@@ -55,8 +44,8 @@ def pava(risks, weights) -> IsotonicFit:
 
     Returns
     -------
-    IsotonicFit
-        ``fitted`` is nondecreasing with the same weighted mean as the
+    ndarray
+        The fit: nondecreasing, with the same weighted mean as the
         input.  Each run of equal fitted values is one pooled block,
         valued at the weighted mean of its members; block values
         increase strictly.
@@ -69,7 +58,7 @@ def pava(risks, weights) -> IsotonicFit:
         raise ValidationError("cannot fit an empty sequence")
     if np.any(w <= 0):
         raise ValidationError("weights must be strictly positive")
-    return IsotonicFit(fitted=pava_rows(r[None], w[None])[0])
+    return pava_rows(r[None], w[None])[0]
 
 
 def pava_rows(risks: np.ndarray, weights) -> np.ndarray:

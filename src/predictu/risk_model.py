@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "GenotypeId",
     "RiskTable",
     "CaseControlCounts",
     "build_risk_table",
@@ -38,36 +37,6 @@ __all__ = [
 MASS_TOL = 1e-9
 # counts are int64: the largest count, arm total or exact product of them
 _COUNT_LIMIT = 2**63 - 1
-
-
-@dataclass(frozen=True, slots=True)
-class GenotypeId:
-    """Identifier for one multi-locus genotype.
-
-    ``index`` is a small integer assigned at table construction;
-    ``label`` carries the genotype spelling (e.g. ``"0/1/2/0"``) when one
-    is known.  Matching across datasets, equality and hashing use
-    ``key``: the label when present, otherwise the index.  A table holds
-    one per genotype, so it is slotted: no per-instance dict.
-    """
-
-    index: int
-    label: str | None = None
-
-    @property
-    def key(self) -> str | int:
-        return self.label if self.label is not None else self.index
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenotypeId):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __str__(self) -> str:
-        return self.label if self.label is not None else f"g{self.index}"
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -105,8 +74,8 @@ class RiskTable:
 
     Parameters
     ----------
-    genotypes : tuple of GenotypeId
-        One id per row, in evaluation order.
+    genotypes : tuple of str
+        One label per row, in evaluation order; a genotype is its label.
     p : ndarray
         Population mass per genotype.  Nonnegative, sums to one.
     r : ndarray
@@ -116,18 +85,18 @@ class RiskTable:
         consistently built table equals rho; a mismatch beyond tolerance
         raises a warning, not an error, so hand-built tables remain
         usable.
-    dropped : tuple of GenotypeId
+    dropped : tuple of str
         Genotypes removed because they carried zero mass.
-    unseen : tuple of GenotypeId
+    unseen : tuple of str
         Rows placed after a trained order they were absent from.
     """
 
-    genotypes: tuple[GenotypeId, ...]
+    genotypes: tuple[str, ...]
     p: np.ndarray
     r: np.ndarray
     rho: float
-    dropped: tuple[GenotypeId, ...] = ()
-    unseen: tuple[GenotypeId, ...] = ()
+    dropped: tuple[str, ...] = ()
+    unseen: tuple[str, ...] = ()
 
     __eq__ = _fields_equal
 
@@ -183,7 +152,7 @@ class CaseControlCounts:
     be supplied from outside the data.
     """
 
-    genotypes: tuple[GenotypeId, ...]
+    genotypes: tuple[str, ...]
     n_case: np.ndarray
     n_control: np.ndarray
     rho: float
@@ -206,9 +175,8 @@ class CaseControlCounts:
             raise ValidationError("counts must be nonnegative")
         if n_case.sum() < 1 or n_control.sum() < 1:
             raise ValidationError("need at least one case and one control")
-        keys = [g.key for g in self.genotypes]
-        if len(set(keys)) != len(keys):
-            raise ValidationError("genotype identities must be unique")
+        if len(set(self.genotypes)) != len(self.genotypes):
+            raise ValidationError("genotype labels must be unique")
 
     @property
     def n_cases(self) -> int:
@@ -219,15 +187,11 @@ class CaseControlCounts:
         return int(self.n_control.sum())
 
 
-def _default_genotypes(n: int) -> tuple[GenotypeId, ...]:
-    return tuple(GenotypeId(i) for i in range(n))
-
-
 def build_risk_table(
     conditional_case,
     conditional_control,
     rho: float,
-    genotypes: tuple[GenotypeId, ...] | None = None,
+    genotypes: tuple[str, ...] | None = None,
 ) -> RiskTable:
     """Build a risk table from genotype distributions among cases and controls.
 
@@ -246,8 +210,8 @@ def build_risk_table(
         P(g | D) and P(g | not D); equal length, each summing to one.
     rho : float
         Disease prevalence, strictly inside (0, 1).
-    genotypes : tuple of GenotypeId, optional
-        Identities for the input rows.  Defaults to indices 0..G-1.
+    genotypes : tuple of str, optional
+        Labels for the input rows.  Defaults to ``"g0"`` ... ``"g{G-1}"``.
 
     Returns
     -------
@@ -263,7 +227,7 @@ def build_risk_table(
     if abs(a.sum() - 1.0) > MASS_TOL or abs(b.sum() - 1.0) > MASS_TOL:
         raise ValidationError("conditional distributions must each sum to 1")
     if genotypes is None:
-        genotypes = _default_genotypes(a.size)
+        genotypes = tuple(f"g{i}" for i in range(a.size))
     elif len(genotypes) != a.size:
         raise ValidationError("genotypes must match the number of rows")
 
@@ -280,7 +244,7 @@ def build_risk_table(
 def _warn_dropped(dropped, what: str) -> None:
     """Warn the caller's caller of the ``dropped`` genotypes: their count and the first 5 names."""
     if dropped:
-        names = ", ".join(str(g) for g in dropped[:5]) + (", ..." if len(dropped) > 5 else "")
+        names = ", ".join(dropped[:5]) + (", ..." if len(dropped) > 5 else "")
         warnings.warn(f"dropping {len(dropped)} {what}: {names}", stacklevel=3)
 
 
@@ -330,7 +294,7 @@ def _check_laplace(laplace: float) -> float:
 
 def _plugin_conditionals(
     counts: CaseControlCounts, laplace: float = 0.0
-) -> tuple[tuple[GenotypeId, ...], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Kept genotypes, their ``seen`` mask over ``counts.genotypes``, and the
     plug-in P(g|D), P(g|not D) after removing genotypes unseen in both arms."""
     _check_laplace(laplace)
@@ -373,12 +337,12 @@ def estimate_risk_table(counts: CaseControlCounts, laplace: float = 0.0) -> Risk
 
 
 def _positions(order, genotypes) -> np.ndarray:
-    """Index in ``genotypes`` of each genotype of ``order``, matched by key; -1 where absent."""
-    keys = [g.key for g in order]
-    if len(set(keys)) != len(keys):
+    """Index in ``genotypes`` of each label of ``order``, matched by label; -1 where absent."""
+    order = tuple(order)
+    if len(set(order)) != len(order):
         raise ValidationError("order must not repeat genotypes")
-    index = {g.key: j for j, g in enumerate(genotypes)}
-    return np.array([index.get(k, -1) for k in keys], dtype=np.intp)
+    index = {g: j for j, g in enumerate(genotypes)}
+    return np.array([index.get(g, -1) for g in order], dtype=np.intp)
 
 
 def _trained_order(first, r) -> np.ndarray:
@@ -397,10 +361,11 @@ def apply_model_to_test(
 
     Risks and masses are re-estimated from ``test_counts`` but arranged
     in the order learned elsewhere, so the resulting table may be
-    non-monotone; that non-monotonicity is data, not an error.  Test
-    genotypes absent from ``train_order`` (lowest risk first) follow it
-    by their own risk and are reported in ``unseen``; trained genotypes
-    the test data lacks drop out.
+    non-monotone; that non-monotonicity is data, not an error.
+    ``train_order`` lists genotype labels, lowest risk first, and a test
+    genotype matches the trained one of the same label.  Test genotypes
+    absent from it follow it by their own risk and are reported in
+    ``unseen``; trained genotypes the test data lacks drop out.
     """
     kept, _, a, b = _plugin_conditionals(test_counts, laplace)
     rho = test_counts.rho

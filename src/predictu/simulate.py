@@ -43,14 +43,13 @@ from .errors import NumericError, ValidationError
 from .isotonic import pava_rows
 from .risk_model import (
     CaseControlCounts,
-    GenotypeId,
     RiskTable,
     _fields_equal,
     _plugin_rows,
     _trained_order,
     build_risk_table,
 )
-from .summary_indices import _DEFAULT_TOKENS, INDICES, _check_request, _index_rows
+from .summary_indices import _DEFAULT_TOKENS, _EDGE, INDICES, _check_request, _index_rows
 
 __all__ = [
     "Mode",
@@ -404,7 +403,7 @@ def build_population(model: DiseaseModel) -> Population:
         masses * pen / rho,
         masses * (1.0 - pen) / (1.0 - rho),
         rho,
-        genotypes=tuple(GenotypeId(i, label) for i, label in enumerate(model.genotype_labels)),
+        genotypes=model.genotype_labels,
     )
     return Population(
         model=model,
@@ -449,7 +448,9 @@ class EvalReport:
     on a test curve whose band standardiser is not positive).  Each
     replicate's percentile interval is taken over its finite bootstrap
     values alone, and a replicate with no finite bootstrap value counts
-    as not covered in ``pct_coverage``.
+    as not covered in ``pct_coverage``.  ``pct_bias`` is NaN when the
+    true value lies within ``summary_indices._EDGE`` of 0, as every index
+    of a null model does.
     """
 
     model: str
@@ -624,7 +625,8 @@ def run_bias_coverage(
             mean = float(col.mean())
             sd = float(col.std(ddof=1)) if n_replicates > 1 else 0.0
             true = truth[token]
-            bias = 100.0 * abs(mean - true) / abs(true) if true != 0 else float("nan")
+            # a truth within _EDGE of 0 is rounding noise of a null model
+            bias = 100.0 * abs(mean - true) / abs(true) if abs(true) > _EDGE else float("nan")
             reports.append(
                 EvalReport(
                     model=population.name,

@@ -27,7 +27,6 @@ from predictu.simulate import (
 )
 from predictu.risk_model import (
     CaseControlCounts,
-    GenotypeId,
     _plugin_rows,
     _trained_order,
     build_risk_table,
@@ -57,7 +56,7 @@ def three_genotype_table():
 @pytest.fixture
 def three_genotype_counts():
     return CaseControlCounts(
-        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(3)),
+        genotypes=tuple(f"g{i}" for i in range(3)),
         n_case=np.array([5, 6, 10]),
         n_control=np.array([45, 24, 10]),
         rho=0.21,
@@ -68,7 +67,7 @@ def three_genotype_counts():
 def two_genotype_counts():
     # cases (8, 2), controls (2, 8): plug-in risks 0.08/0.26 and 0.02/0.74
     return CaseControlCounts(
-        genotypes=(GenotypeId(0, "g1"), GenotypeId(1, "g2")),
+        genotypes=("g1", "g2"),
         n_case=np.array([8, 2]),
         n_control=np.array([2, 8]),
         rho=0.1,
@@ -93,11 +92,11 @@ def random_case(rng):
         n_control = rng.integers(0, 30, g) * (rng.random(g) < 0.8)
         if n_case.sum() >= 2 and n_control.sum() >= 2:
             break
-    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(g))
+    genotypes = tuple(f"g{i}" for i in range(g))
     counts = CaseControlCounts(genotypes, n_case, n_control, float(rng.uniform(0.05, 0.5)))
     empty = (n_case + n_control) == 0
     order = [x for x, e in zip(genotypes, empty) if not e or rng.random() < 0.5]
-    order += [GenotypeId(g + k, f"extra{k}") for k in range(int(rng.integers(0, 3)))]
+    order += [f"extra{k}" for k in range(int(rng.integers(0, 3)))]
     rng.shuffle(order)
     return counts, tuple(order)
 
@@ -183,7 +182,7 @@ def pava_rows_2d_reference(risks: np.ndarray, weights) -> np.ndarray:
     return r
 
 
-def refit_rows_one_by_one(p, r, fit=lambda risks, weights: pava(risks, weights).fitted):
+def refit_rows_one_by_one(p, r, fit=pava):
     """Isotonic refit of each row's positive-mass risks, masses as weights.
 
     The simulation harness's former per-row loop over ``pava``.  Since
@@ -488,7 +487,7 @@ def parse_subjects_row_by_row(path, rho, max_bad_rows=0.01):
     for arm, bucket in (("case", cases), ("control", controls)):
         if not bucket:
             raise ValidationError(f"{path}: no {arm} rows: need at least one case and one control")
-    genotypes = tuple(GenotypeId(i, label) for i, label in enumerate(labels))
+    genotypes = tuple(labels)
     counts = CaseControlCounts(
         genotypes=genotypes,
         n_case=np.array([cases.get(l, 0) for l in labels], dtype=np.int64),

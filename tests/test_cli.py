@@ -13,7 +13,7 @@ import predictu
 from predictu import cli, fileio, parallel
 from predictu.cli import main
 from predictu.fileio import parse_subject_file, read_json, run_provenance, write_json
-from predictu.risk_model import CaseControlCounts, GenotypeId
+from predictu.risk_model import CaseControlCounts
 
 from conftest import first_chunk_rows, group_sizes, write_counts_csv
 
@@ -821,7 +821,7 @@ def test_validate_test_rho_is_the_given_rho(tmp_path):
     g = 5000
     control = rng.gamma(0.5, size=g)
     case = control * np.exp(rng.normal(0.0, 0.3, g))
-    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(g))
+    genotypes = tuple(f"g{i}" for i in range(g))
     paths = []
     for name in ("train", "test"):
         counts = CaseControlCounts(

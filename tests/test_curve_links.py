@@ -9,7 +9,7 @@ from predictu.curve_links import (
     roc_from_table,
 )
 from predictu.errors import NumericError
-from predictu.risk_model import CaseControlCounts, GenotypeId, apply_model_to_test, build_risk_table
+from predictu.risk_model import CaseControlCounts, apply_model_to_test, build_risk_table
 from predictu.summary_indices import predictiveness_u
 
 from conftest import random_sorted_table
@@ -112,7 +112,7 @@ def test_lorenz_convex_for_sorted_tables():
 
 
 def test_nonmonotone_curve_reports_instead_of_raising():
-    order = tuple(GenotypeId(i, f"g{i}") for i in range(3))
+    order = tuple(f"g{i}" for i in range(3))
     counts = CaseControlCounts(
         genotypes=order,
         n_case=np.array([2, 12, 6]),

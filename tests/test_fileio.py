@@ -22,7 +22,7 @@ from predictu.fileio import (
     write_json,
     write_xy_csv,
 )
-from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table
+from predictu.risk_model import CaseControlCounts, build_risk_table
 from predictu.simulate import EvalReport
 
 from conftest import first_chunk_rows, parse_subjects_row_by_row, write_counts_csv
@@ -237,9 +237,7 @@ def _matches_reference(path, max_bad) -> str:
         return "error"
     counts, report = parse_subject_file(path, rho=0.1, max_bad_rows=max_bad)
     want, want_report = expected
-    assert [(g.index, g.label) for g in counts.genotypes] == [
-        (g.index, g.label) for g in want.genotypes
-    ]
+    assert counts.genotypes == want.genotypes
     for got, ref in ((counts.n_case, want.n_case), (counts.n_control, want.n_control)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert report == want_report
@@ -484,8 +482,9 @@ def test_warnings_keep_order_across_chunk_boundaries(tmp_path, chunk_bytes):
         ("g0,1,1", "line 9: duplicate genotype_id 'g0'"),
         ("g3,1.5,2", "line 9: counts must be integers"),
         ("g3,-1,2", "line 9: counts must be nonnegative"),
+        (" ,6,24", "line 9: blank genotype_id"),
     ],
-    ids=["ragged", "duplicate", "non-integer", "negative"],
+    ids=["ragged", "duplicate", "non-integer", "negative", "blank-id"],
 )
 def test_counts_errors_name_the_same_line_in_any_chunk(tmp_path, chunk_bytes, row, message):
     # line numbers are file lines: the comments, blank line and blank-cell
@@ -852,7 +851,7 @@ def test_eval_csv_bytes(tmp_path):
 
 def test_counts_csv_bytes(tmp_path):
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "0/1"), GenotypeId(1, "2/2")),
+        genotypes=("0/1", "2/2"),
         n_case=np.array([5, 0]), n_control=np.array([45, 12]), rho=0.2,
     )
     path = tmp_path / "counts.csv"

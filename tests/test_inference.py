@@ -16,7 +16,7 @@ from predictu.inference import (
     permutation_test,
     two_sample_u,
 )
-from predictu.risk_model import CaseControlCounts, GenotypeId, build_risk_table, estimate_risk_table
+from predictu.risk_model import CaseControlCounts, build_risk_table, estimate_risk_table
 
 from conftest import brute_force_u, pair_kernel
 
@@ -28,7 +28,7 @@ def random_counts(rng, max_genotypes=8, n_low=20, n_high=120):
         n_control = rng.multinomial(int(rng.integers(n_low, n_high)), rng.dirichlet(np.ones(g)))
         if n_case.sum() >= 1 and n_control.sum() >= 1:
             return CaseControlCounts(
-                genotypes=tuple(GenotypeId(i) for i in range(g)),
+                genotypes=tuple(f"g{i}" for i in range(g)),
                 n_case=n_case,
                 n_control=n_control,
                 rho=float(rng.uniform(0.05, 0.4)),
@@ -42,9 +42,9 @@ def brute_projection_variance(counts, order):
     over the opposite arm for each subject, and plugs the deviations
     around the two-sample mean into the projection formula.
     """
-    pos = {g.key: k for k, g in enumerate(order)}
-    case_pos = np.repeat([pos[g.key] for g in counts.genotypes], counts.n_case)
-    ctrl_pos = np.repeat([pos[g.key] for g in counts.genotypes], counts.n_control)
+    pos = {g: k for k, g in enumerate(order)}
+    case_pos = np.repeat([pos[g] for g in counts.genotypes], counts.n_case)
+    ctrl_pos = np.repeat([pos[g] for g in counts.genotypes], counts.n_control)
     n_d, n_db = len(case_pos), len(ctrl_pos)
     phi = np.sign(case_pos[:, None] - ctrl_pos[None, :]).astype(float)
     theta = phi.mean()
@@ -66,7 +66,7 @@ def test_pair_kernel_antisymmetric():
 
 def test_two_sample_u_identical_distributions_is_zero():
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(3)),
+        genotypes=tuple(f"g{i}" for i in range(3)),
         n_case=np.array([6, 3, 1]),
         n_control=np.array([12, 6, 2]),
         rho=0.2,
@@ -77,7 +77,7 @@ def test_two_sample_u_identical_distributions_is_zero():
 
 def test_two_sample_u_hand_example(two_genotype_counts):
     # contraction: 2*0.1*0.9*(8*8 - 2*2)/100 = 0.108, order g2 < g1
-    order = (GenotypeId(1, "g2"), GenotypeId(0, "g1"))
+    order = ("g2", "g1")
     est = two_sample_u(two_genotype_counts, order)
     assert est.u_hat == pytest.approx(0.108, abs=1e-12)
     table = estimate_risk_table(two_genotype_counts)
@@ -86,7 +86,7 @@ def test_two_sample_u_hand_example(two_genotype_counts):
 
 
 def test_two_sample_u_negates_under_order_reversal(two_genotype_counts):
-    order = (GenotypeId(1, "g2"), GenotypeId(0, "g1"))
+    order = ("g2", "g1")
     forward = two_sample_u(two_genotype_counts, order).u_hat
     backward = two_sample_u(two_genotype_counts, order[::-1]).u_hat
     assert backward == pytest.approx(-forward, abs=1e-15)
@@ -105,7 +105,7 @@ def test_two_sample_u_matches_plug_in_pairwise_form():
 
 def test_asymptotic_variance_zero_when_concentrated():
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "g"), GenotypeId(1, "h")),
+        genotypes=("g", "h"),
         n_case=np.array([10, 0]),
         n_control=np.array([10, 0]),
         rho=0.2,
@@ -114,7 +114,7 @@ def test_asymptotic_variance_zero_when_concentrated():
 
 
 def test_asymptotic_variance_matches_subject_level_brute_force(two_genotype_counts):
-    order = (GenotypeId(1, "g2"), GenotypeId(0, "g1"))
+    order = ("g2", "g1")
     fast = asymptotic_variance_u(two_genotype_counts, order)
     assert fast == pytest.approx(brute_projection_variance(two_genotype_counts, order), abs=1e-15)
     rng = np.random.default_rng(502)
@@ -127,7 +127,7 @@ def test_asymptotic_variance_matches_subject_level_brute_force(two_genotype_coun
 
 
 def test_asymptotic_variance_scales_inversely_with_n(two_genotype_counts):
-    order = (GenotypeId(1, "g2"), GenotypeId(0, "g1"))
+    order = ("g2", "g1")
     var_1 = asymptotic_variance_u(two_genotype_counts, order)
     doubled = CaseControlCounts(
         genotypes=two_genotype_counts.genotypes,
@@ -141,7 +141,7 @@ def test_asymptotic_variance_scales_inversely_with_n(two_genotype_counts):
 
 def test_bootstrap_single_replicate_collapses():
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(2)),
+        genotypes=tuple(f"g{i}" for i in range(2)),
         n_case=np.array([8, 2]),
         n_control=np.array([2, 8]),
         rho=0.1,
@@ -176,14 +176,14 @@ def test_bootstrap_coverage_on_two_genotype_model():
     # percentile intervals should cover population U about 95% of the time
     ref = build_risk_table([0.8, 0.2], [0.2, 0.8], rho=0.1)
     true_u = 2 * ref.p[0] * ref.p[1] * (ref.r[1] - ref.r[0])
-    order = (GenotypeId(1), GenotypeId(0))
+    order = ("g1", "g0")
     rng = np.random.default_rng([2026, 5, 32])
     covered = 0
     for k in range(500):
         n_case = rng.multinomial(200, [0.8, 0.2])
         n_control = rng.multinomial(200, [0.2, 0.8])
         counts = CaseControlCounts(
-            genotypes=tuple(GenotypeId(i) for i in range(2)),
+            genotypes=tuple(f"g{i}" for i in range(2)),
             n_case=n_case, n_control=n_control, rho=0.1,
         )
         est = bootstrap_ci(counts, order, ResamplePlan(2000, seed=7000 + k))
@@ -205,19 +205,19 @@ def test_bootstrap_and_asymptotic_half_widths_agree_at_large_n():
 
 
 def test_asymptotic_ci_trivials(two_genotype_counts):
-    order = (GenotypeId(1, "g2"), GenotypeId(0, "g1"))
+    order = ("g2", "g1")
     est = two_sample_u(two_genotype_counts, order)
     point = asymptotic_ci(est, level=0.0)
     assert point.ci.lower == point.ci.upper == est.u_hat
     degenerate = asymptotic_ci(
         two_sample_u(
             CaseControlCounts(
-                genotypes=(GenotypeId(0, "g"), GenotypeId(1, "h")),
+                genotypes=("g", "h"),
                 n_case=np.array([10, 0]),
                 n_control=np.array([10, 0]),
                 rho=0.2,
             ),
-            (GenotypeId(0, "g"), GenotypeId(1, "h")),
+            ("g", "h"),
         )
     )
     assert degenerate.ci.lower == degenerate.ci.upper
@@ -249,7 +249,7 @@ def test_asymptotic_ci_quantile_stays_within_2_ulp(level, quantile):
 
 def test_permutation_separated_data_hits_minimum_p():
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "lo"), GenotypeId(1, "hi")),
+        genotypes=("lo", "hi"),
         n_case=np.array([0, 25]),
         n_control=np.array([25, 0]),
         rho=0.2,
@@ -281,7 +281,7 @@ def test_partial_counts_its_finite_replicates():
     # the band lies in g1, whose single case a replicate often leaves out:
     # then rho_pt = 0 and the standardised partial U is undefined
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "g0"), GenotypeId(1, "g1")),
+        genotypes=("g0", "g1"),
         n_case=np.array([30, 1]),
         n_control=np.array([30, 10]),
         rho=0.1,

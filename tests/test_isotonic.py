@@ -45,14 +45,14 @@ def runs(fitted):
 def test_monotone_input_returned_unchanged():
     y = np.array([0.1, 0.2, 0.2, 0.7])
     w = np.array([1.0, 2.0, 1.0, 0.5])
-    np.testing.assert_allclose(pava(y, w).fitted, y, atol=1e-15)
+    np.testing.assert_allclose(pava(y, w), y, atol=1e-15)
 
 
 def test_symmetric_pair_pools_to_mean():
     w = np.array([1.0, 1.0])
     fit = pava(np.array([3.0, 1.0]), w)
-    np.testing.assert_allclose(fit.fitted, [2.0, 2.0], atol=1e-15)
-    (run,) = runs(fit.fitted)
+    np.testing.assert_allclose(fit, [2.0, 2.0], atol=1e-15)
+    (run,) = runs(fit)
     assert w[run].sum() == pytest.approx(2.0)
 
 
@@ -60,8 +60,8 @@ def test_four_point_hand_example():
     y = np.array([0.1, 0.5, 0.3, 0.9])
     w = np.full(4, 0.25)
     fit = pava(y, w)
-    np.testing.assert_allclose(fit.fitted, [0.1, 0.4, 0.4, 0.9], atol=1e-12)
-    np.testing.assert_allclose(brute_force_isotonic(y, w), fit.fitted, atol=1e-12)
+    np.testing.assert_allclose(fit, [0.1, 0.4, 0.4, 0.9], atol=1e-12)
+    np.testing.assert_allclose(brute_force_isotonic(y, w), fit, atol=1e-12)
 
 
 def test_matches_partition_brute_force():
@@ -70,7 +70,7 @@ def test_matches_partition_brute_force():
         n = int(rng.integers(2, 7))
         y = rng.uniform(0, 1, n)
         w = rng.uniform(0.1, 2.0, n)
-        fit = pava(y, w).fitted
+        fit = pava(y, w)
         np.testing.assert_allclose(fit, brute_force_isotonic(y, w), atol=1e-12)
 
 
@@ -81,9 +81,9 @@ def test_idempotent_and_mean_preserving():
         y = rng.uniform(0, 1, n)
         w = rng.uniform(0.1, 2.0, n)
         fit = pava(y, w)
-        again = pava(fit.fitted, w)
-        np.testing.assert_allclose(again.fitted, fit.fitted, atol=1e-14)
-        assert float(w @ fit.fitted) == pytest.approx(float(w @ y), abs=1e-12)
+        again = pava(fit, w)
+        np.testing.assert_allclose(again, fit, atol=1e-14)
+        assert float(w @ fit) == pytest.approx(float(w @ y), abs=1e-12)
 
 
 def test_block_characterization():
@@ -93,9 +93,9 @@ def test_block_characterization():
         y = rng.uniform(0, 1, n)
         w = rng.uniform(0.1, 2.0, n)
         fit = pava(y, w)
-        values = [fit.fitted[run.start] for run in runs(fit.fitted)]
+        values = [fit[run.start] for run in runs(fit)]
         assert all(b > a for a, b in zip(values, values[1:]))
-        for run, value in zip(runs(fit.fitted), values):
+        for run, value in zip(runs(fit), values):
             mean = np.average(y[run], weights=w[run])
             assert value == pytest.approx(mean, abs=1e-12)
 
@@ -111,9 +111,9 @@ def test_refit_u_equals_merged_table_u():
         table = build_risk_table(case, control, rho=0.3)
         noisy = np.clip(table.r + rng.normal(0, 0.1, g), 0, 1)
         fit = pava(noisy, table.p)
-        u_refit = float(u_statistic(table.p, fit.fitted))
-        merged_p = np.array([table.p[run].sum() for run in runs(fit.fitted)])
-        merged_r = np.array([fit.fitted[run.start] for run in runs(fit.fitted)])
+        u_refit = float(u_statistic(table.p, fit))
+        merged_p = np.array([table.p[run].sum() for run in runs(fit)])
+        merged_r = np.array([fit[run.start] for run in runs(fit)])
         u_merged = float(u_statistic(merged_p, merged_r))
         assert u_refit == pytest.approx(u_merged, abs=1e-12)
 

@@ -8,9 +8,8 @@ import pytest
 import predictu
 from predictu import simulate as sim
 from predictu.curve_links import lorenz_from_table, roc_from_table
-from predictu.isotonic import pava
 from predictu.risk_model import (
-    CaseControlCounts, GenotypeId, apply_model_to_test, build_risk_table,
+    CaseControlCounts, apply_model_to_test, build_risk_table,
 )
 
 EXPORTS = {
@@ -18,7 +17,7 @@ EXPORTS = {
     # errors
     "ValidationError", "NumericError",
     # risk_model
-    "GenotypeId", "RiskTable", "CaseControlCounts", "build_risk_table",
+    "RiskTable", "CaseControlCounts", "build_risk_table",
     "estimate_risk_table", "apply_model_to_test",
     # summary_indices
     "IndexResult", "IndexSpec", "INDICES", "INDEX_TOKENS", "u_statistic",
@@ -34,7 +33,7 @@ EXPORTS = {
     "asymptotic_variance_u", "asymptotic_ci", "bootstrap_estimates", "bootstrap_ci",
     "permutation_test",
     # isotonic
-    "IsotonicFit", "pava", "pava_rows",
+    "pava", "pava_rows",
     # simulate
     "Mode", "SnpSpec", "Interaction", "DiseaseModel", "Population", "EvalReport",
     "genotype_matrix", "genotype_probabilities", "penetrance_model", "heritability",
@@ -46,7 +45,7 @@ EXPORTS = {
 
 
 def test_package_exports_the_module_lists():
-    assert len(EXPORTS) == 66
+    assert len(EXPORTS) == 64
     assert len(predictu.__all__) == len(set(predictu.__all__))
     assert set(predictu.__all__) == EXPORTS
     for name in predictu.__all__:
@@ -59,9 +58,9 @@ def three_genotype_table():
 
 def trained_order_table():
     # the trained order puts g1 (test risk 0.3) before g2 (0.1); g3 is unseen
-    order = (GenotypeId(0, "g1"), GenotypeId(1, "g2"))
+    order = ("g1", "g2")
     counts = CaseControlCounts(
-        genotypes=order + (GenotypeId(2, "g3"),),
+        genotypes=order + ("g3",),
         n_case=np.array([6, 2, 4]), n_control=np.array([14, 18, 16]), rho=0.2,
     )
     return apply_model_to_test(order, counts)
@@ -80,12 +79,11 @@ INSTANCES = {
     "RiskTable-trained-order": (trained_order_table, "r"),
     "CaseControlCounts": (
         lambda: CaseControlCounts(
-            genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(3)),
+            genotypes=tuple(f"g{i}" for i in range(3)),
             n_case=np.array([5, 6, 10]), n_control=np.array([45, 24, 10]), rho=0.21,
         ),
         "n_case",
     ),
-    "IsotonicFit": (lambda: pava([0.3, 0.1, 0.5], [1.0, 1.0, 2.0]), "fitted"),
     "RocCurve": (lambda: roc_from_table(three_genotype_table()), "t"),
     "LorenzCurve": (lambda: lorenz_from_table(three_genotype_table()), "h"),
 }

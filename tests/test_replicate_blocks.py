@@ -33,7 +33,7 @@ from predictu.inference import (
     bootstrap_estimates,
     permutation_test,
 )
-from predictu.risk_model import CaseControlCounts, GenotypeId
+from predictu.risk_model import CaseControlCounts
 
 from conftest import (
     bootstrap_counts_reference,
@@ -151,7 +151,7 @@ def _boundary_case(n_cases, spread):
     if spread:
         n_case = rng.multinomial(n_cases, np.full(g, 1 / g))
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
+        genotypes=tuple(f"g{i}" for i in range(g)),
         n_case=n_case,
         n_control=np.array([40, 30, 20, 10, 5]),
         rho=0.2,
@@ -207,7 +207,7 @@ def _peak(run):
 def _wide_counts(g, seed):
     rng = np.random.default_rng(seed)
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
+        genotypes=tuple(f"g{i}" for i in range(g)),
         n_case=rng.integers(1, 60, g),
         n_control=rng.integers(1, 60, g),
         rho=0.05,
@@ -259,7 +259,7 @@ def _invariance_case():
     rng = np.random.default_rng(29)
     g = 40
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
+        genotypes=tuple(f"g{i}" for i in range(g)),
         n_case=rng.integers(0, 30, g),
         n_control=rng.integers(0, 30, g),
         rho=0.1,
@@ -304,10 +304,10 @@ def test_threaded_resampling_runs_from_a_script_on_stdin():
     script = (
         "import numpy as np\n"
         "from predictu.inference import ResamplePlan, bootstrap_ci\n"
-        "from predictu.risk_model import CaseControlCounts, GenotypeId\n"
+        "from predictu.risk_model import CaseControlCounts\n"
         "rng = np.random.default_rng(29)\n"
         "counts = CaseControlCounts(\n"
-        "    genotypes=tuple(GenotypeId(i, f'g{i}') for i in range(40)),\n"
+        "    genotypes=tuple(f'g{i}' for i in range(40)),\n"
         "    n_case=rng.integers(0, 30, 40), n_control=rng.integers(0, 30, 40), rho=0.1)\n"
         f"plan = ResamplePlan({INVARIANCE_REPLICATES}, seed=8)\n"
         "print(repr(bootstrap_ci(counts, counts.genotypes[::-1], plan, workers=2)))\n"

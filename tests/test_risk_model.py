@@ -1,6 +1,3 @@
-import copy
-import dataclasses
-import pickle
 import warnings
 
 import numpy as np
@@ -11,7 +8,6 @@ from predictu.fileio import curve_metadata, parse_counts_file
 from predictu.isotonic import pava
 from predictu.risk_model import (
     CaseControlCounts,
-    GenotypeId,
     _plugin_rows,
     apply_model_to_test,
     build_risk_table,
@@ -27,27 +23,6 @@ from conftest import (
     plugin_rows_reference,
     random_sorted_table,
 )
-
-
-@pytest.mark.parametrize("gid", [GenotypeId(3, "0/1/2"), GenotypeId(4)], ids=["label", "index"])
-def test_genotype_id_is_slotted_and_keeps_its_value_behaviour(gid):
-    assert not hasattr(gid, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        gid.index = 9
-    # equality and hashing follow the key: the label, else the index
-    same = GenotypeId(gid.index + 100, gid.label) if gid.label else GenotypeId(gid.index)
-    assert gid == same and hash(gid) == hash(same) == hash(gid.key)
-    assert {gid: 1}[same] == 1
-    assert gid != GenotypeId(gid.index, "other")
-    assert str(gid) == (gid.label or f"g{gid.index}")
-    moved = dataclasses.replace(gid, index=11)
-    assert (moved.index, moved.label) == (11, gid.label)
-    for copied in (copy.copy(gid), copy.deepcopy(gid),
-                   *(pickle.loads(pickle.dumps(gid, protocol))
-                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
-        assert type(copied) is GenotypeId
-        assert (copied.index, copied.label) == (gid.index, gid.label)
-        assert copied == gid and hash(copied) == hash(gid)
 
 
 def test_build_single_genotype_degenerate():
@@ -88,11 +63,11 @@ def test_build_invariant_to_input_permutation():
     control = rng.dirichlet(np.ones(6))
     table = build_risk_table(case, control, rho=0.2)
     perm = rng.permutation(6)
-    ids = tuple(GenotypeId(int(i)) for i in perm)
+    ids = tuple(f"g{i}" for i in perm)
     permuted = build_risk_table(case[perm], control[perm], rho=0.2, genotypes=ids)
     np.testing.assert_allclose(permuted.p, table.p, atol=1e-15)
     np.testing.assert_allclose(permuted.r, table.r, atol=1e-15)
-    assert [g.key for g in permuted.genotypes] == [g.key for g in table.genotypes]
+    assert permuted.genotypes == table.genotypes
 
 
 def test_build_rejects_bad_conditionals():
@@ -104,7 +79,7 @@ def test_build_rejects_bad_conditionals():
 
 def test_estimate_uniform_counts_collapse_to_rho():
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(3)),
+        genotypes=tuple(f"g{i}" for i in range(3)),
         n_case=np.array([10, 10, 10]),
         n_control=np.array([40, 40, 40]),
         rho=0.3,
@@ -123,7 +98,7 @@ def test_estimate_matches_hand_conditionals(two_genotype_counts):
 def test_estimate_equals_build_on_exact_population_counts():
     # counts proportional to the conditionals reproduce the Bayes table
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(3)),
+        genotypes=tuple(f"g{i}" for i in range(3)),
         n_case=np.array([5000, 3000, 2000]),
         n_control=np.array([1000, 4000, 5000]),
         rho=0.25,
@@ -136,7 +111,7 @@ def test_estimate_equals_build_on_exact_population_counts():
 
 def test_estimate_case_only_genotype_is_boundary_risk():
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(2)),
+        genotypes=tuple(f"g{i}" for i in range(2)),
         n_case=np.array([5, 5]),
         n_control=np.array([10, 0]),
         rho=0.1,
@@ -148,7 +123,7 @@ def test_estimate_case_only_genotype_is_boundary_risk():
 
 def test_estimate_drops_genotypes_absent_from_both_arms():
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(3)),
+        genotypes=tuple(f"g{i}" for i in range(3)),
         n_case=np.array([5, 0, 5]),
         n_control=np.array([10, 0, 10]),
         rho=0.1,
@@ -156,12 +131,12 @@ def test_estimate_drops_genotypes_absent_from_both_arms():
     with pytest.warns(UserWarning):
         table = estimate_risk_table(counts)
     assert table.n_genotypes == 2
-    assert [g.index for g in table.dropped] == [1]
+    assert table.dropped == ("g1",)
 
 
 def test_estimate_laplace_pulls_risks_off_boundary():
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(2)),
+        genotypes=tuple(f"g{i}" for i in range(2)),
         n_case=np.array([5, 5]),
         n_control=np.array([10, 0]),
         rho=0.1,
@@ -173,7 +148,7 @@ def test_estimate_laplace_pulls_risks_off_boundary():
 @pytest.mark.parametrize("laplace", [float("nan"), float("inf"), -1.0])
 def test_laplace_must_be_finite_and_nonnegative(laplace):
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i) for i in range(2)),
+        genotypes=tuple(f"g{i}" for i in range(2)),
         n_case=np.array([5, 5]),
         n_control=np.array([10, 0]),
         rho=0.1,
@@ -215,7 +190,7 @@ def test_apply_model_identity_reproduces_training_curve(two_genotype_counts):
 
 def test_apply_model_keeps_nonmonotone_test_order():
     # train order puts g1 first, test risks reverse it: 0.3 then 0.1
-    order = (GenotypeId(0, "g1"), GenotypeId(1, "g2"))
+    order = ("g1", "g2")
     counts = CaseControlCounts(
         genotypes=order,
         n_case=np.array([6, 2]),
@@ -228,7 +203,7 @@ def test_apply_model_keeps_nonmonotone_test_order():
 
 
 def test_apply_model_inversion_u_below_isotonic_refit():
-    order = tuple(GenotypeId(i, f"g{i}") for i in range(3))
+    order = tuple(f"g{i}" for i in range(3))
     counts = CaseControlCounts(
         genotypes=order,
         n_case=np.array([2, 12, 6]),
@@ -239,15 +214,15 @@ def test_apply_model_inversion_u_below_isotonic_refit():
     assert not curve.monotone
     u_raw = float(u_statistic(curve.p, curve.r))
     assert u_raw == pytest.approx(brute_force_u(curve.p, curve.r), abs=1e-15)
-    refit = pava(curve.r, curve.p).fitted
+    refit = pava(curve.r, curve.p)
     u_refit = float(u_statistic(curve.p, refit))
     assert u_raw < u_refit
 
 
 def test_apply_model_appends_unseen_genotypes():
-    train = (GenotypeId(0, "g1"), GenotypeId(1, "g2"))
+    train = ("g1", "g2")
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "g1"), GenotypeId(1, "g2"), GenotypeId(2, "g3")),
+        genotypes=("g1", "g2", "g3"),
         n_case=np.array([2, 5, 3]),
         n_control=np.array([18, 15, 7]),
         rho=0.2,
@@ -258,9 +233,9 @@ def test_apply_model_appends_unseen_genotypes():
 
 
 def test_apply_model_disjoint_genotypes_rejected():
-    train = (GenotypeId(0, "a1"), GenotypeId(1, "a2"))
+    train = ("a1", "a2")
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "b1"), GenotypeId(1, "b2")),
+        genotypes=("b1", "b2"),
         n_case=np.array([5, 5]),
         n_control=np.array([5, 5]),
         rho=0.2,
@@ -271,25 +246,25 @@ def test_apply_model_disjoint_genotypes_rejected():
 
 def test_apply_model_rejects_a_repeated_order():
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "a"), GenotypeId(1, "b")),
+        genotypes=("a", "b"),
         n_case=np.array([2, 5]),
         n_control=np.array([8, 5]),
         rho=0.2,
     )
-    # equal keys repeat a genotype whatever their indices
+    # a label named twice repeats its genotype
     with pytest.raises(ValidationError, match="order must not repeat genotypes"):
-        apply_model_to_test((GenotypeId(0, "a"), GenotypeId(7, "a")), counts)
+        apply_model_to_test(("a", "a"), counts)
 
 
 def test_counts_validation():
-    ids = tuple(GenotypeId(i) for i in range(2))
+    ids = tuple(f"g{i}" for i in range(2))
     with pytest.raises(ValidationError):
         CaseControlCounts(ids, np.array([1, -1]), np.array([1, 1]), rho=0.1)
     with pytest.raises(ValidationError):
         CaseControlCounts(ids, np.array([0, 0]), np.array([1, 1]), rho=0.1)
     with pytest.raises(ValidationError):
         CaseControlCounts(
-            (GenotypeId(0, "x"), GenotypeId(1, "x")),
+            ("x", "x"),
             np.array([1, 1]),
             np.array([1, 1]),
             rho=0.1,
@@ -297,18 +272,28 @@ def test_counts_validation():
 
 
 def test_estimate_drops_by_position_not_by_index():
-    # two genotypes share index 0 but differ in label (the matching key);
-    # only the one with zero total count may be dropped and named
+    # only the genotype with zero total count may be dropped and named,
+    # and the kept one keeps its own label
     counts = CaseControlCounts(
-        genotypes=(GenotypeId(0, "a"), GenotypeId(0, "b")),
+        genotypes=("a", "b"),
         n_case=np.array([5, 0]),
         n_control=np.array([10, 0]),
         rho=0.1,
     )
     with pytest.warns(UserWarning, match=r"dropping 1 genotype\(s\) unseen in both arms: b$"):
         table = estimate_risk_table(counts)
-    assert [(g.index, g.label) for g in table.dropped] == [(0, "b")]
-    assert [(g.index, g.label) for g in table.genotypes] == [(0, "a")]
+    assert table.dropped == ("b",)
+    assert table.genotypes == ("a",)
+
+
+def test_unlabelled_rows_are_named_g_and_their_position():
+    # without genotypes, row i is "g{i}", in the table, the drop warning
+    # and curve.json's dropped list
+    a, b = [0.5, 0.0, 0.3, 0.2], [0.2, 0.0, 0.3, 0.5]
+    with pytest.warns(UserWarning, match=r"dropping 1 zero-mass genotype\(s\): g1$"):
+        table = build_risk_table(a, b, rho=0.1)
+    assert table.genotypes == ("g3", "g2", "g0")
+    assert curve_metadata(table)["dropped"] == ["g1"]
 
 
 def test_drop_warnings_name_at_most_five_genotypes(tmp_path):
@@ -330,7 +315,7 @@ def test_drop_warnings_name_at_most_five_genotypes(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the list/tuple-membership bookkeeping that estimate_risk_table and
-# apply_model_to_test used before they worked from masks and key sets,
+# apply_model_to_test used before they worked from masks and label sets,
 # kept as the reference the rewritten paths must reproduce exactly
 
 
@@ -351,16 +336,15 @@ def _reference_dropped(counts):
 
 
 def _reference_apply(train_order, test_counts, laplace):
-    train_keys = [g.key for g in train_order]
     kept, a, b = _reference_plugin(test_counts, laplace)
     rho = test_counts.rho
     p = a * rho + b * (1.0 - rho)
     r = (a * rho) / p
-    by_key = {g.key: i for i, g in enumerate(kept)}
-    matched = [by_key[k] for k in train_keys if k in by_key]
+    by_label = {g: i for i, g in enumerate(kept)}
+    matched = [by_label[g] for g in train_order if g in by_label]
     if not matched:
         raise ValidationError("training order shares no genotype with the test data")
-    extra = [i for i, g in enumerate(kept) if g.key not in set(train_keys)]
+    extra = [i for i, g in enumerate(kept) if g not in set(train_order)]
     extra.sort(key=lambda i: (r[i], i))
     idx = np.array(matched + extra, dtype=int)
     return (
@@ -371,11 +355,6 @@ def _reference_apply(train_order, test_counts, laplace):
     )
 
 
-def _ids(genotypes):
-    # GenotypeId equality looks at the key only; compare both fields
-    return [(g.index, g.label) for g in genotypes]
-
-
 def _random_labelled_counts(rng, n_genotypes, rho):
     labels = [f"L{j}" for j in rng.permutation(3 * n_genotypes)[:n_genotypes]]
     # small counts: many genotypes unseen in both arms, many tied risks
@@ -384,7 +363,7 @@ def _random_labelled_counts(rng, n_genotypes, rho):
     n_case[rng.integers(n_genotypes)] += 1
     n_control[rng.integers(n_genotypes)] += 1
     return CaseControlCounts(
-        genotypes=tuple(GenotypeId(i, lab) for i, lab in enumerate(labels)),
+        genotypes=tuple(labels),
         n_case=n_case,
         n_control=n_control,
         rho=rho,
@@ -404,13 +383,12 @@ def test_rewritten_bookkeeping_matches_reference():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             table = estimate_risk_table(train)
-        assert _ids(table.dropped) == _ids(_reference_dropped(train))
+        assert table.dropped == _reference_dropped(train)
 
-        # shuffled train order over the train labels, re-indexed, plus a
-        # few labels the test data never carries
-        order = [GenotypeId(int(j), train.genotypes[i].label)
-                 for j, i in enumerate(rng.permutation(g))]
-        order += [GenotypeId(g + j, f"T{j}") for j in range(int(rng.integers(0, 3)))]
+        # shuffled train order over the train labels, plus a few labels
+        # the test data never carries
+        order = [train.genotypes[i] for i in rng.permutation(g)]
+        order += [f"T{j}" for j in range(int(rng.integers(0, 3)))]
         order = tuple(order[i] for i in rng.permutation(len(order)))
         try:
             expected = _reference_apply(order, test, laplace)
@@ -422,60 +400,45 @@ def test_rewritten_bookkeeping_matches_reference():
         q, r, genotypes, unseen = expected
         np.testing.assert_array_equal(curve.q, q)
         np.testing.assert_array_equal(curve.r, r)
-        assert _ids(curve.genotypes) == _ids(genotypes)
-        assert _ids(curve.unseen) == _ids(unseen)
+        assert curve.genotypes == genotypes
+        assert curve.unseen == unseen
         n_extra_total += len(unseen)
     assert n_extra_total > 100  # the unseen-genotype ordering was exercised
 
 
 class _CountingLabel(str):
-    """Genotype label that counts how often sets and dicts hash it."""
+    """Genotype label that counts how often it is hashed and compared."""
 
     hashes = 0
+    eqs = 0
 
     def __hash__(self):
         _CountingLabel.hashes += 1
         return str.__hash__(self)
 
+    def __eq__(self, other):
+        _CountingLabel.eqs += 1
+        return str.__eq__(self, other)
 
-def test_bookkeeping_calls_stay_linear_in_genotypes(monkeypatch):
+
+def test_bookkeeping_calls_stay_linear_in_genotypes():
     n_genotypes = 5000
     rng = np.random.default_rng(105)
-    genotypes = tuple(GenotypeId(i, _CountingLabel(f"G{i}")) for i in range(n_genotypes))
+    genotypes = tuple(_CountingLabel(f"G{i}") for i in range(n_genotypes))
     n_case = rng.integers(0, 4, n_genotypes)
     n_control = rng.integers(0, 4, n_genotypes)
     n_case[0] = n_control[0] = 1
     train = CaseControlCounts(genotypes, n_case, n_control, rho=0.1)
     test = CaseControlCounts(genotypes, n_control, n_case, rho=0.1)
 
-    eq_calls = 0
-    dataclass_eq = GenotypeId.__eq__
-
-    def counting_eq(self, other):
-        nonlocal eq_calls
-        eq_calls += 1
-        return dataclass_eq(self, other)
-
-    monkeypatch.setattr(GenotypeId, "__eq__", counting_eq)
-    _CountingLabel.hashes = 0
+    _CountingLabel.hashes = _CountingLabel.eqs = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         table = estimate_risk_table(train)
     apply_model_to_test(table.genotypes, test)
     assert table.dropped  # the dropped-genotype path ran
-    assert eq_calls <= 4 * n_genotypes
+    assert _CountingLabel.eqs <= 4 * n_genotypes
     assert _CountingLabel.hashes <= 8 * n_genotypes
-
-
-def test_genotype_id_equality_follows_key():
-    assert GenotypeId(3, "a") == GenotypeId(7, "a")
-    assert hash(GenotypeId(3, "a")) == hash(GenotypeId(7, "a"))
-    assert GenotypeId(0, "a") != GenotypeId(0, "b")
-    assert GenotypeId(4) == GenotypeId(4) and GenotypeId(4) != GenotypeId(5)
-    assert GenotypeId(4) != GenotypeId(4, "4")  # key 4 against key "4"
-    assert GenotypeId(4, "a") in {GenotypeId(9, "a")}
-    with pytest.raises(TypeError):
-        GenotypeId(0, "a") < GenotypeId(1, "b")
 
 
 def test_one_bayes_core_matches_the_parent_plugins():
@@ -495,9 +458,7 @@ def test_one_bayes_core_matches_the_parent_plugins():
         n_unseen += int(((n_case + n_control) == 0).sum())
         n_one_arm += int(((n_case == 0) != (n_control == 0)).sum())
         labels = [f"L{j}" for j in rng.permutation(g)]
-        counts = CaseControlCounts(
-            tuple(GenotypeId(i, lab) for i, lab in enumerate(labels)), n_case, n_control, rho
-        )
+        counts = CaseControlCounts(tuple(labels), n_case, n_control, rho)
         a, b = plugin_conditionals_reference(counts, laplace)
 
         with warnings.catch_warnings():

@@ -28,7 +28,6 @@ from predictu.inference import (
 )
 from predictu.risk_model import (
     CaseControlCounts,
-    GenotypeId,
     _bayes,
     _plugin_rows,
     estimate_risk_table,
@@ -143,7 +142,7 @@ def test_shared_peak_stays_within_the_partial_routine_alone():
     rng = np.random.default_rng(7)
     g = 1000
     counts = CaseControlCounts(
-        genotypes=tuple(GenotypeId(i, f"g{i}") for i in range(g)),
+        genotypes=tuple(f"g{i}" for i in range(g)),
         n_case=rng.integers(1, 60, g),
         n_control=rng.integers(1, 60, g),
         rho=0.05,
@@ -172,7 +171,7 @@ def _tied_case(rng):
     half[:, 0] = [3, 5]
     n_case, n_control = np.repeat(half, 2, axis=1)
     n_case[-2:] = n_control[-2:] = 0
-    genotypes = tuple(GenotypeId(i, f"g{i}") for i in range(8))
+    genotypes = tuple(f"g{i}" for i in range(8))
     counts = CaseControlCounts(genotypes, n_case, n_control, float(rng.uniform(0.05, 0.5)))
     return counts, genotypes[::-1]
 

@@ -18,14 +18,15 @@ from predictu import NumericError, ValidationError
 from predictu import inference, parallel
 from predictu import simulate as sim
 from predictu.risk_model import (
-    GenotypeId,
     apply_model_to_test,
     build_risk_table,
     estimate_risk_table,
 )
 from predictu.summary_indices import (
     _DEFAULT_TOKENS,
+    _EDGE,
     INDEX_TOKENS,
+    INDICES,
     average_entropy,
     partial_u,
     predictiveness_u,
@@ -107,7 +108,7 @@ def test_preset_population_is_the_exact_genotype_law(name):
         masses * pen / rho,
         masses * (1.0 - pen) / (1.0 - rho),
         rho,
-        genotypes=tuple(GenotypeId(i, g) for i, g in enumerate(model.genotype_labels)),
+        genotypes=model.genotype_labels,
     )
     got = sim.build_population(sim.preset(name)).table
     assert got.rho == want.rho
@@ -425,6 +426,19 @@ def test_truth_matches_direct_indices():
     for report in reports:
         assert report.model == "hand"
         assert report.true_value == pytest.approx(want[report.index_name], abs=1e-12)
+
+
+def test_null_model_pct_bias_is_nan():
+    # every rr 1: the Bayes round trip of the flat penetrances leaves
+    # truths of order 1e-17 and below, rounding noise rather than a scale
+    model = sim.penetrance_model((sim.SnpSpec(maf=0.3), sim.SnpSpec(maf=0.2)), target_rho=0.1)
+    reports = sim.run_bias_coverage(
+        [model], n_replicates=2, n_cases=100, n_controls=100, seed=0, n_bootstrap=5
+    )
+    assert [report.index_name for report in reports] == [INDICES[t].name for t in _DEFAULT_TOKENS]
+    for report in reports:
+        assert 0 < abs(report.true_value) <= _EDGE, report.index_name
+        assert np.isnan(report.pct_bias), report.index_name
 
 
 def test_bias_shrinks_with_sample_size():
